@@ -1,7 +1,7 @@
 // Ablation: rule-P4 immediate conversion vs section-5.4 Skip-block
-// deferral for conflicting single-shard transactions (DESIGN.md section
-// 2.3). 8 replicas, varying cross-shard pressure; SmallBank by default,
-// `--workload <name>` for any registered workload.
+// deferral for conflicting single-shard transactions. 8 replicas, varying
+// cross-shard pressure; SmallBank by default, `--workload <name>` for any
+// registered workload.
 //
 // Expectation: conversion keeps the pipeline busy (conflicting work moves
 // to the OE path immediately); deferral preserves more preplay (higher

@@ -1,9 +1,9 @@
 // Shared helpers for the figure-reproduction benchmark binaries.
 //
-// Each bench binary regenerates one table/figure of the paper's evaluation
-// (see DESIGN.md section 3): it sweeps the same parameters, prints the
-// series as an aligned CSV-style table, and states the qualitative
-// expectation from the paper so the output is self-checking.
+// Each bench binary regenerates one table/figure of the paper's evaluation:
+// it sweeps the same parameters, prints the series as an aligned CSV-style
+// table, and states the qualitative expectation from the paper so the
+// output is self-checking.
 #ifndef THUNDERBOLT_BENCH_BENCH_UTIL_H_
 #define THUNDERBOLT_BENCH_BENCH_UTIL_H_
 
@@ -13,8 +13,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.h"
@@ -227,6 +229,39 @@ inline std::string FlagValue(int argc, char** argv, const std::string& name) {
   return "";
 }
 
+/// Exits with code 2 unless `name` is `known`, listing the `registered`
+/// names: a typo in a registry-backed flag (--workload, --placement,
+/// --store, --pool, --arrival, --admission) must not silently bench the
+/// default.
+inline void RequireRegistered(const char* what, const std::string& name,
+                              bool known,
+                              const std::vector<std::string>& registered) {
+  if (known) return;
+  std::fprintf(stderr, "unknown %s \"%s\"; registered:", what, name.c_str());
+  for (const std::string& n : registered) {
+    std::fprintf(stderr, " %s", n.c_str());
+  }
+  std::fprintf(stderr, "\n");
+  std::exit(2);
+}
+
+/// Parses `text`, the value of `--<flag>`, as a positive number of type T
+/// (an integral T also needs a whole number in its range). Exits with code
+/// 2 otherwise: a zero, negative or malformed size must not bench a
+/// degenerate configuration.
+template <typename T>
+T PositiveFlag(const char* flag, const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  const bool whole = !std::is_integral_v<T> || v == std::floor(v);
+  if (end == text.c_str() || *end != '\0' || !(v > 0) || !whole ||
+      !(v < static_cast<double>(std::numeric_limits<T>::max()))) {
+    std::fprintf(stderr, "invalid --%s \"%s\"\n", flag, text.c_str());
+    std::exit(2);
+  }
+  return static_cast<T>(v);
+}
+
 /// Exits with code 2 when `spec` (a `k=v,...` param string) assigns any
 /// of the `reserved` keys. Drivers reserve the axes their own flags or
 /// sweep loops control: accepting such an override and then clobbering
@@ -266,14 +301,10 @@ inline std::string ClusterWorkloadFromFlags(
   options->seed = seed;
   std::string name = FlagValue(argc, argv, "workload");
   if (name.empty()) name = "smallbank";
-  if (!workload::WorkloadRegistry::Global().Contains(name)) {
-    std::fprintf(stderr, "unknown workload \"%s\"; registered:", name.c_str());
-    for (const std::string& n : workload::WorkloadRegistry::Global().Names()) {
-      std::fprintf(stderr, " %s", n.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-  }
+  const workload::WorkloadRegistry& workloads =
+      workload::WorkloadRegistry::Global();
+  RequireRegistered("workload", name, workloads.Contains(name),
+                    workloads.Names());
   const std::string spec = FlagValue(argc, argv, "params");
   RejectReservedParams(spec, reserved);
   Status s = workload::ApplyWorkloadParams(spec, options);
@@ -304,16 +335,10 @@ inline PlacementSelection PlacementFromFlags(int argc, char** argv) {
   PlacementSelection selection;
   std::string name = FlagValue(argc, argv, "placement");
   if (!name.empty()) {
-    if (!placement::PlacementRegistry::Global().Contains(name)) {
-      std::fprintf(stderr, "unknown placement policy \"%s\"; registered:",
-                   name.c_str());
-      for (const std::string& n :
-           placement::PlacementRegistry::Global().Names()) {
-        std::fprintf(stderr, " %s", n.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
+    const placement::PlacementRegistry& policies =
+        placement::PlacementRegistry::Global();
+    RequireRegistered("placement policy", name, policies.Contains(name),
+                      policies.Names());
     selection.policy = name;
   }
   selection.params = FlagValue(argc, argv, "placement-params");
@@ -343,15 +368,9 @@ inline StoreSelection StoreFromFlags(int argc, char** argv) {
   StoreSelection selection;
   std::string name = FlagValue(argc, argv, "store");
   if (!name.empty()) {
-    if (!storage::StoreRegistry::Global().Contains(name)) {
-      std::fprintf(stderr, "unknown store backend \"%s\"; registered:",
-                   name.c_str());
-      for (const std::string& n : storage::StoreRegistry::Global().Names()) {
-        std::fprintf(stderr, " %s", n.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
+    const storage::StoreRegistry& stores = storage::StoreRegistry::Global();
+    RequireRegistered("store backend", name, stores.Contains(name),
+                      stores.Names());
     selection.name = name;
   }
   return selection;
@@ -378,14 +397,11 @@ inline PoolSelection PoolFromFlags(int argc, char** argv) {
   PoolSelection selection;
   std::string name = FlagValue(argc, argv, "pool");
   if (!name.empty()) {
-    std::vector<std::string> names = ce::ExecutorPoolNames();
-    if (std::find(names.begin(), names.end(), name) == names.end()) {
-      std::fprintf(stderr, "unknown executor pool \"%s\"; registered:",
-                   name.c_str());
-      for (const std::string& n : names) std::fprintf(stderr, " %s", n.c_str());
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
+    const std::vector<std::string> names = ce::ExecutorPoolNames();
+    RequireRegistered("executor pool", name,
+                      std::find(names.begin(), names.end(), name) !=
+                          names.end(),
+                      names);
     selection.name = name;
   }
   return selection;
@@ -417,47 +433,26 @@ inline ServiceSelection ServiceFromFlags(int argc, char** argv) {
   const std::string rate = FlagValue(argc, argv, "rate");
   selection.config.enabled = !arrival.empty() || !rate.empty();
   if (!arrival.empty()) {
-    if (!svc::ArrivalRegistry::Global().Contains(arrival)) {
-      std::fprintf(stderr, "unknown arrival process \"%s\"; registered:",
-                   arrival.c_str());
-      for (const std::string& n : svc::ArrivalRegistry::Global().Names()) {
-        std::fprintf(stderr, " %s", n.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
+    const svc::ArrivalRegistry& arrivals = svc::ArrivalRegistry::Global();
+    RequireRegistered("arrival process", arrival, arrivals.Contains(arrival),
+                      arrivals.Names());
     selection.config.arrival = arrival;
   }
   selection.config.arrival_params = FlagValue(argc, argv, "arrival-params");
   if (!rate.empty()) {
-    selection.config.rate_tps = std::strtod(rate.c_str(), nullptr);
-    if (!(selection.config.rate_tps > 0)) {
-      std::fprintf(stderr, "invalid --rate \"%s\"\n", rate.c_str());
-      std::exit(2);
-    }
+    selection.config.rate_tps = PositiveFlag<double>("rate", rate);
   }
   const std::string admission = FlagValue(argc, argv, "admission");
   if (!admission.empty()) {
     svc::AdmissionPolicy policy;
-    if (!svc::ParseAdmissionPolicy(admission, &policy)) {
-      std::fprintf(stderr, "unknown admission policy \"%s\"; registered:",
-                   admission.c_str());
-      for (const std::string& n : svc::AdmissionPolicyNames()) {
-        std::fprintf(stderr, " %s", n.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
+    RequireRegistered("admission policy", admission,
+                      svc::ParseAdmissionPolicy(admission, &policy),
+                      svc::AdmissionPolicyNames());
     selection.config.admission = admission;
   }
   const std::string depth = FlagValue(argc, argv, "queue-depth");
   if (!depth.empty()) {
-    selection.config.queue_depth =
-        static_cast<uint32_t>(std::strtoul(depth.c_str(), nullptr, 10));
-    if (selection.config.queue_depth == 0) {
-      std::fprintf(stderr, "invalid --queue-depth \"%s\"\n", depth.c_str());
-      std::exit(2);
-    }
+    selection.config.queue_depth = PositiveFlag<uint32_t>("queue-depth", depth);
   }
   const std::string limiter_rate = FlagValue(argc, argv, "limiter-rate");
   if (!limiter_rate.empty()) {
@@ -471,12 +466,8 @@ inline ServiceSelection ServiceFromFlags(int argc, char** argv) {
   }
   const std::string codel = FlagValue(argc, argv, "codel-target-us");
   if (!codel.empty()) {
-    selection.config.codel_target = std::strtoull(codel.c_str(), nullptr, 10);
-    if (selection.config.codel_target == 0) {
-      std::fprintf(stderr, "invalid --codel-target-us \"%s\"\n",
-                   codel.c_str());
-      std::exit(2);
-    }
+    selection.config.codel_target =
+        PositiveFlag<SimTime>("codel-target-us", codel);
   }
   return selection;
 }
@@ -584,22 +575,12 @@ inline ObsSelection ObsFromFlags(int argc, char** argv) {
   selection.timeseries_path = FlagValue(argc, argv, "timeseries-out");
   const std::string cap = FlagValue(argc, argv, "trace-capacity");
   if (!cap.empty()) {
-    selection.trace_capacity =
-        static_cast<uint32_t>(std::strtoul(cap.c_str(), nullptr, 10));
-    if (selection.trace_capacity == 0) {
-      std::fprintf(stderr, "invalid --trace-capacity \"%s\"\n", cap.c_str());
-      std::exit(2);
-    }
+    selection.trace_capacity = PositiveFlag<uint32_t>("trace-capacity", cap);
   }
   const std::string window = FlagValue(argc, argv, "timeseries-window");
   if (!window.empty()) {
     selection.timeseries_window_us =
-        std::strtoull(window.c_str(), nullptr, 10);
-    if (selection.timeseries_window_us == 0) {
-      std::fprintf(stderr, "invalid --timeseries-window \"%s\"\n",
-                   window.c_str());
-      std::exit(2);
-    }
+        PositiveFlag<uint64_t>("timeseries-window", window);
   }
   return selection;
 }

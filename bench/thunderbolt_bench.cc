@@ -447,12 +447,7 @@ DriverConfig ParseFlags(int argc, char** argv) {
   }
   std::string batches = bench::FlagValue(argc, argv, "batch");
   for (const std::string& b : SplitList(batches)) {
-    uint32_t size = static_cast<uint32_t>(std::strtoul(b.c_str(), nullptr, 10));
-    if (size == 0) {
-      std::fprintf(stderr, "invalid --batch entry \"%s\"\n", b.c_str());
-      std::exit(2);
-    }
-    config.batch_sizes.push_back(size);
+    config.batch_sizes.push_back(bench::PositiveFlag<uint32_t>("batch", b));
   }
   if (config.batch_sizes.empty()) {
     config.batch_sizes = smoke ? std::vector<uint32_t>{64}
@@ -472,12 +467,7 @@ DriverConfig ParseFlags(int argc, char** argv) {
   if (config.thetas.empty()) config.thetas = {0.85};
   std::string executors = bench::FlagValue(argc, argv, "executors");
   if (!executors.empty()) {
-    config.executors =
-        static_cast<uint32_t>(std::strtoul(executors.c_str(), nullptr, 10));
-    if (config.executors == 0) {
-      std::fprintf(stderr, "invalid --executors \"%s\"\n", executors.c_str());
-      std::exit(2);
-    }
+    config.executors = bench::PositiveFlag<uint32_t>("executors", executors);
   }
   std::string pools = bench::FlagValue(argc, argv, "pool");
   if (pools.empty()) {
@@ -487,39 +477,17 @@ DriverConfig ParseFlags(int argc, char** argv) {
   }
   std::string threads = bench::FlagValue(argc, argv, "threads");
   for (const std::string& t : SplitList(threads)) {
-    uint32_t count =
-        static_cast<uint32_t>(std::strtoul(t.c_str(), nullptr, 10));
-    if (count == 0) {
-      std::fprintf(stderr, "invalid --threads entry \"%s\"\n", t.c_str());
-      std::exit(2);
-    }
-    config.threads.push_back(count);
+    config.threads.push_back(bench::PositiveFlag<uint32_t>("threads", t));
   }
   std::string runs = bench::FlagValue(argc, argv, "runs");
-  if (!runs.empty()) {
-    config.runs =
-        static_cast<uint32_t>(std::strtoul(runs.c_str(), nullptr, 10));
-    if (config.runs == 0) {
-      std::fprintf(stderr, "invalid --runs \"%s\"\n", runs.c_str());
-      std::exit(2);
-    }
-  }
+  if (!runs.empty()) config.runs = bench::PositiveFlag<uint32_t>("runs", runs);
   std::string records = bench::FlagValue(argc, argv, "records");
   if (!records.empty()) {
-    config.records = std::strtoull(records.c_str(), nullptr, 10);
-    if (config.records == 0) {
-      std::fprintf(stderr, "invalid --records \"%s\"\n", records.c_str());
-      std::exit(2);
-    }
+    config.records = bench::PositiveFlag<uint64_t>("records", records);
   }
   std::string shards = bench::FlagValue(argc, argv, "shards");
   if (!shards.empty()) {
-    config.shards =
-        static_cast<uint32_t>(std::strtoul(shards.c_str(), nullptr, 10));
-    if (config.shards == 0) {
-      std::fprintf(stderr, "invalid --shards \"%s\"\n", shards.c_str());
-      std::exit(2);
-    }
+    config.shards = bench::PositiveFlag<uint32_t>("shards", shards);
   }
   config.placement = bench::PlacementFromFlags(argc, argv);
   config.store = bench::StoreFromFlags(argc, argv);

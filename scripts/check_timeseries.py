@@ -6,6 +6,9 @@ Validates the invariants the TimeSeriesRecorder promises:
   * windows are non-overlapping and ordered (a zero-length window is legal
     only as the final flush stamp: counters that moved after the last
     boundary close at end-of-run with start_us == end_us);
+  * the flush stamp carries only syncs taken at capture time (store.*,
+    trace.*), never a cluster.* counter: cluster outcomes are counted at
+    the virtual time they happen, so each lands in a real window;
   * every counter delta is attributed to exactly one window, so the
     per-window deltas of each counter sum to its entry in totals;
   * when the run used the open-loop service front end (svc.* counters
@@ -49,8 +52,14 @@ def main():
                 fail(f"window {i} missing key {key!r}")
         if w["start_us"] > w["end_us"]:
             fail(f"window {i} has negative span [{w['start_us']}, {w['end_us']}]")
-        if w["start_us"] == w["end_us"] and i + 1 != len(doc["windows"]):
-            fail(f"window {i} is zero-length but not the final flush window")
+        if w["start_us"] == w["end_us"]:
+            if i + 1 != len(doc["windows"]):
+                fail(f"window {i} is zero-length but not the final flush "
+                     "window")
+            for name in w["counters"]:
+                if name.startswith("cluster."):
+                    fail(f"zero-length window {i} carries {name!r}: cluster "
+                         "outcomes must land in the window they happen in")
         if w["start_us"] < prev_end:
             fail(f"window {i} overlaps the previous one")
         prev_end = w["end_us"]

@@ -129,6 +129,16 @@ class ExecutorPool {
   const PoolObsContext& obs_context() const { return obs_; }
 
  protected:
+  /// Publishes a finished batch into obs_.metrics (no-op without one) as
+  /// pool.<name>.*: batch, transaction and restart counters (restarts also
+  /// by cause), the commit-latency histogram, the phase decomposition, and
+  /// the queue-depth and wave-occupancy gauges. Occupancy is the mean of
+  /// `occupancy_samples` busy-executor counts summing to `occupancy_sum`,
+  /// as a fraction of the pool width.
+  void PublishBatchMetrics(const BatchExecutionResult& result,
+                           size_t max_queue_depth, uint64_t occupancy_sum,
+                           uint64_t occupancy_samples) const;
+
   PoolObsContext obs_;
 };
 

@@ -462,28 +462,8 @@ Result<BatchExecutionResult> SimExecutorPool::Run(
     ev.b = result.total_aborts;
     tracer.Record(ev);
   }
-  if (obs_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *obs_.metrics;
-    m.GetCounter("pool.sim.batches").Inc();
-    m.GetCounter("pool.sim.txns").Inc(n);
-    m.GetCounter("pool.sim.restarts").Inc(result.total_aborts);
-    for (size_t r = 0; r < obs::kNumAbortReasons; ++r) {
-      if (reason_counts[r] == 0) continue;
-      m.GetCounter(std::string("pool.sim.restart_reason.") +
-                   obs::AbortReasonName(static_cast<obs::AbortReason>(r)))
-          .Inc(reason_counts[r]);
-    }
-    m.GetHistogram("pool.sim.commit_latency_us")
-        .Merge(result.commit_latency_us);
-    obs::MergeIntoRegistry(m, result.phases);
-    m.GetGauge("pool.sim.queue_depth")
-        .Set(static_cast<double>(max_queue_depth));
-    m.GetGauge("pool.sim.wave_occupancy")
-        .Set(scheduler_steps > 0
-                 ? static_cast<double>(busy_samples_sum) /
-                       (static_cast<double>(scheduler_steps) * num_executors_)
-                 : 0.0);
-  }
+  PublishBatchMetrics(result, max_queue_depth, busy_samples_sum,
+                      scheduler_steps);
   return result;
 }
 

@@ -1,9 +1,10 @@
 // Simulated executor pool.
 //
 // Drives a batch of transactions through any BatchEngine with E virtual
-// executors on a virtual clock (DESIGN.md section 2.1): the *decisions* —
-// dependency edges, lock conflicts, validation failures, aborts — are made
-// by the real engine algorithms; only the passage of time is simulated.
+// executors on a virtual clock (EXPERIMENTS.md "Virtual time"): the
+// *decisions* — dependency edges, lock conflicts, validation failures,
+// aborts — are made by the real engine algorithms; only the passage of
+// time is simulated.
 // This reproduces the paper's executor-count sweeps (Figures 11/12) on a
 // single physical core, fully deterministically. For real wall-clock
 // parallelism see ThreadExecutorPool (thread_executor_pool.h); both

@@ -362,29 +362,8 @@ Result<BatchExecutionResult> ThreadExecutorPool::Run(
     ev.b = result.total_aborts;
     obs_.tracer->Record(ev);
   }
-  if (obs_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *obs_.metrics;
-    m.GetCounter("pool.thread.batches").Inc();
-    m.GetCounter("pool.thread.txns").Inc(n);
-    m.GetCounter("pool.thread.restarts").Inc(result.total_aborts);
-    for (size_t r = 0; r < obs::kNumAbortReasons; ++r) {
-      if (result.abort_reasons[r] == 0) continue;
-      m.GetCounter(std::string("pool.thread.restart_reason.") +
-                   obs::AbortReasonName(static_cast<obs::AbortReason>(r)))
-          .Inc(result.abort_reasons[r]);
-    }
-    m.GetHistogram("pool.thread.commit_latency_us")
-        .Merge(result.commit_latency_us);
-    obs::MergeIntoRegistry(m, result.phases);
-    m.GetGauge("pool.thread.queue_depth")
-        .Set(static_cast<double>(job_.max_queue_depth));
-    m.GetGauge("pool.thread.wave_occupancy")
-        .Set(job_.occupancy_samples > 0
-                 ? static_cast<double>(job_.occupancy_sum) /
-                       (static_cast<double>(job_.occupancy_samples) *
-                        num_executors_)
-                 : 0.0);
-  }
+  PublishBatchMetrics(result, job_.max_queue_depth, job_.occupancy_sum,
+                      job_.occupancy_samples);
   engine.SetAbortCallback({});
   return result;
 }

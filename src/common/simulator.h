@@ -4,7 +4,7 @@
 // replicas, network links and executor pools are event-driven objects that
 // schedule callbacks on a shared virtual clock. This yields bit-exact
 // reproducible runs (same seed -> same schedule) while exercising the real
-// protocol logic. See DESIGN.md section 2.1 for the rationale.
+// protocol logic. README.md "Determinism" covers what this guarantees.
 #ifndef THUNDERBOLT_COMMON_SIMULATOR_H_
 #define THUNDERBOLT_COMMON_SIMULATOR_H_
 

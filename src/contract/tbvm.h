@@ -1,9 +1,9 @@
 // TBVM: the Thunderbolt bytecode virtual machine.
 //
-// A small register-based VM standing in for the EVM (DESIGN.md substitution
-// #4). Programs are Turing-complete over the <Read, K> / <Write, K, V> data
-// model: arithmetic, comparisons, conditional and unconditional jumps, and
-// key construction from transaction account arguments. Crucially, which
+// A small register-based VM standing in for the EVM. Programs are
+// Turing-complete over the <Read, K> / <Write, K, V> data model:
+// arithmetic, comparisons, conditional and unconditional jumps, and key
+// construction from transaction account arguments. Crucially, which
 // keys a program touches can depend on values it reads — read/write sets
 // are only discoverable by executing, exactly the property Thunderbolt's
 // CE is designed around.

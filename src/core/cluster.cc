@@ -79,14 +79,13 @@ Cluster::Cluster(ThunderboltConfig config, const std::string& workload_name,
         &obs_->metrics());
     shared_->service = service_.get();
   }
-  metrics_ = std::make_unique<ClusterMetrics>();
 
   nodes_.reserve(config_.n);
   for (ReplicaId id = 0; id < config_.n; ++id) {
     nodes_.push_back(std::make_unique<ThunderboltNode>(
         config_, id, simulator_.get(), network_.get(), &keys_, registry_,
-        workload_.get(), placement_, shared_.get(), metrics_.get(),
-        obs_.get(), /*is_observer=*/id == 0));
+        workload_.get(), placement_, shared_.get(), obs_.get(),
+        /*is_observer=*/id == 0));
   }
 }
 
@@ -114,28 +113,6 @@ void Cluster::CrashReplicaAt(ReplicaId id, SimTime when) {
 }
 
 ClusterResult Cluster::Run(SimTime duration) {
-  // Snapshot counters so repeated Run calls report window deltas.
-  const uint64_t invalid0 = metrics_->invalid_blocks;
-  const uint64_t skip0 = metrics_->skip_blocks;
-  const uint64_t shift0 = metrics_->shift_blocks;
-  const uint64_t conv0 = metrics_->conversions;
-  const uint64_t reconf0 = metrics_->reconfigurations;
-  const uint64_t aborts0 = metrics_->preplay_aborts;
-  const size_t migrations0 = metrics_->migration_events.size();
-
-  // The pools break restarts down by cause into registry counters named
-  // pool.<pool>.restart_reason.<reason>; snapshot them for window deltas.
-  auto reason_count = [this](size_t r) -> uint64_t {
-    const obs::Counter* c = obs_->metrics().FindCounter(
-        "pool." + config_.pool + ".restart_reason." +
-        obs::AbortReasonName(static_cast<obs::AbortReason>(r)));
-    return c == nullptr ? 0 : c->value();
-  };
-  std::array<uint64_t, obs::kNumAbortReasons> reasons0{};
-  for (size_t r = 0; r < obs::kNumAbortReasons; ++r) {
-    reasons0[r] = reason_count(r);
-  }
-
   if (!started_) {
     started_ = true;
     for (auto& node : nodes_) node->Start();
@@ -144,69 +121,68 @@ ClusterResult Cluster::Run(SimTime duration) {
     }
     if (service_ != nullptr) PumpArrivals();
   }
-  SimTime start = simulator_->Now();
-  SimTime end = start + duration;
+  const SimTime end = simulator_->Now() + duration;
   simulator_->RunUntil(end);
   // Record the run edge so a later FlushTimeSeries stamps the trailing
   // partial window at `end`, not at the last boundary that happened to
   // close (idempotent for windows the sampler chain already closed).
   obs_->SampleWindow(end);
 
+  // The observer counted every outcome into the registry when it happened;
+  // a transaction counts once its pipeline completion lies in the window.
   ClusterResult result;
   result.duration = duration;
-  result.invalid_blocks = metrics_->invalid_blocks - invalid0;
-  result.skip_blocks = metrics_->skip_blocks - skip0;
-  result.shift_blocks = metrics_->shift_blocks - shift0;
-  result.conversions = metrics_->conversions - conv0;
-  result.reconfigurations = metrics_->reconfigurations - reconf0;
-  result.preplay_aborts = metrics_->preplay_aborts - aborts0;
-  result.migrations = metrics_->migration_events.size() - migrations0;
+  result.committed_single = CounterDelta("cluster.commits_single");
+  result.committed_cross = CounterDelta("cluster.commits_cross");
+  result.invalid_blocks = CounterDelta("cluster.invalid_blocks");
+  result.skip_blocks = CounterDelta("cluster.skip_blocks");
+  result.shift_blocks = CounterDelta("cluster.shift_blocks");
+  result.conversions = CounterDelta("cluster.conversions");
+  result.reconfigurations = CounterDelta("cluster.reconfigurations");
+  result.preplay_aborts = CounterDelta("cluster.preplay_aborts");
+  result.migrations = CounterDelta("cluster.migrations");
+  // The pools break restarts down by cause into registry counters named
+  // pool.<pool>.restart_reason.<reason>.
   for (size_t r = 0; r < obs::kNumAbortReasons; ++r) {
-    result.abort_reasons[r] = reason_count(r) - reasons0[r];
+    result.abort_reasons[r] = CounterDelta(
+        "pool." + config_.pool + ".restart_reason." +
+        obs::AbortReasonName(static_cast<obs::AbortReason>(r)));
   }
-  result.commit_times = metrics_->commit_times;
+  result.commit_times = nodes_[0]->commit_times();
 
-  // A transaction counts toward this window only once its pipeline
-  // completion time lies within it: consensus alone does not "commit" work
-  // the executor has not caught up with (ClusterMetrics::CommitSample).
-  Histogram window;
-  Histogram admit_window;  // completion - admit: the admit->commit view.
-  for (; sample_cursor_ < metrics_->samples.size(); ++sample_cursor_) {
-    const ClusterMetrics::CommitSample& s =
-        metrics_->samples[sample_cursor_];
-    if (s.completion > end) break;
-    if (s.cross) {
-      ++result.committed_cross;
-    } else {
-      ++result.committed_single;
-    }
-    window.Add(static_cast<double>(s.completion - s.submit));
-    admit_window.Add(static_cast<double>(s.completion - s.admit));
-  }
-
-  uint64_t committed = result.committed_single + result.committed_cross;
+  const Histogram latency = HistogramWindow("cluster.commit_latency_us");
+  const uint64_t committed = result.committed_single + result.committed_cross;
   result.throughput_tps =
       static_cast<double>(committed) / ToSeconds(duration);
-  result.avg_latency_s = window.Mean() / 1e6;
-  result.p50_latency_s = window.Median() / 1e6;
-  result.p99_latency_s = window.Percentile(99) / 1e6;
-  result.p999_latency_s = window.Percentile(99.9) / 1e6;
-  result.latency_samples = window.Count();
-  result.admit_p99_latency_s = admit_window.Percentile(99) / 1e6;
-  result.admit_p999_latency_s = admit_window.Percentile(99.9) / 1e6;
-
+  result.avg_latency_s = latency.Mean() / 1e6;
+  result.p50_latency_s = latency.Median() / 1e6;
+  result.p99_latency_s = latency.Percentile(99) / 1e6;
+  result.p999_latency_s = latency.Percentile(99.9) / 1e6;
+  result.latency_samples = latency.Count();
   if (service_ != nullptr) {
-    const svc::ServiceFrontEnd::Counters& c = service_->counters();
-    result.offered = c.offered - svc_snapshot_.offered;
-    result.admitted = c.admitted - svc_snapshot_.admitted;
-    result.rejected = c.rejected - svc_snapshot_.rejected;
-    result.shed = c.shed - svc_snapshot_.shed;
-    svc_snapshot_ = c;
+    const Histogram admit = HistogramWindow("cluster.admit_latency_us");
+    result.admit_p99_latency_s = admit.Percentile(99) / 1e6;
+    result.admit_p999_latency_s = admit.Percentile(99.9) / 1e6;
+    result.offered = CounterDelta("svc.offered");
+    result.admitted = CounterDelta("svc.admitted");
+    result.rejected = CounterDelta("svc.rejected");
+    result.shed = CounterDelta("svc.shed");
+  } else {
+    // Closed loop: admit == submit, so the admit->commit view coincides.
+    result.admit_p99_latency_s = result.p99_latency_s;
+    result.admit_p999_latency_s = result.p999_latency_s;
+  }
+  // Pool-side phases recorded during preplay, commit-path phases by the
+  // observer.
+  for (size_t p = 0; p < obs::kNumPhases; ++p) {
+    result.phase_latency.phase[p] = HistogramWindow(
+        std::string("phase.") + obs::PhaseName(static_cast<obs::Phase>(p)) +
+        "_us");
   }
 
-  // Surface cluster-level outcomes and the canonical store's traffic
-  // counters through the registry, so a --metrics-out snapshot captures
-  // the whole system, not just the pools' view.
+  // The canonical store's traffic counters are not events the nodes see;
+  // mirror them into the registry here, so a --metrics-out snapshot
+  // captures the whole system, not just the pools' view.
   obs::MetricsRegistry& m = obs_->metrics();
   auto sync_counter = [&m](const char* name, uint64_t cumulative) {
     obs::Counter& c = m.GetCounter(name);
@@ -234,41 +210,26 @@ ClusterResult Cluster::Run(SimTime duration) {
     sync_counter("store.wal_recovered_records", stats.wal_recovered_records);
   }
   m.GetGauge("store.live_keys").Set(static_cast<double>(stats.live_keys));
-  m.GetCounter("cluster.committed_single").Inc(result.committed_single);
-  m.GetCounter("cluster.committed_cross").Inc(result.committed_cross);
-  m.GetCounter("cluster.invalid_blocks").Inc(result.invalid_blocks);
-  m.GetCounter("cluster.skip_blocks").Inc(result.skip_blocks);
-  m.GetCounter("cluster.shift_blocks").Inc(result.shift_blocks);
-  m.GetCounter("cluster.conversions").Inc(result.conversions);
-  m.GetCounter("cluster.reconfigurations").Inc(result.reconfigurations);
-  m.GetCounter("cluster.preplay_aborts").Inc(result.preplay_aborts);
-  m.GetCounter("cluster.migrations").Inc(result.migrations);
-  m.GetHistogram("cluster.commit_latency_us").Merge(window);
-  // Only under the front end, so closed-loop metrics snapshots stay
-  // byte-identical to before (there admit == submit anyway).
-  if (service_ != nullptr) {
-    m.GetHistogram("cluster.admit_latency_us").Merge(admit_window);
-  }
   obs_->SyncTraceStats();
-
-  // Window deltas of the six phase.<name>_us histograms (pool-side phases
-  // recorded during preplay, commit-path phases by the observer). Samples
-  // are append-only in insertion order, so a cursor per phase suffices.
-  for (size_t p = 0; p < obs::kNumPhases; ++p) {
-    const std::string name =
-        std::string("phase.") + obs::PhaseName(static_cast<obs::Phase>(p)) +
-        "_us";
-    const obs::HistogramMetric* h = m.FindHistogram(name);
-    if (h == nullptr) continue;
-    const Histogram snap = h->Snapshot();
-    const std::vector<double>& samples = snap.samples();
-    Histogram& out = result.phase_latency[static_cast<obs::Phase>(p)];
-    for (size_t i = phase_cursor_[p]; i < samples.size(); ++i) {
-      out.Add(samples[i]);
-    }
-    phase_cursor_[p] = samples.size();
-  }
   return result;
+}
+
+uint64_t Cluster::CounterDelta(const std::string& name) {
+  const obs::Counter* c = obs_->metrics().FindCounter(name);
+  const uint64_t now = c == nullptr ? 0 : c->value();
+  uint64_t& mark = counter_marks_[name];
+  const uint64_t delta = now - mark;
+  mark = now;
+  return delta;
+}
+
+Histogram Cluster::HistogramWindow(const std::string& name) {
+  const obs::HistogramMetric* h = obs_->metrics().FindHistogram(name);
+  if (h == nullptr) return {};
+  size_t& mark = histogram_marks_[name];
+  Histogram window = h->Since(mark);
+  mark += window.Count();
+  return window;
 }
 
 void Cluster::ScheduleWindowSample(SimTime when) {

@@ -6,6 +6,7 @@
 #define THUNDERBOLT_CORE_CLUSTER_H_
 
 #include <array>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,7 +48,8 @@ struct ClusterResult {
   /// Preplay aborts in this window broken down by cause, indexed by
   /// obs::AbortReason (window delta of the pools' restart_reason metrics).
   std::array<uint64_t, obs::kNumAbortReasons> abort_reasons{};
-  /// (commit index, completion time) pairs from the observer (Figure 16).
+  /// (commit index, completion time) pairs from the observer since
+  /// construction, not just this window (Figure 16).
   std::vector<std::pair<Round, SimTime>> commit_times;
   /// Per-phase commit-latency decomposition for this window (microsecond
   /// samples recorded into the registry's phase.<name>_us histograms by the
@@ -111,7 +113,6 @@ class Cluster {
   const storage::KVStore& canonical_state() const {
     return *shared_->canonical;
   }
-  const ClusterMetrics& metrics() const { return *metrics_; }
   /// The cluster's observability bundle: metrics are always live; the
   /// trace ring exists when config.obs.trace was set. WriteJson /
   /// WriteChromeJson on these produce the bench --metrics-out/--trace-out
@@ -127,7 +128,7 @@ class Cluster {
   const placement::PlacementPolicy& placement() const { return *placement_; }
   /// Hot-key migrations applied since construction, in order.
   const std::vector<placement::MigrationEvent>& migration_events() const {
-    return metrics_->migration_events;
+    return shared_->migration_events;
   }
 
   /// The workload's consistency invariant over the canonical committed
@@ -156,18 +157,16 @@ class Cluster {
   /// SharedClusterState::service).
   std::unique_ptr<svc::ServiceFrontEnd> service_;
   std::unique_ptr<SharedClusterState> shared_;
-  std::unique_ptr<ClusterMetrics> metrics_;
   std::vector<std::unique_ptr<ThunderboltNode>> nodes_;
   bool started_ = false;
-  /// Cursor into metrics_->samples for window accounting across Run calls.
-  size_t sample_cursor_ = 0;
-  /// Cursors into the registry's phase.<name>_us histogram samples, one
-  /// per obs::Phase, for the same window-delta accounting.
-  std::array<size_t, obs::kNumPhases> phase_cursor_{};
 
-  /// Front-end counter totals at the last window edge, for ClusterResult's
-  /// offered/admitted/rejected/shed window deltas.
-  svc::ServiceFrontEnd::Counters svc_snapshot_;
+  /// Window reads over the registry, which every ClusterResult field comes
+  /// from: a counter's growth, or the histogram samples recorded, since the
+  /// previous Run read that metric (absent metrics read as empty).
+  uint64_t CounterDelta(const std::string& name);
+  Histogram HistogramWindow(const std::string& name);
+  std::map<std::string, uint64_t> counter_marks_;
+  std::map<std::string, size_t> histogram_marks_;
 
   /// Schedules the self-rechaining time-series sampler event at `when`
   /// (a window boundary on the sim clock). Started once, from the first

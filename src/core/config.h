@@ -38,9 +38,6 @@ struct ThunderboltConfig {
   /// determinism baselines) or "thread" (real std::thread workers,
   /// wall-clock timings, nondeterministic interleavings).
   std::string pool = "sim";
-  /// Validation replays declared operations without scheduling overhead;
-  /// per-op virtual cost (cheaper than first execution).
-  SimTime validation_op_cost = Micros(5);
 
   // --- Consensus cadence ----------------------------------------------------
   /// Fixed per-proposal CPU cost (batch serialization, signing, block

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 #include "baselines/occ_engine.h"
 #include "baselines/serial_executor.h"
@@ -49,6 +50,17 @@ const ThunderboltPayload* PayloadOf(const dag::BlockPtr& block) {
   return dynamic_cast<const ThunderboltPayload*>(block->content.get());
 }
 
+/// What one commit's pipeline run finishes, tallied in commit order and
+/// recorded into the registry at the completion time.
+struct Completion {
+  uint64_t singles = 0;
+  uint64_t crosses = 0;
+  /// Per shard: (single-shard, cross-shard) transactions finished.
+  std::map<ShardId, std::pair<uint64_t, uint64_t>> by_shard;
+  Histogram latency_us;        // Completion - submit, per transaction.
+  Histogram admit_latency_us;  // Completion - admit, per transaction.
+};
+
 }  // namespace
 
 ThunderboltNode::ThunderboltNode(
@@ -57,8 +69,7 @@ ThunderboltNode::ThunderboltNode(
     std::shared_ptr<const contract::Registry> registry,
     workload::Workload* workload,
     std::shared_ptr<placement::PlacementPolicy> placement,
-    SharedClusterState* shared, ClusterMetrics* metrics, obs::Observability* obs,
-    bool is_observer)
+    SharedClusterState* shared, obs::Observability* obs, bool is_observer)
     : config_(config),
       id_(id),
       simulator_(simulator),
@@ -68,9 +79,9 @@ ThunderboltNode::ThunderboltNode(
       workload_(workload),
       placement_(std::move(placement)),
       shared_(shared),
-      metrics_(metrics),
       obs_(obs),
       is_observer_(is_observer),
+      outcomes_(obs->metrics(), shared->service != nullptr),
       pool_(ce::CreateExecutorPool(config.pool, config.num_executors,
                                    config.exec_costs)),
       cross_executor_(registry_.get(), config.exec_costs.op_cost,
@@ -91,6 +102,18 @@ ThunderboltNode::ThunderboltNode(
   dag_->SetCommitCallback(
       [this](const dag::CommittedSubDag& s) { OnCommit(s); });
 }
+
+ThunderboltNode::Outcomes::Outcomes(obs::MetricsRegistry& m, bool open_loop)
+    : invalid_blocks(m.GetCounter("cluster.invalid_blocks")),
+      skip_blocks(m.GetCounter("cluster.skip_blocks")),
+      shift_blocks(m.GetCounter("cluster.shift_blocks")),
+      conversions(m.GetCounter("cluster.conversions")),
+      reconfigurations(m.GetCounter("cluster.reconfigurations")),
+      preplay_aborts(m.GetCounter("cluster.preplay_aborts")),
+      migrations(m.GetCounter("cluster.migrations")),
+      commit_latency(m.GetHistogram("cluster.commit_latency_us")),
+      admit_latency(open_loop ? &m.GetHistogram("cluster.admit_latency_us")
+                              : nullptr) {}
 
 void ThunderboltNode::Start() {
   network_->RegisterHandler(
@@ -235,7 +258,7 @@ void ThunderboltNode::BuildProposal(Round round) {
     if (!ConflictsWithPendingCross(tx)) {
       singles.push_back(std::move(tx));
     } else if (now - since > config_.leader_timeout) {
-      if (is_observer_) ++metrics_->conversions;
+      if (is_observer_) outcomes_.conversions.Inc();
       crosses.push_back(std::move(tx));
     } else {
       still_deferred.emplace_back(std::move(tx), since);
@@ -246,7 +269,7 @@ void ThunderboltNode::BuildProposal(Round round) {
   if (leader_timed_out) {
     // Rule P6: the leader is silent; convert this round's single-shard
     // transactions to cross-shard and submit them directly.
-    if (is_observer_) metrics_->conversions += singles.size();
+    if (is_observer_) outcomes_.conversions.Inc(singles.size());
     for (txn::Transaction& tx : singles) crosses.push_back(std::move(tx));
     singles.clear();
   } else {
@@ -263,7 +286,7 @@ void ThunderboltNode::BuildProposal(Round round) {
       } else if (config_.use_skip_blocks) {
         deferred_singles_.emplace_back(std::move(tx), now);
       } else {
-        if (is_observer_) ++metrics_->conversions;
+        if (is_observer_) outcomes_.conversions.Inc();
         crosses.push_back(std::move(tx));
       }
     }
@@ -315,7 +338,7 @@ void ThunderboltNode::StartPreplay(Round round,
       return;
     }
     duration = result->duration;
-    if (is_observer_) metrics_->preplay_aborts += result->total_aborts;
+    if (is_observer_) outcomes_.preplay_aborts.Inc(result->total_aborts);
     // Per-shard abort attribution: each shard is preplayed by exactly one
     // proposer per epoch, so every replica reporting its own shard yields
     // a complete breakdown with no double counting.
@@ -413,8 +436,6 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
   SimTime cost = 0;
 
   const Hash256 leader_digest = sub_dag.leader->Digest();
-  const bool first_processor =
-      shared_->processed_leaders.insert(leader_digest).second;
 
   std::vector<const txn::Transaction*> crosses;
   std::vector<std::pair<const ThunderboltPayload*, const dag::BlockPtr*>>
@@ -430,11 +451,11 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
     const dag::BlockPtr& block = *block_ptr;
     if (payload->kind == PayloadKind::kShift) {
       shift_committed_.insert(block->proposer);
-      if (is_observer_) ++metrics_->shift_blocks;
+      if (is_observer_) outcomes_.shift_blocks.Inc();
       continue;
     }
     if (payload->kind == PayloadKind::kSkip && is_observer_) {
-      ++metrics_->skip_blocks;
+      outcomes_.skip_blocks.Inc();
     }
     if (payload->preplayed.empty()) continue;
 
@@ -448,17 +469,6 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
       // the canonical committed store and applies the writes.
       ValidationResult vr =
           ValidatePreplay(*registry_, payload->preplayed, *shared_->canonical);
-#ifdef THUNDERBOLT_DEBUG_VALIDATION
-      if (!vr.valid) {
-        static int dumped = 0;
-        if (dumped++ < 8) {
-          fprintf(stderr,
-                  "[validation-fail] proposer=%u shard=%u round=%llu: %s\n",
-                  block->proposer, payload->shard,
-                  (unsigned long long)block->round, vr.failure.c_str());
-        }
-      }
-#endif
       outcome.valid = vr.valid;
       outcome.ops = vr.ops;
       outcome.critical_path = ValidationCriticalPath(payload->preplayed);
@@ -477,7 +487,7 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
     uint64_t parallel_ops = std::max<uint64_t>(
         outcome.ops / std::max(1u, config_.num_validators),
         static_cast<uint64_t>(outcome.critical_path) * per_txn_ops);
-    const SimTime validate_cost = parallel_ops * config_.validation_op_cost;
+    const SimTime validate_cost = parallel_ops * kValidationOpCost;
     if (is_observer_) {
       obs::Tracer& tracer = *obs_->tracer();
       if (tracer.enabled()) {
@@ -496,7 +506,7 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
 
     if (!outcome.valid) {
       if (is_observer_) {
-        ++metrics_->invalid_blocks;
+        outcomes_.invalid_blocks.Inc();
         obs_->metrics()
             .GetCounter("cluster.shard.invalid_blocks",
                         {{"shard", payload->shard}})
@@ -622,21 +632,34 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
     }
     cost += cross_outcome.duration;
   }
-  (void)first_processor;
 
   commit_pipeline_free_ = start + cost;
 
   if (is_observer_) {
-    // One sample per committed transaction, stamped with the pipeline
-    // completion time (see ClusterMetrics::CommitSample).
-    uint64_t singles_done = 0;
-    uint64_t crosses_done = 0;
-    std::map<ShardId, std::pair<uint64_t, uint64_t>> shard_done;
+    // A transaction counts as committed once the pipeline finishes it, not
+    // at consensus commit: under Tusk the serial executor backlog grows
+    // without bound, and counting at commit would credit unexecuted work.
+    // So the commit counters and latency samples are recorded at the
+    // completion time — every time-series window then holds exactly the
+    // work finished inside it, and Run windows read the same counts.
+    Completion done;
     obs::MetricsRegistry& m = obs_->metrics();
     obs::HistogramMetric& commit_apply =
         m.GetHistogram("phase.commit_apply_us");
     obs::HistogramMetric& cross_hold =
         m.GetHistogram("phase.cross_shard_hold_us");
+    auto finish = [&](ShardId shard, const txn::Transaction& tx, bool cross) {
+      ++(cross ? done.crosses : done.singles);
+      auto& per_shard = done.by_shard[shard];
+      ++(cross ? per_shard.second : per_shard.first);
+      done.latency_us.Add(
+          static_cast<double>(commit_pipeline_free_ - tx.submit_time));
+      if (outcomes_.admit_latency != nullptr) {
+        done.admit_latency_us.Add(
+            static_cast<double>(commit_pipeline_free_ - tx.admit_time));
+      }
+      commit_apply.Observe(static_cast<double>(commit_pipeline_free_ - start));
+    };
     for (auto& [payload, block_ptr] : ordered) {
       (void)block_ptr;
       Hash256 content_digest = payload->ContentDigest();
@@ -644,58 +667,44 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
       bool valid = memo == shared_->block_outcomes.end() || memo->second.valid;
       if (valid) {
         for (const PreplayedTxn& p : payload->preplayed) {
-          metrics_->samples.push_back(ClusterMetrics::CommitSample{
-              commit_pipeline_free_, p.tx.submit_time, p.tx.admit_time,
-              false});
-          ++singles_done;
-          ++shard_done[payload->shard].first;
-          commit_apply.Observe(
-              static_cast<double>(commit_pipeline_free_ - start));
+          finish(payload->shard, p.tx, /*cross=*/false);
         }
       }
       for (const txn::Transaction& tx : payload->cross_shard) {
-        metrics_->samples.push_back(ClusterMetrics::CommitSample{
-            commit_pipeline_free_, tx.submit_time, tx.admit_time, true});
-        ++crosses_done;
-        ++shard_done[payload->shard].second;
-        commit_apply.Observe(
-            static_cast<double>(commit_pipeline_free_ - start));
+        finish(payload->shard, tx, /*cross=*/true);
         cross_hold.Observe(
             static_cast<double>(commit_pipeline_free_ - tx.submit_time));
       }
     }
-    if (singles_done + crosses_done > 0) {
-      // Completion-time accounting: the commit counters tick when the
-      // validation/execution pipeline *finishes* the work, matching the
-      // CommitSample window rule above — so every time-series window's
-      // counter deltas sum exactly to the run's committed totals.
+    if (done.singles + done.crosses > 0) {
       simulator_->ScheduleAt(
-          commit_pipeline_free_,
-          [mp = &m, singles_done, crosses_done,
-           shard_done = std::move(shard_done)]() {
-            if (singles_done > 0) {
-              mp->GetCounter("cluster.commits_single").Inc(singles_done);
+          commit_pipeline_free_, [this, done = std::move(done)]() {
+            obs::MetricsRegistry& m = obs_->metrics();
+            if (done.singles > 0) {
+              m.GetCounter("cluster.commits_single").Inc(done.singles);
             }
-            if (crosses_done > 0) {
-              mp->GetCounter("cluster.commits_cross").Inc(crosses_done);
+            if (done.crosses > 0) {
+              m.GetCounter("cluster.commits_cross").Inc(done.crosses);
             }
-            for (const auto& [shard, done] : shard_done) {
-              if (done.first > 0) {
-                mp->GetCounter("cluster.shard.commits", {{"shard", shard}})
-                    .Inc(done.first);
+            for (const auto& [shard, n] : done.by_shard) {
+              if (n.first > 0) {
+                m.GetCounter("cluster.shard.commits", {{"shard", shard}})
+                    .Inc(n.first);
               }
-              if (done.second > 0) {
-                mp->GetCounter("cluster.shard.commits_cross",
-                               {{"shard", shard}})
-                    .Inc(done.second);
+              if (n.second > 0) {
+                m.GetCounter("cluster.shard.commits_cross",
+                             {{"shard", shard}})
+                    .Inc(n.second);
               }
+            }
+            outcomes_.commit_latency.Merge(done.latency_us);
+            if (outcomes_.admit_latency != nullptr) {
+              outcomes_.admit_latency->Merge(done.admit_latency_us);
             }
           });
     }
-    metrics_->commit_times.emplace_back(
-        static_cast<Round>(metrics_->commit_times.size() + 1),
-        commit_pipeline_free_);
-    metrics_->last_commit_time = commit_pipeline_free_;
+    commit_times_.emplace_back(static_cast<Round>(commit_times_.size() + 1),
+                               commit_pipeline_free_);
   }
 
   // Reconfiguration trigger: first commit whose epoch-cumulative history
@@ -724,7 +733,7 @@ void ThunderboltNode::RebuildOverlay() {
 void ThunderboltNode::Reconfigure(Round ending_round) {
   ++epoch_;
   owned_shard_ = ShardOwnedBy(id_, epoch_, config_.n);
-  if (is_observer_) ++metrics_->reconfigurations;
+  if (is_observer_) outcomes_.reconfigurations.Inc();
   obs::Tracer& tracer = *obs_->tracer();
   if (is_observer_ && tracer.enabled()) {
     // The fence marks the instant no in-flight preplay may straddle; the
@@ -770,8 +779,9 @@ void ThunderboltNode::Reconfigure(Round ending_round) {
         obs_->metrics()
             .GetCounter("cluster.shard.migrations_out", {{"shard", e.from}})
             .Inc();
-        metrics_->migration_events.push_back(std::move(e));
+        shared_->migration_events.push_back(std::move(e));
       }
+      outcomes_.migrations.Inc(events.size());
     }
   }
 

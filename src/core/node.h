@@ -18,7 +18,7 @@
 //   P5  Ordering gaps from missing shard proposals are handled a
 //       posteriori: deterministic validation discards any preplayed block
 //       whose declared reads no longer match, at every honest replica
-//       alike (see DESIGN.md section 2.2).
+//       alike.
 //   P6  A proposer whose leader wait times out converts its pending
 //       single-shard TXs to cross-shard TXs and submits them directly.
 //
@@ -32,7 +32,7 @@
 // committed sequence, so the cluster keeps one canonical committed store
 // and memoizes per-commit outcomes; the first replica to process a commit
 // computes validation/execution for real and the rest reuse the verdict
-// while still being charged the virtual-time cost (see DESIGN.md 2.1).
+// while still being charged the virtual-time cost.
 #ifndef THUNDERBOLT_CORE_NODE_H_
 #define THUNDERBOLT_CORE_NODE_H_
 
@@ -64,40 +64,6 @@
 
 namespace thunderbolt::core {
 
-/// Metrics aggregated by the observer replica (single counting point).
-struct ClusterMetrics {
-  /// One entry per committed transaction. `completion` is the virtual time
-  /// the validation/execution pipeline finished the transaction — a
-  /// transaction only counts toward a measurement window once its
-  /// completion falls inside it (consensus commit alone is not enough:
-  /// under Tusk the serial executor backlog grows without bound and
-  /// counting at commit would credit unexecuted work).
-  struct CommitSample {
-    SimTime completion;
-    SimTime submit;
-    /// When the txn was pulled into a proposer batch; == submit in closed
-    /// loop, > submit by the admission-queue wait under the service front
-    /// end (completion - admit is the old admit->commit latency view).
-    SimTime admit;
-    bool cross;  // OE path (cross-shard or Tusk raw) vs preplayed.
-  };
-  std::vector<CommitSample> samples;   // Monotone in `completion`.
-
-  uint64_t invalid_blocks = 0;        // Preplayed blocks discarded.
-  uint64_t skip_blocks = 0;           // Committed skip blocks.
-  uint64_t shift_blocks = 0;          // Committed shift blocks.
-  uint64_t conversions = 0;           // Single->cross conversions (P4/P6).
-  uint64_t reconfigurations = 0;      // DAG switches.
-  uint64_t preplay_aborts = 0;        // CE re-executions (across batches).
-  /// (commit index, pipeline completion time) per committed leader at the
-  /// observer; drives Figure 16.
-  std::vector<std::pair<Round, SimTime>> commit_times;
-  SimTime last_commit_time = 0;
-  /// Hot-key migrations applied at reconfiguration boundaries, in order
-  /// (directory placement; empty for policies without migration).
-  std::vector<placement::MigrationEvent> migration_events;
-};
-
 /// State shared across all nodes of a simulated cluster: the canonical
 /// committed store and the per-commit computation memo (see file header).
 struct SharedClusterState {
@@ -117,7 +83,6 @@ struct SharedClusterState {
     SimTime duration = 0;
   };
   std::unordered_map<Hash256, CrossOutcome> cross_outcomes;  // By leader.
-  std::unordered_set<Hash256> processed_leaders;
   /// Remote-access counters for the current epoch, recorded by the first
   /// replica to execute each committed cross-shard batch and consumed by
   /// PlacementPolicy::Rebalance at the next reconfiguration boundary.
@@ -126,6 +91,10 @@ struct SharedClusterState {
   /// enter an epoch performs the deterministic migration; peers share the
   /// policy object in this simulation).
   std::unordered_set<EpochId> rebalanced_epochs;
+  /// Hot-key migrations applied at reconfiguration boundaries, in order,
+  /// appended by whichever replica performed that epoch's rebalance
+  /// (directory placement; empty for policies without migration).
+  std::vector<placement::MigrationEvent> migration_events;
   /// Open-loop service front end, owned by the Cluster; null in closed
   /// loop. When set, PullBatch dequeues admitted transactions (arrival-
   /// stamped submit_time) instead of generating fresh ones.
@@ -140,8 +109,8 @@ class ThunderboltNode {
                   std::shared_ptr<const contract::Registry> registry,
                   workload::Workload* workload,
                   std::shared_ptr<placement::PlacementPolicy> placement,
-                  SharedClusterState* shared, ClusterMetrics* metrics,
-                  obs::Observability* obs, bool is_observer);
+                  SharedClusterState* shared, obs::Observability* obs,
+                  bool is_observer);
 
   ThunderboltNode(const ThunderboltNode&) = delete;
   ThunderboltNode& operator=(const ThunderboltNode&) = delete;
@@ -157,6 +126,11 @@ class ThunderboltNode {
   ShardId owned_shard() const { return owned_shard_; }
   const dag::DagCore& dag() const { return *dag_; }
   uint64_t proposals_made() const { return proposals_made_; }
+  /// (commit index, pipeline completion time) per committed leader, kept
+  /// by the observer only (empty elsewhere); drives Figure 16.
+  const std::vector<std::pair<Round, SimTime>>& commit_times() const {
+    return commit_times_;
+  }
 
   /// Shard owned by replica `id` in `epoch` for an n-replica cluster:
   /// ownership rotates round-robin each epoch (section 6).
@@ -201,13 +175,34 @@ class ThunderboltNode {
   workload::Workload* workload_;
   std::shared_ptr<placement::PlacementPolicy> placement_;
   SharedClusterState* shared_;
-  ClusterMetrics* metrics_;
   /// Cluster-owned observability bundle. The preplay pool records through
   /// it directly (SetObs in the ctor); the node adds cluster-level events
   /// — validation/cross-shard spans and epoch fences — at the observer
   /// only, so the shared timeline carries each commit-path event once.
   obs::Observability* obs_;
   const bool is_observer_;
+
+  /// The cluster.* outcome metrics, resolved once at construction so an
+  /// outcome that never happens still reads as zero. The observer records
+  /// each outcome at the virtual time it happens — except migrations,
+  /// which the replica performing an epoch's rebalance counts — so every
+  /// outcome is counted exactly once (Cluster::Run reads window deltas).
+  struct Outcomes {
+    Outcomes(obs::MetricsRegistry& m, bool open_loop);
+    obs::Counter& invalid_blocks;    // Preplayed blocks discarded.
+    obs::Counter& skip_blocks;       // Committed skip blocks.
+    obs::Counter& shift_blocks;      // Committed shift blocks.
+    obs::Counter& conversions;       // Single->cross conversions (P4/P6).
+    obs::Counter& reconfigurations;  // DAG switches.
+    obs::Counter& preplay_aborts;    // CE re-executions (across batches).
+    obs::Counter& migrations;        // Hot-key migrations applied.
+    /// Submit->completion latency per committed transaction.
+    obs::HistogramMetric& commit_latency;
+    /// Admit->completion latency; only under the service front end (null
+    /// in closed loop, where admit == submit).
+    obs::HistogramMetric* admit_latency;
+  };
+  Outcomes outcomes_;
 
   std::unique_ptr<dag::DagCore> dag_;
   /// Preplay pool, selected by ThunderboltConfig::pool ("sim" keeps the
@@ -252,6 +247,7 @@ class ThunderboltNode {
 
   // Commit pipeline (validation + execution) virtual-time resource.
   SimTime commit_pipeline_free_ = 0;
+  std::vector<std::pair<Round, SimTime>> commit_times_;  // Observer only.
   /// Observer-side sequence number for kValidateSpan trace events.
   uint64_t validate_seq_ = 0;
 };

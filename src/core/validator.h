@@ -22,6 +22,11 @@
 
 namespace thunderbolt::core {
 
+/// Virtual cost per replayed operation. Validation replays declared
+/// operations without scheduling overhead, so it is cheaper than first
+/// execution (ce::ExecutionCostModel::op_cost).
+inline constexpr SimTime kValidationOpCost = Micros(5);
+
 struct ValidationResult {
   bool valid = true;
   /// Operations replayed (drives the virtual-time cost model).
@@ -41,7 +46,8 @@ ValidationResult ValidatePreplay(const contract::Registry& registry,
 
 /// Critical-path length of the block's dependency graph, in transactions:
 /// the longest chain of conflicting transactions in scheduled order. The
-/// virtual validation time is max(total/validators, critical path) * cost.
+/// virtual validation time is max(total/validators, critical path) *
+/// kValidationOpCost.
 uint32_t ValidationCriticalPath(const std::vector<PreplayedTxn>& preplayed);
 
 }  // namespace thunderbolt::core

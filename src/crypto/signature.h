@@ -2,11 +2,11 @@
 //
 // The paper deploys ed25519-signed, authenticated point-to-point channels.
 // Byte-level forgery resistance is irrelevant to the reproduced claims, so
-// this module substitutes a deterministic keyed-MAC scheme over SHA-256
-// (DESIGN.md substitution #2): sign(sk, m) = SHA256(sk || m). Verification
-// recomputes the MAC with the signer's secret, which the verifier looks up
-// from a shared KeyDirectory — acceptable in a simulation where all
-// replicas live in one process. What *is* preserved:
+// this module substitutes a deterministic keyed-MAC scheme over SHA-256:
+// sign(sk, m) = SHA256(sk || m). Verification recomputes the MAC with the
+// signer's secret, which the verifier looks up from a shared KeyDirectory
+// — acceptable in a simulation where all replicas live in one process.
+// What *is* preserved:
 //   - signatures bind (signer, message); any mutation fails verification,
 //   - quorum certificates require 2f + 1 distinct valid signers,
 //   - verification cost can be charged to the virtual clock.

@@ -1,11 +1,10 @@
 // Simulated authenticated point-to-point network.
 //
-// Substitutes for the paper's AWS LAN/WAN deployment (DESIGN.md
-// substitution #1). Messages between replicas are delivered through the
-// shared discrete-event simulator with latency sampled from a configurable
-// model. Deterministic given the seed. Supports crashing replicas and
-// cutting individual links, which the failure and reconfiguration
-// experiments (Figures 15-17) rely on.
+// Substitutes for the paper's AWS LAN/WAN deployment. Messages between
+// replicas are delivered through the shared discrete-event simulator with
+// latency sampled from a configurable model. Deterministic given the seed.
+// Supports crashing replicas and cutting individual links, which the
+// failure and reconfiguration experiments (Figures 15-17) rely on.
 //
 // The network transports opaque payloads derived from net::Payload;
 // protocol modules (dag/, core/) define concrete message types. In-process

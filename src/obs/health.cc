@@ -45,13 +45,13 @@ double QueueDepthIn(const TimeSeriesWindow& w) {
 
 HealthMonitor::HealthMonitor(MetricsRegistry* metrics, Tracer* tracer,
                              HealthThresholds thresholds)
-    : metrics_(metrics),
+    : metrics_(*metrics),
       tracer_(tracer ? tracer : NullTracerInstance()),
       thresholds_(thresholds) {}
 
 void HealthMonitor::Emit(HealthAlert alert, uint64_t end_us) {
   ++alerts_;
-  metrics_->GetCounter("health.alerts").Inc();
+  metrics_.GetCounter("health.alerts").Inc();
   if (tracer_->enabled()) {
     TraceEvent e;
     e.kind = EventKind::kHealth;
@@ -77,7 +77,7 @@ void HealthMonitor::OnWindow(const TimeSeriesWindow& window) {
   } else {
     stalled_windows_ = 0;
   }
-  metrics_->GetGauge("health.commit_stalled")
+  metrics_.GetGauge("health.commit_stalled")
       .Set(stalled_windows_ >= thresholds_.stall_windows ? 1.0 : 0.0);
 
   // Abort-rate spike.
@@ -85,7 +85,7 @@ void HealthMonitor::OnWindow(const TimeSeriesWindow& window) {
       commits + aborts > 0
           ? static_cast<double>(aborts) / static_cast<double>(commits + aborts)
           : 0.0;
-  metrics_->GetGauge("health.abort_rate").Set(rate);
+  metrics_.GetGauge("health.abort_rate").Set(rate);
   if (aborts > 0 && rate > thresholds_.abort_rate_spike) {
     Emit(HealthAlert::kAbortRateSpike, window.end_us);
   }
@@ -94,7 +94,7 @@ void HealthMonitor::OnWindow(const TimeSeriesWindow& window) {
   if (queue_depth_samples_ > 0) {
     const double avg =
         queue_depth_sum_ / static_cast<double>(queue_depth_samples_);
-    metrics_->GetGauge("health.queue_depth_trend")
+    metrics_.GetGauge("health.queue_depth_trend")
         .Set(avg > 0 ? depth / avg : 0.0);
     if (avg > 0 && depth > thresholds_.queue_depth_growth * avg) {
       Emit(HealthAlert::kQueueGrowth, window.end_us);

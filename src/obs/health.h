@@ -53,7 +53,7 @@ class HealthMonitor {
  private:
   void Emit(HealthAlert alert, uint64_t end_us);
 
-  MetricsRegistry* metrics_;
+  MetricsRegistry& metrics_;
   Tracer* tracer_;
   HealthThresholds thresholds_;
 

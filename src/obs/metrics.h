@@ -107,6 +107,16 @@ class HistogramMetric {
     std::lock_guard<std::mutex> lk(mu_);
     return hist_;
   }
+  /// The samples observed after the first `skip`, in insertion order: the
+  /// window a reader holding a sample cursor takes without copying the
+  /// whole history.
+  Histogram Since(size_t skip) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    Histogram out;
+    const std::vector<double>& samples = hist_.samples();
+    for (size_t i = skip; i < samples.size(); ++i) out.Add(samples[i]);
+    return out;
+  }
 
  private:
   mutable std::mutex mu_;
@@ -115,7 +125,7 @@ class HistogramMetric {
 
 /// The registry. Metric objects live as long as the registry; lookups are
 /// by exact name. Names follow "subsystem.metric" convention, e.g.
-/// "pool.restarts", "store.gets", "cluster.committed_single".
+/// "pool.restarts", "store.gets", "cluster.commits_single".
 class MetricsRegistry {
  public:
   Counter& GetCounter(const std::string& name);

@@ -30,11 +30,9 @@ struct ObsOptions {
   /// The clock is whoever drives SampleWindow: the sim clock inside the
   /// cluster, accumulated-virtual or wall time in the bench drivers.
   bool timeseries = false;
-  /// Sampling window width in (virtual or wall) microseconds.
+  /// Sampling window width in (virtual or wall) microseconds. The
+  /// HealthMonitor's watermark checks run at each closed window.
   uint64_t timeseries_window_us = 100000;
-  /// Run HealthMonitor watermark checks at each closed window. Only
-  /// meaningful with `timeseries` (the monitor rides its windows).
-  bool health = true;
 };
 
 /// Owns the metrics registry and (when enabled) the trace ring, the
@@ -49,9 +47,7 @@ class Observability {
     if (options_.timeseries) {
       timeseries_ = std::make_unique<TimeSeriesRecorder>(
           &metrics_, options_.timeseries_window_us);
-      if (options_.health) {
-        health_ = std::make_unique<HealthMonitor>(&metrics_, tracer());
-      }
+      health_ = std::make_unique<HealthMonitor>(&metrics_, tracer());
     }
   }
 
@@ -70,7 +66,7 @@ class Observability {
   TimeSeriesRecorder* timeseries() { return timeseries_.get(); }
   const TimeSeriesRecorder* timeseries() const { return timeseries_.get(); }
 
-  /// The health monitor, or nullptr when disabled.
+  /// The health monitor, or nullptr when time series are disabled.
   HealthMonitor* health() { return health_.get(); }
   const HealthMonitor* health() const { return health_.get(); }
 
@@ -109,7 +105,6 @@ class Observability {
 
  private:
   void RunHealthFrom(size_t first_new_window) {
-    if (!health_) return;
     const auto windows = timeseries_->Snapshot();
     for (size_t i = first_new_window; i < windows.size(); ++i) {
       health_->OnWindow(windows[i]);

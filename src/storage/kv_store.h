@@ -1,11 +1,10 @@
 // Versioned key-value storage engine API (v2).
 //
 // Substitutes for the LevelDB instance the paper uses to hold SmallBank
-// account balances (DESIGN.md substitution #3). Values are 64-bit integers,
-// matching the paper's data model where contract operations are
-// <Read, K> and <Write, K, V> over numeric account state. Every committed
-// write bumps the key's version; versions drive OCC validation and preplay
-// re-validation.
+// account balances. Values are 64-bit integers, matching the paper's data
+// model where contract operations are <Read, K> and <Write, K, V> over
+// numeric account state. Every committed write bumps the key's version;
+// versions drive OCC validation and preplay re-validation.
 //
 // The API is layered so each consumer sees exactly the capability it needs:
 //

@@ -26,7 +26,6 @@ ServiceFrontEnd::ServiceFrontEnd(const ServiceConfig& config,
                                  obs::MetricsRegistry* metrics)
     : config_(config),
       source_(std::move(source)),
-      metrics_(metrics),
       limiter_(config.limiter_rate_tps, config.limiter_burst) {
   if (num_shards == 0 || config_.queue_depth == 0 || config_.rate_tps <= 0) {
     std::fprintf(stderr,
@@ -41,14 +40,14 @@ ServiceFrontEnd::ServiceFrontEnd(const ServiceConfig& config,
                  config_.admission.c_str());
     std::abort();
   }
-  if (metrics_ != nullptr) {
+  if (metrics != nullptr) {
     // Resolve (and thereby materialize) the counters up front so every
     // time-series window sees them from t=0, not from the first arrival.
-    offered_ = &metrics_->GetCounter("svc.offered");
-    admitted_ = &metrics_->GetCounter("svc.admitted");
-    rejected_ = &metrics_->GetCounter("svc.rejected");
-    shed_ = &metrics_->GetCounter("svc.shed");
-    dequeued_ = &metrics_->GetCounter("svc.dequeued");
+    offered_ = &metrics->GetCounter("svc.offered");
+    admitted_ = &metrics->GetCounter("svc.admitted");
+    rejected_ = &metrics->GetCounter("svc.rejected");
+    shed_ = &metrics->GetCounter("svc.shed");
+    dequeued_ = &metrics->GetCounter("svc.dequeued");
   }
 
   streams_.resize(num_shards);
@@ -69,9 +68,9 @@ ServiceFrontEnd::ServiceFrontEnd(const ServiceConfig& config,
     stream.queue = std::make_unique<AdmissionQueue>(admission);
     stream.rng.Seed(StreamSeed(seed, s));
     stream.next_arrival = stream.process->NextArrival(0, stream.rng);
-    if (metrics_ != nullptr) {
+    if (metrics != nullptr) {
       stream.depth_gauge =
-          &metrics_->GetGauge("svc.queue_depth", {{"shard", s}});
+          &metrics->GetGauge("svc.queue_depth", {{"shard", s}});
       stream.depth_gauge->Set(0);
     }
   }

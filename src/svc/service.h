@@ -126,7 +126,6 @@ class ServiceFrontEnd {
 
   ServiceConfig config_;
   TxnSource source_;
-  obs::MetricsRegistry* metrics_;  // May be null.
   TokenBucket limiter_;
   std::vector<Stream> streams_;
   Counters counters_;

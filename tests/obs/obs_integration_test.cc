@@ -165,7 +165,7 @@ TEST(ObsClusterIntegrationTest, TracedClusterEmitsCommitPathEvents) {
 
   // Cluster-level counters were surfaced into the registry.
   const obs::Counter* committed =
-      cluster.obs().metrics().FindCounter("cluster.committed_single");
+      cluster.obs().metrics().FindCounter("cluster.commits_single");
   ASSERT_NE(committed, nullptr);
   EXPECT_EQ(committed->value(), r.committed_single);
   const obs::Counter* gets =
@@ -263,6 +263,51 @@ TEST(ObsClusterIntegrationTest, TimeSeriesWindowsSumToRunTotals) {
   EXPECT_GT(r.phase_latency[obs::Phase::kCrossShardHold].Count(), 0u);
 }
 
+// Each cluster outcome is counted once, in the registry, at the virtual
+// time it happens. So when a run is split into a warm-up Run and a measured
+// Run, the warm-up's outcomes land in the windows inside the warm-up, and
+// the commit-latency histogram has grown to the warm-up's sample count by
+// the window that closes at its end — not at some later Run edge.
+TEST(ObsClusterIntegrationTest, SplitRunCountsOutcomesInTheirOwnWindows) {
+  core::ThunderboltConfig cfg;
+  cfg.n = 4;
+  cfg.batch_size = 100;
+  cfg.obs.timeseries = true;
+  cfg.obs.timeseries_window_us = 100000;
+  workload::WorkloadOptions wo;
+  wo.num_records = 500;
+  wo.seed = 1234;
+  wo.cross_shard_ratio = 0.1;
+  core::Cluster cluster(cfg, "smallbank", wo);
+  const core::ClusterResult warm = cluster.Run(Millis(500));
+  const core::ClusterResult measured = cluster.Run(Millis(1500));
+  ASSERT_GT(warm.conversions, 0u);
+  ASSERT_GT(warm.preplay_aborts, 0u);
+  cluster.obs().FlushTimeSeries();
+
+  auto latency_count = [](const obs::TimeSeriesWindow& w) -> uint64_t {
+    auto it = w.histograms.find("cluster.commit_latency_us");
+    return it == w.histograms.end() ? 0 : it->second.count;
+  };
+  uint64_t warm_conversions = 0;
+  uint64_t warm_aborts = 0;
+  uint64_t latency_at_warm_end = 0;
+  const std::vector<obs::TimeSeriesWindow> windows =
+      cluster.obs().timeseries()->Snapshot();
+  ASSERT_FALSE(windows.empty());
+  for (const obs::TimeSeriesWindow& w : windows) {
+    if (w.end_us > Millis(500)) continue;
+    warm_conversions += w.Delta("cluster.conversions");
+    warm_aborts += w.Delta("cluster.preplay_aborts");
+    if (w.end_us == Millis(500)) latency_at_warm_end = latency_count(w);
+  }
+  EXPECT_EQ(warm_conversions, warm.conversions);
+  EXPECT_EQ(warm_aborts, warm.preplay_aborts);
+  EXPECT_EQ(latency_at_warm_end, warm.latency_samples);
+  EXPECT_EQ(latency_count(windows.back()),
+            warm.latency_samples + measured.latency_samples);
+}
+
 TEST(ObsClusterIntegrationTest, TracingOffByDefaultAndNullSafe) {
   core::ThunderboltConfig cfg;
   cfg.n = 4;
@@ -278,7 +323,7 @@ TEST(ObsClusterIntegrationTest, TracingOffByDefaultAndNullSafe) {
   EXPECT_EQ(cluster.obs().ring(), nullptr);
   EXPECT_FALSE(cluster.obs().tracer()->enabled());
   // Metrics still work without tracing.
-  EXPECT_NE(cluster.obs().metrics().FindCounter("cluster.committed_single"),
+  EXPECT_NE(cluster.obs().metrics().FindCounter("cluster.commits_single"),
             nullptr);
 }
 

@@ -39,10 +39,14 @@ TEST(StoreCountersConcurrencyTest, SnapshotsAreMonotonePerCounter) {
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&store, t] {
       // Const-path traffic only: Get/GetOrDefault are the operations the
-      // contract allows concurrently with Stats().
+      // contract allows concurrently with Stats(). Each key is read twice
+      // in a row so a present key's second read hits the cache however
+      // the readers interleave; a lone cyclic scan over more keys than the
+      // cache holds would never hit when the readers happen to run one
+      // after another. Keys 32..47 are absent and always miss.
       const KVStore& view = *store;
       for (int i = 0; i < kOpsPerReader; ++i) {
-        const std::string key = "key" + std::to_string((t * 7 + i) % 48);
+        const std::string key = "key" + std::to_string((t * 7 + i / 2) % 48);
         if (i % 2 == 0) {
           (void)view.Get(key);
         } else {
