@@ -9,11 +9,10 @@
 // the SmallBank workload with 10,000 accounts at theta = 0.85 — the
 // paper's CE experiment setup (section 11).
 #include <memory>
+#include <string>
 
-#include "baselines/occ_engine.h"
-#include "baselines/tpl_nowait_engine.h"
 #include "bench/bench_util.h"
-#include "ce/concurrency_controller.h"
+#include "ce/engine_registry.h"
 #include "ce/executor_pool.h"
 #include "contract/contract.h"
 #include "workload/smallbank_workload.h"
@@ -21,19 +20,14 @@
 namespace thunderbolt {
 namespace {
 
-struct EngineSpec {
-  const char* name;
-  int kind;  // 0 = Thunderbolt CE, 1 = OCC, 2 = 2PL-No-Wait.
-};
-
 struct Measurement {
   double tps = 0;
   double latency_s = 0;
   double re_executions = 0;
 };
 
-Measurement RunConfig(int kind, uint32_t executors, uint32_t batch_size,
-                      double read_ratio, uint32_t runs,
+Measurement RunConfig(const std::string& engine_name, uint32_t executors,
+                      uint32_t batch_size, double read_ratio, uint32_t runs,
                       const bench::StoreSelection& store_sel,
                       const bench::PoolSelection& pool_sel,
                       obs::Observability* obs) {
@@ -54,21 +48,9 @@ Measurement RunConfig(int kind, uint32_t executors, uint32_t batch_size,
   double latency_sum = 0;
   for (uint32_t run = 0; run < runs; ++run) {
     auto batch = w.MakeBatch(batch_size);
-    std::unique_ptr<ce::BatchEngine> engine;
-    switch (kind) {
-      case 0:
-        engine = std::make_unique<ce::ConcurrencyController>(store.get(),
-                                                             batch_size);
-        break;
-      case 1:
-        engine =
-            std::make_unique<baselines::OccEngine>(store.get(), batch_size);
-        break;
-      default:
-        engine = std::make_unique<baselines::TplNoWaitEngine>(store.get(),
-                                                              batch_size);
-        break;
-    }
+    std::unique_ptr<ce::BatchEngine> engine =
+        ce::EngineRegistry::Global().Create(engine_name, store.get(),
+                                            batch_size);
     auto r = pool->Run(*engine, *registry, batch);
     if (!r.ok()) {
       std::fprintf(stderr, "run failed: %s\n", r.status().ToString().c_str());
@@ -96,14 +78,12 @@ void RunWorkload(const char* title, double read_ratio, uint32_t runs,
   bench::Table table({"engine", "batch", "executors", "tput(tps)",
                       "latency(s)", "re-exec/txn"},
                      title);
-  const EngineSpec engines[] = {
-      {"Thunderbolt", 0}, {"OCC", 1}, {"2PL-No-Wait", 2}};
-  for (const EngineSpec& engine : engines) {
+  for (const bench::BatchEngineRow& engine : bench::kBatchEngines) {
     for (uint32_t batch : {300u, 500u}) {
       for (uint32_t executors : {1u, 4u, 8u, 12u, 16u}) {
-        Measurement m = RunConfig(engine.kind, executors, batch,
+        Measurement m = RunConfig(engine.engine, executors, batch,
                                   read_ratio, runs, store_sel, pool_sel, obs);
-        table.Row({engine.name, bench::FmtInt(batch),
+        table.Row({engine.label, bench::FmtInt(batch),
                    bench::FmtInt(executors), bench::Fmt(m.tps, 0),
                    bench::Fmt(m.latency_s, 4), bench::Fmt(m.re_executions, 3)});
       }

@@ -6,11 +6,10 @@
 // Engines: Thunderbolt CE, OCC, 2PL-No-Wait; batch sizes 300 and 500;
 // 12 executors (the plateau point of Figure 11).
 #include <memory>
+#include <string>
 
-#include "baselines/occ_engine.h"
-#include "baselines/tpl_nowait_engine.h"
 #include "bench/bench_util.h"
-#include "ce/concurrency_controller.h"
+#include "ce/engine_registry.h"
 #include "ce/executor_pool.h"
 #include "contract/contract.h"
 #include "workload/smallbank_workload.h"
@@ -31,8 +30,8 @@ struct SweepObs {
   uint64_t clock_us = 0;
 };
 
-Measurement RunConfig(int kind, uint32_t batch_size, double theta,
-                      double read_ratio, uint32_t runs,
+Measurement RunConfig(const std::string& engine_name, uint32_t batch_size,
+                      double theta, double read_ratio, uint32_t runs,
                       const bench::StoreSelection& store_sel,
                       const bench::PoolSelection& pool_sel,
                       obs::Observability* obs, SweepObs* sweep) {
@@ -54,21 +53,9 @@ Measurement RunConfig(int kind, uint32_t batch_size, double theta,
   double latency_sum = 0;
   for (uint32_t run = 0; run < runs; ++run) {
     auto batch = w.MakeBatch(batch_size);
-    std::unique_ptr<ce::BatchEngine> engine;
-    switch (kind) {
-      case 0:
-        engine = std::make_unique<ce::ConcurrencyController>(store.get(),
-                                                             batch_size);
-        break;
-      case 1:
-        engine =
-            std::make_unique<baselines::OccEngine>(store.get(), batch_size);
-        break;
-      default:
-        engine = std::make_unique<baselines::TplNoWaitEngine>(store.get(),
-                                                              batch_size);
-        break;
-    }
+    std::unique_ptr<ce::BatchEngine> engine =
+        ce::EngineRegistry::Global().Create(engine_name, store.get(),
+                                            batch_size);
     auto r = pool->Run(*engine, *registry, batch);
     if (!r.ok()) continue;
     store->Write(r->final_writes);
@@ -85,8 +72,6 @@ Measurement RunConfig(int kind, uint32_t batch_size, double theta,
   return m;
 }
 
-const char* kEngineNames[] = {"Thunderbolt", "OCC", "2PL-No-Wait"};
-
 void ThetaSweep(uint32_t runs, const bench::StoreSelection& store,
                 const bench::PoolSelection& pool, obs::Observability* obs,
                 SweepObs* sweep) {
@@ -94,13 +79,13 @@ void ThetaSweep(uint32_t runs, const bench::StoreSelection& store,
   bench::Table table(
       {"engine", "batch", "theta", "tput(tps)", "latency(s)"},
       "theta_sweep");
-  for (int kind = 0; kind < 3; ++kind) {
+  for (const bench::BatchEngineRow& engine : bench::kBatchEngines) {
     for (uint32_t batch : {300u, 500u}) {
       for (double theta : {0.75, 0.8, 0.85, 0.9}) {
         Measurement m =
-            RunConfig(kind, batch, theta, 0.5, runs, store, pool, obs,
-                      sweep);
-        table.Row({kEngineNames[kind], bench::FmtInt(batch),
+            RunConfig(engine.engine, batch, theta, 0.5, runs, store, pool,
+                      obs, sweep);
+        table.Row({engine.label, bench::FmtInt(batch),
                    bench::Fmt(theta, 2), bench::Fmt(m.tps, 0),
                    bench::Fmt(m.latency_s, 4)});
       }
@@ -114,13 +99,13 @@ void ReadRatioSweep(uint32_t runs, const bench::StoreSelection& store,
   std::printf("\n--- (c,d) Pr sweep, theta = 0.85 ---\n");
   bench::Table table({"engine", "batch", "Pr", "tput(tps)", "latency(s)"},
                      "read_ratio_sweep");
-  for (int kind = 0; kind < 3; ++kind) {
+  for (const bench::BatchEngineRow& engine : bench::kBatchEngines) {
     for (uint32_t batch : {300u, 500u}) {
       for (double pr : {1.0, 0.8, 0.5, 0.1, 0.0}) {
         Measurement m =
-            RunConfig(kind, batch, 0.85, pr, runs, store, pool, obs,
-                      sweep);
-        table.Row({kEngineNames[kind], bench::FmtInt(batch),
+            RunConfig(engine.engine, batch, 0.85, pr, runs, store, pool,
+                      obs, sweep);
+        table.Row({engine.label, bench::FmtInt(batch),
                    bench::Fmt(pr, 1), bench::Fmt(m.tps, 0),
                    bench::Fmt(m.latency_s, 4)});
       }

@@ -18,7 +18,7 @@ struct RunOut {
   double latency_s = 0;
 };
 
-RunOut RunOne(core::ExecutionMode mode, uint32_t n, bool wan,
+RunOut RunOne(const bench::ClusterSystem& system, uint32_t n, bool wan,
               const std::string& workload_name,
               const workload::WorkloadOptions& options,
               const bench::PlacementSelection& placement,
@@ -26,7 +26,7 @@ RunOut RunOne(core::ExecutionMode mode, uint32_t n, bool wan,
               SimTime warmup, SimTime duration) {
   core::ThunderboltConfig cfg;
   cfg.n = n;
-  cfg.mode = mode;
+  system.ApplyTo(&cfg);
   cfg.batch_size = 500;
   cfg.num_executors = 16;
   cfg.num_validators = 16;
@@ -66,17 +66,17 @@ int main(int argc, char** argv) {
               workload_name.c_str(), placement.policy.c_str(),
               store.name.c_str());
 
-  const core::ExecutionMode modes[] = {core::ExecutionMode::kThunderbolt,
-                                       core::ExecutionMode::kThunderboltOcc,
-                                       core::ExecutionMode::kTusk};
-  const char* mode_names[] = {"Thunderbolt", "Thunderbolt-OCC", "Tusk"};
+  const bench::ClusterSystem systems[] = {
+      {"Thunderbolt", core::ExecutionMode::kThunderbolt, "ce"},
+      {"Thunderbolt-OCC", core::ExecutionMode::kThunderbolt, "occ"},
+      {"Tusk", core::ExecutionMode::kTusk}};
 
   double tb64 = 0, tusk64 = 0;
   for (bool wan : {false, true}) {
     std::printf("\n--- %s ---\n", wan ? "WAN" : "LAN");
     bench::Table table(
         {"system", "replicas", "tput(tps)", "latency(s)"});
-    for (int mi = 0; mi < 3; ++mi) {
+    for (const bench::ClusterSystem& system : systems) {
       for (uint32_t n : {8u, 16u, 32u, 64u}) {
         // Large simulations are costly in real time; shrink the virtual
         // measurement window with scale (steady state is reached after
@@ -84,13 +84,13 @@ int main(int argc, char** argv) {
         SimTime warmup = wan ? Seconds(2) : Seconds(1);
         SimTime duration = quick ? Seconds(n >= 64 ? 2 : 3)
                                  : Seconds(n >= 32 ? 3 : 5);
-        RunOut out = RunOne(modes[mi], n, wan, workload_name, options,
+        RunOut out = RunOne(system, n, wan, workload_name, options,
                             placement, store, &obs, warmup, duration);
-        table.Row({mode_names[mi], bench::FmtInt(n), bench::Fmt(out.tps, 0),
+        table.Row({system.label, bench::FmtInt(n), bench::Fmt(out.tps, 0),
                    bench::Fmt(out.latency_s, 2)});
         if (!wan && n == 64) {
-          if (mi == 0) tb64 = out.tps;
-          if (mi == 2) tusk64 = out.tps;
+          if (&system == &systems[0]) tb64 = out.tps;  // Thunderbolt.
+          if (system.mode == core::ExecutionMode::kTusk) tusk64 = out.tps;
         }
       }
     }

@@ -12,7 +12,7 @@
 namespace thunderbolt {
 namespace {
 
-void RunSweep(core::ExecutionMode mode, const char* name,
+void RunSweep(const bench::ClusterSystem& system,
               const std::string& workload_name,
               workload::WorkloadOptions options,
               const bench::PlacementSelection& placement,
@@ -21,7 +21,7 @@ void RunSweep(core::ExecutionMode mode, const char* name,
   for (double pct : {0.0, 0.04, 0.08, 0.20, 0.60, 1.0}) {
     core::ThunderboltConfig cfg;
     cfg.n = 16;
-    cfg.mode = mode;
+    system.ApplyTo(&cfg);
     cfg.batch_size = 500;
     cfg.seed = 90;
     placement.ApplyTo(&cfg);
@@ -37,8 +37,8 @@ void RunSweep(core::ExecutionMode mode, const char* name,
             ? 0
             : static_cast<double>(r.committed_cross) /
                   static_cast<double>(committed);
-    table.Row({name, bench::Fmt(pct * 100, 0), bench::Fmt(r.throughput_tps, 0),
-               bench::Fmt(r.avg_latency_s, 2),
+    table.Row({system.label, bench::Fmt(pct * 100, 0),
+               bench::Fmt(r.throughput_tps, 0), bench::Fmt(r.avg_latency_s, 2),
                bench::FmtInt(r.committed_single),
                bench::FmtInt(r.committed_cross), bench::Fmt(cross_frac, 3),
                bench::FmtInt(r.conversions), bench::FmtInt(r.skip_blocks)});
@@ -71,12 +71,14 @@ int main(int argc, char** argv) {
               store.name.c_str());
   bench::Table table({"system", "cross%", "tput(tps)", "latency(s)",
                       "single", "cross", "crossfrac", "converted", "skips"});
-  RunSweep(core::ExecutionMode::kThunderbolt, "Thunderbolt", workload_name,
-           options, placement, store, &obs, duration, table);
-  RunSweep(core::ExecutionMode::kThunderboltOcc, "Thunderbolt-OCC",
-           workload_name, options, placement, store, &obs, duration, table);
-  RunSweep(core::ExecutionMode::kTusk, "Tusk", workload_name, options,
-           placement, store, &obs, duration, table);
+  const bench::ClusterSystem systems[] = {
+      {"Thunderbolt", core::ExecutionMode::kThunderbolt, "ce"},
+      {"Thunderbolt-OCC", core::ExecutionMode::kThunderbolt, "occ"},
+      {"Tusk", core::ExecutionMode::kTusk}};
+  for (const bench::ClusterSystem& system : systems) {
+    RunSweep(system, workload_name, options, placement, store, &obs, duration,
+             table);
+  }
   return bench::WriteTablesJsonIfRequested(argc, argv, "fig14") |
          obs.WriteIfRequested();
 }

@@ -8,7 +8,7 @@
 namespace thunderbolt {
 namespace {
 
-void RunSweep(core::ExecutionMode mode, const char* name, uint32_t failures,
+void RunSweep(const bench::ClusterSystem& system, uint32_t failures,
               const std::string& workload_name,
               workload::WorkloadOptions options,
               const bench::PlacementSelection& placement,
@@ -19,7 +19,7 @@ void RunSweep(core::ExecutionMode mode, const char* name, uint32_t failures,
   for (double pct : {0.0, 0.04, 0.08, 0.20, 0.60, 1.0}) {
     core::ThunderboltConfig cfg;
     cfg.n = 16;
-    cfg.mode = mode;
+    system.ApplyTo(&cfg);
     cfg.batch_size = 500;
     cfg.seed = 101;
     placement.ApplyTo(&cfg);
@@ -36,7 +36,7 @@ void RunSweep(core::ExecutionMode mode, const char* name, uint32_t failures,
     core::ClusterResult r = cluster.Run(duration);
     phases->Merge(r.phase_latency);
     obs->Capture(cluster.obs());
-    table.Row({name, bench::FmtInt(failures), bench::Fmt(pct * 100, 0),
+    table.Row({system.label, bench::FmtInt(failures), bench::Fmt(pct * 100, 0),
                bench::Fmt(r.throughput_tps, 0),
                bench::Fmt(r.avg_latency_s, 2),
                bench::FmtInt(r.reconfigurations)});
@@ -77,17 +77,18 @@ int main(int argc, char** argv) {
   bench::Table table({"system", "failed", "cross%", "tput(tps)",
                       "latency(s)", "reconfigs"});
   obs::LatencyBreakdown phases;
-  RunSweep(core::ExecutionMode::kThunderbolt, "Thunderbolt", 0,
-           workload_name, options, placement, store, service, &obs, duration,
-           table, &phases);
-  RunSweep(core::ExecutionMode::kThunderbolt, "Thunderbolt/1", 1,
-           workload_name, options, placement, store, service, &obs, duration,
-           table, &phases);
-  RunSweep(core::ExecutionMode::kThunderbolt, "Thunderbolt/2", 2,
-           workload_name, options, placement, store, service, &obs, duration,
-           table, &phases);
-  RunSweep(core::ExecutionMode::kTusk, "Tusk", 0, workload_name, options,
-           placement, store, service, &obs, duration, table, &phases);
+  const struct {
+    bench::ClusterSystem system;
+    uint32_t failures;
+  } rows[] = {
+      {{"Thunderbolt", core::ExecutionMode::kThunderbolt, "ce"}, 0},
+      {{"Thunderbolt/1", core::ExecutionMode::kThunderbolt, "ce"}, 1},
+      {{"Thunderbolt/2", core::ExecutionMode::kThunderbolt, "ce"}, 2},
+      {{"Tusk", core::ExecutionMode::kTusk}, 0}};
+  for (const auto& row : rows) {
+    RunSweep(row.system, row.failures, workload_name, options, placement,
+             store, service, &obs, duration, table, &phases);
+  }
   bench::PhaseLatencyTable(phases);
   return bench::WriteTablesJsonIfRequested(argc, argv, "fig17") |
          obs.WriteIfRequested();

@@ -17,10 +17,12 @@
 // the queue's latency contribution near the target regardless of depth.
 //
 //   bench_overload --smoke --json overload.json     # small CI sweep
-//   bench_overload --engine thunderbolt --admission codel,drop-tail
+//   bench_overload --engine ce --admission codel,drop-tail
 //
 // Flags:
-//   --engine <names>         thunderbolt,tusk            [thunderbolt,tusk]
+//   --engine <names>         comma list: tusk (serial after consensus) or
+//                            preplay engines by registry name (ce, occ,
+//                            2pl)                        [ce,tusk]
 //   --admission <names>      comma list of policies      [all three]
 //   --arrival <name>         arrival process             [poisson]
 //   --arrival-params <k=v,...>  process params           []
@@ -36,34 +38,24 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "ce/engine_registry.h"
 #include "core/cluster.h"
 
 namespace thunderbolt {
 namespace {
 
-struct EngineChoice {
-  std::string name;
-  core::ExecutionMode mode;
-};
-
-std::vector<std::string> SplitList(const std::string& csv) {
-  std::vector<std::string> items;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    if (comma > start) items.push_back(csv.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return items;
-}
-
-core::ThunderboltConfig BaseConfig(core::ExecutionMode mode,
+/// `engine` is "tusk" (serial execution after consensus) or the
+/// ce::EngineRegistry name of the preplay engine.
+core::ThunderboltConfig BaseConfig(const std::string& engine,
                                    const bench::PlacementSelection& placement,
                                    const bench::StoreSelection& store) {
   core::ThunderboltConfig cfg;
   cfg.n = 4;
-  cfg.mode = mode;
+  if (engine == "tusk") {
+    cfg.mode = core::ExecutionMode::kTusk;
+  } else {
+    cfg.engine = engine;
+  }
   cfg.batch_size = 500;
   cfg.seed = 77;
   placement.ApplyTo(&cfg);
@@ -74,13 +66,13 @@ core::ThunderboltConfig BaseConfig(core::ExecutionMode mode,
 /// Closed-loop saturation throughput: what the engine commits when the
 /// proposers pull as fast as the pipeline drains. This anchors the sweep's
 /// rate axis so "2x" means the same degree of overload on every engine.
-double CalibrateSaturation(core::ExecutionMode mode,
+double CalibrateSaturation(const std::string& engine,
                            const std::string& workload_name,
                            const workload::WorkloadOptions& options,
                            const bench::PlacementSelection& placement,
                            const bench::StoreSelection& store,
                            SimTime duration) {
-  core::Cluster cluster(BaseConfig(mode, placement, store), workload_name,
+  core::Cluster cluster(BaseConfig(engine, placement, store), workload_name,
                         options);
   const core::ClusterResult r = cluster.Run(duration);
   // An engine that commits (almost) nothing would collapse the rate axis;
@@ -129,26 +121,22 @@ int main(int argc, char** argv) {
     service.config.queue_depth = 4096;
   }
 
-  std::vector<EngineChoice> engines;
+  std::vector<std::string> engines;
   {
-    std::string spec = bench::FlagValue(argc, argv, "engine");
-    std::vector<std::string> names =
-        spec.empty() ? std::vector<std::string>{"thunderbolt", "tusk"}
-                     : SplitList(spec);
-    if (smoke && spec.empty()) names = {"thunderbolt"};
-    for (const std::string& name : names) {
-      if (name == "thunderbolt") {
-        engines.push_back({name, core::ExecutionMode::kThunderbolt});
-      } else if (name == "occ") {
-        engines.push_back({name, core::ExecutionMode::kThunderboltOcc});
-      } else if (name == "tusk") {
-        engines.push_back({name, core::ExecutionMode::kTusk});
-      } else {
-        std::fprintf(stderr,
-                     "unknown --engine \"%s\" (thunderbolt, occ, tusk)\n",
-                     name.c_str());
-        return 2;
-      }
+    const std::string spec = bench::FlagValue(argc, argv, "engine");
+    if (spec.empty()) {
+      engines = smoke ? std::vector<std::string>{"ce"}
+                      : std::vector<std::string>{"ce", "tusk"};
+    } else {
+      engines = bench::SplitList(spec);
+    }
+    const ce::EngineRegistry& registry = ce::EngineRegistry::Global();
+    std::vector<std::string> known = registry.Names();
+    known.push_back("tusk");
+    for (const std::string& name : engines) {
+      bench::RequireRegistered("engine", name,
+                               name == "tusk" || registry.Contains(name),
+                               known);
     }
   }
   std::vector<std::string> policies;
@@ -156,7 +144,8 @@ int main(int argc, char** argv) {
     // --admission here selects the POLICY SWEEP (comma list), unlike the
     // single-policy flag of the other benches.
     std::string spec = bench::FlagValue(argc, argv, "admission");
-    policies = spec.empty() ? svc::AdmissionPolicyNames() : SplitList(spec);
+    policies =
+        spec.empty() ? svc::AdmissionPolicyNames() : bench::SplitList(spec);
     for (const std::string& name : policies) {
       svc::AdmissionPolicy parsed;
       if (!svc::ParseAdmissionPolicy(name, &parsed)) {
@@ -185,15 +174,14 @@ int main(int argc, char** argv) {
        "p999(s)", "admit_p99(s)", "offered", "admitted", "shed", "rejected"},
       "overload");
   bool all_ok = true;
-  for (const EngineChoice& engine : engines) {
+  for (const std::string& engine : engines) {
     const double saturation = CalibrateSaturation(
-        engine.mode, workload_name, options, placement, store, duration);
-    std::printf("\n%s closed-loop saturation: %.0f tps\n",
-                engine.name.c_str(), saturation);
+        engine, workload_name, options, placement, store, duration);
+    std::printf("\n%s closed-loop saturation: %.0f tps\n", engine.c_str(),
+                saturation);
     for (const std::string& policy : policies) {
       for (double mult : mults) {
-        core::ThunderboltConfig cfg =
-            BaseConfig(engine.mode, placement, store);
+        core::ThunderboltConfig cfg = BaseConfig(engine, placement, store);
         service.config.admission = policy;
         service.config.rate_tps = saturation * mult;
         service.ApplyTo(&cfg);
@@ -203,7 +191,7 @@ int main(int argc, char** argv) {
         if (!cluster.CheckInvariant().ok()) all_ok = false;
         obs.Capture(cluster.obs());
         const bool idle = r.latency_samples == 0;
-        table.Row({engine.name, policy, bench::Fmt(mult, 2),
+        table.Row({engine, policy, bench::Fmt(mult, 2),
                    bench::Fmt(service.config.rate_tps, 0),
                    bench::Fmt(r.throughput_tps, 0),
                    idle ? "-" : bench::Fmt(r.p99_latency_s, 4),

@@ -229,10 +229,23 @@ inline std::string FlagValue(int argc, char** argv, const std::string& name) {
   return "";
 }
 
+/// Splits a comma list ("a,b,c"), dropping empty items.
+inline std::vector<std::string> SplitList(const std::string& csv) {
+  std::vector<std::string> items;
+  size_t start = 0;
+  while (start <= csv.size()) {
+    size_t comma = csv.find(',', start);
+    if (comma == std::string::npos) comma = csv.size();
+    if (comma > start) items.push_back(csv.substr(start, comma - start));
+    start = comma + 1;
+  }
+  return items;
+}
+
 /// Exits with code 2 unless `name` is `known`, listing the `registered`
-/// names: a typo in a registry-backed flag (--workload, --placement,
-/// --store, --pool, --arrival, --admission) must not silently bench the
-/// default.
+/// names: a typo in a registry-backed flag (--workload, --engine,
+/// --placement, --store, --pool, --arrival, --admission) must not silently
+/// bench the default.
 inline void RequireRegistered(const char* what, const std::string& name,
                               bool known,
                               const std::vector<std::string>& registered) {
@@ -314,6 +327,31 @@ inline std::string ClusterWorkloadFromFlags(
   }
   return name;
 }
+
+/// One engine row of the batch figures (11 and 12): the table label and
+/// the ce::EngineRegistry name it runs.
+struct BatchEngineRow {
+  const char* label;
+  const char* engine;
+};
+
+/// The engines Figures 11 and 12 compare, in table order.
+inline constexpr BatchEngineRow kBatchEngines[] = {
+    {"Thunderbolt", "ce"}, {"OCC", "occ"}, {"2PL-No-Wait", "2pl"}};
+
+/// One system row of the cluster figures (paper section 12): the table
+/// label, the pipeline, and the preplay engine by ce::EngineRegistry name
+/// (unused under kTusk). Thunderbolt-OCC is kThunderbolt with "occ".
+struct ClusterSystem {
+  const char* label;
+  core::ExecutionMode mode = core::ExecutionMode::kThunderbolt;
+  const char* engine = "ce";
+
+  void ApplyTo(core::ThunderboltConfig* config) const {
+    config->mode = mode;
+    config->engine = engine;
+  }
+};
 
 /// The placement policy a bench binary was asked to run with.
 struct PlacementSelection {
@@ -457,12 +495,12 @@ inline ServiceSelection ServiceFromFlags(int argc, char** argv) {
   const std::string limiter_rate = FlagValue(argc, argv, "limiter-rate");
   if (!limiter_rate.empty()) {
     selection.config.limiter_rate_tps =
-        std::strtod(limiter_rate.c_str(), nullptr);
+        PositiveFlag<double>("limiter-rate", limiter_rate);
   }
   const std::string limiter_burst = FlagValue(argc, argv, "limiter-burst");
   if (!limiter_burst.empty()) {
     selection.config.limiter_burst =
-        std::strtod(limiter_burst.c_str(), nullptr);
+        PositiveFlag<double>("limiter-burst", limiter_burst);
   }
   const std::string codel = FlagValue(argc, argv, "codel-target-us");
   if (!codel.empty()) {

@@ -68,7 +68,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/engine_registration.h"
 #include "baselines/serial_executor.h"
 #include "bench/bench_util.h"
 #include "ce/engine_registry.h"
@@ -140,18 +139,6 @@ struct SweepResult {
   uint64_t shed = 0;
   uint64_t rejected = 0;
 };
-
-std::vector<std::string> SplitList(const std::string& csv) {
-  std::vector<std::string> items;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    if (comma > start) items.push_back(csv.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return items;
-}
 
 /// One workload x engine x batch x theta cell: `runs` batches executed
 /// back-to-back against one store, then the workload invariant check.
@@ -323,7 +310,7 @@ Result<SweepResult> RunCell(const DriverConfig& config,
       total_time += r.duration;
     } else {
       // "serial" above is not a BatchEngine; everything else resolves
-      // through the engine registry (baselines registered in main).
+      // through the engine registry.
       auto engine = ce::EngineRegistry::Global().Create(
           engine_name, store.get(), batch_size);
       if (engine == nullptr) {
@@ -437,16 +424,16 @@ DriverConfig ParseFlags(int argc, char** argv) {
   if (workloads.empty() || workloads == "all") {
     config.workloads = workload::WorkloadRegistry::Global().Names();
   } else {
-    config.workloads = SplitList(workloads);
+    config.workloads = bench::SplitList(workloads);
   }
   std::string engines = bench::FlagValue(argc, argv, "engine");
   if (engines.empty() || engines == "all") {
     config.engines = {"serial", "occ", "2pl", "ce"};
   } else {
-    config.engines = SplitList(engines);
+    config.engines = bench::SplitList(engines);
   }
   std::string batches = bench::FlagValue(argc, argv, "batch");
-  for (const std::string& b : SplitList(batches)) {
+  for (const std::string& b : bench::SplitList(batches)) {
     config.batch_sizes.push_back(bench::PositiveFlag<uint32_t>("batch", b));
   }
   if (config.batch_sizes.empty()) {
@@ -454,7 +441,7 @@ DriverConfig ParseFlags(int argc, char** argv) {
                                : std::vector<uint32_t>{100, 300};
   }
   std::string thetas = bench::FlagValue(argc, argv, "theta");
-  for (const std::string& t : SplitList(thetas)) {
+  for (const std::string& t : bench::SplitList(thetas)) {
     char* end = nullptr;
     double theta = std::strtod(t.c_str(), &end);
     if (end == t.c_str() || *end != '\0' || theta < 0 || theta >= 1) {
@@ -473,10 +460,10 @@ DriverConfig ParseFlags(int argc, char** argv) {
   if (pools.empty()) {
     config.pools = {"sim"};
   } else {
-    config.pools = SplitList(pools);
+    config.pools = bench::SplitList(pools);
   }
   std::string threads = bench::FlagValue(argc, argv, "threads");
-  for (const std::string& t : SplitList(threads)) {
+  for (const std::string& t : bench::SplitList(threads)) {
     config.threads.push_back(bench::PositiveFlag<uint32_t>("threads", t));
   }
   std::string runs = bench::FlagValue(argc, argv, "runs");
@@ -546,7 +533,6 @@ DriverConfig ParseFlags(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
-  baselines::RegisterBaselineEngines();
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--list") {
       for (const std::string& name :

@@ -12,8 +12,9 @@
 //
 //   ./examples/cross_shard_demo
 #include <cstdio>
+#include <memory>
 
-#include "ce/concurrency_controller.h"
+#include "ce/engine_registry.h"
 #include "ce/sim_executor_pool.h"
 #include "contract/tbvm.h"
 #include "core/cluster.h"
@@ -81,9 +82,10 @@ int main() {
   batch[1].contract = "demo.escrow_release";
   batch[1].accounts = {"bob"};
 
-  ce::ConcurrencyController cc(&store, 2);
+  std::unique_ptr<ce::BatchEngine> engine =
+      ce::EngineRegistry::Global().Create("ce", &store, 2);
   ce::SimExecutorPool pool(2, ce::ExecutionCostModel{});
-  auto r = pool.Run(cc, *registry, batch);
+  auto r = pool.Run(*engine, *registry, batch);
   if (!r.ok()) {
     std::fprintf(stderr, "escrow batch failed: %s\n",
                  r.status().ToString().c_str());

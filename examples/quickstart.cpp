@@ -7,8 +7,9 @@
 //
 //   ./examples/quickstart
 #include <cstdio>
+#include <memory>
 
-#include "ce/concurrency_controller.h"
+#include "ce/engine_registry.h"
 #include "ce/sim_executor_pool.h"
 #include "contract/contract.h"
 #include "contract/smallbank.h"
@@ -49,9 +50,10 @@ int main() {
   add("tbvm.get_balance", {"alice"}, {});  // Bytecode VM contract.
 
   // 4. Preplay through the Concurrent Executor.
-  ce::ConcurrencyController cc(&store, batch.size());
+  std::unique_ptr<ce::BatchEngine> engine = ce::EngineRegistry::Global().Create(
+      "ce", &store, static_cast<uint32_t>(batch.size()));
   ce::SimExecutorPool pool(4, ce::ExecutionCostModel{});
-  auto result = pool.Run(cc, *registry, batch);
+  auto result = pool.Run(*engine, *registry, batch);
   if (!result.ok()) {
     std::fprintf(stderr, "preplay failed: %s\n",
                  result.status().ToString().c_str());

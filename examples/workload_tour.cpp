@@ -7,8 +7,9 @@
 // lifecycle tracing enabled and summarizes the captured events (the
 // smallest demonstration of ThunderboltConfig::obs).
 #include <cstdio>
+#include <memory>
 
-#include "ce/concurrency_controller.h"
+#include "ce/engine_registry.h"
 #include "ce/sim_executor_pool.h"
 #include "contract/contract.h"
 #include "core/cluster.h"
@@ -40,8 +41,9 @@ int main() {
     uint64_t total_aborts = 0, total_txns = 0;
     for (int batch_idx = 0; batch_idx < 3; ++batch_idx) {
       auto batch = w->MakeBatch(kBatchSize);
-      ce::ConcurrencyController cc(&store, kBatchSize);
-      auto r = pool.Run(cc, *registry, batch);
+      std::unique_ptr<ce::BatchEngine> engine =
+          ce::EngineRegistry::Global().Create("ce", &store, kBatchSize);
+      auto r = pool.Run(*engine, *registry, batch);
       if (!r.ok()) {
         std::fprintf(stderr, "%s failed: %s\n", name.c_str(),
                      r.status().ToString().c_str());

@@ -1,9 +1,10 @@
 // BatchEngine: the common executor-facing interface implemented by every
 // concurrency-control engine in this repository — Thunderbolt's CC
 // (ce/concurrency_controller.h), and the OCC and 2PL-No-Wait baselines
-// (baselines/). The simulated executor pool (ce/sim_executor_pool.h) drives
-// any engine through this interface, which is what makes the Figure 11/12
-// comparisons apples-to-apples.
+// (ce/occ_engine.h, ce/tpl_nowait_engine.h), all created by name through
+// ce::EngineRegistry. The simulated executor pool (ce/sim_executor_pool.h)
+// drives any engine through this interface, which is what makes the
+// Figure 11/12 comparisons apples-to-apples.
 #ifndef THUNDERBOLT_CE_BATCH_ENGINE_H_
 #define THUNDERBOLT_CE_BATCH_ENGINE_H_
 

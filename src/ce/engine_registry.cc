@@ -1,8 +1,21 @@
 #include "ce/engine_registry.h"
 
 #include "ce/concurrency_controller.h"
+#include "ce/occ_engine.h"
+#include "ce/tpl_nowait_engine.h"
 
 namespace thunderbolt::ce {
+
+namespace {
+
+template <typename Engine>
+EngineRegistry::Factory FactoryOf() {
+  return [](const storage::ReadView* base, uint32_t batch_size) {
+    return std::unique_ptr<BatchEngine>(new Engine(base, batch_size));
+  };
+}
+
+}  // namespace
 
 void EngineRegistry::Register(std::string name, Factory factory) {
   factories_[std::move(name)] = std::move(factory);
@@ -27,15 +40,13 @@ std::vector<std::string> EngineRegistry::Names() const {
 }
 
 EngineRegistry& EngineRegistry::Global() {
-  // "ce" registers here (not via a static initializer, which static
-  // libraries would dead-strip); the baselines register themselves via
-  // baselines::RegisterBaselineEngines().
+  // Registered here rather than by static initializers, which static
+  // libraries would dead-strip.
   static EngineRegistry* registry = [] {
     auto* r = new EngineRegistry();
-    r->Register("ce", [](const storage::ReadView* base, uint32_t batch_size) {
-      return std::unique_ptr<BatchEngine>(
-          new ConcurrencyController(base, batch_size));
-    });
+    r->Register("ce", FactoryOf<ConcurrencyController>());
+    r->Register("occ", FactoryOf<OccEngine>());
+    r->Register("2pl", FactoryOf<TplNoWaitEngine>());
     return r;
   }();
   return *registry;

@@ -1,15 +1,14 @@
 // String-keyed factory registry for concurrency-control engines, mirroring
 // workload::WorkloadRegistry / placement::PlacementRegistry /
-// storage::StoreRegistry: the bench drivers select a BatchEngine from an
-// `--engine <name>` flag without compile-time coupling.
+// storage::StoreRegistry. It is the one way anything picks a preplay
+// engine: core::ThunderboltConfig::engine names a cluster's, and the
+// bench drivers create theirs by name (thunderbolt_bench and
+// bench_overload take it from `--engine`).
 //
 // `Global()` is preloaded with "ce" (the Thunderbolt Concurrency
-// Controller, the one engine this module owns). The OCC and 2PL-No-Wait
-// baselines live in the baselines/ module — which depends on ce/, so they
-// cannot preload here; callers that want them call
-// baselines::RegisterBaselineEngines() once at startup
-// (baselines/engine_registration.h). "serial" is not a BatchEngine — the
-// drivers keep routing it through baselines::ExecuteSerial.
+// Controller), "occ" (OccEngine) and "2pl" (TplNoWaitEngine). "serial" is
+// not a BatchEngine: Tusk and the drivers route it through
+// baselines::ExecuteSerial.
 #ifndef THUNDERBOLT_CE_ENGINE_REGISTRY_H_
 #define THUNDERBOLT_CE_ENGINE_REGISTRY_H_
 
@@ -43,7 +42,7 @@ class EngineRegistry {
   /// Registered names, sorted.
   std::vector<std::string> Names() const;
 
-  /// The process-wide registry, preloaded with "ce".
+  /// The process-wide registry, preloaded with "ce", "occ" and "2pl".
   static EngineRegistry& Global();
 
  private:

@@ -1,8 +1,8 @@
-#include "baselines/occ_engine.h"
+#include "ce/occ_engine.h"
 
 #include <algorithm>
 
-namespace thunderbolt::baselines {
+namespace thunderbolt::ce {
 
 OccEngine::OccEngine(const storage::ReadView* base, uint32_t batch_size)
     : base_(base), batch_size_(batch_size), slots_(batch_size) {
@@ -132,4 +132,4 @@ storage::WriteBatch OccEngine::FinalWrites() const {
   return batch;
 }
 
-}  // namespace thunderbolt::baselines
+}  // namespace thunderbolt::ce

@@ -6,8 +6,8 @@
 // current committed versions; any mismatch rejects the commit and the
 // transaction re-executes. Unlike Thunderbolt's CC there is no rescheduling:
 // a conflicting transaction always restarts.
-#ifndef THUNDERBOLT_BASELINES_OCC_ENGINE_H_
-#define THUNDERBOLT_BASELINES_OCC_ENGINE_H_
+#ifndef THUNDERBOLT_CE_OCC_ENGINE_H_
+#define THUNDERBOLT_CE_OCC_ENGINE_H_
 
 #include <atomic>
 #include <functional>
@@ -18,14 +18,7 @@
 
 #include "ce/batch_engine.h"
 
-namespace thunderbolt::baselines {
-
-using ce::BatchEngine;
-using ce::TxnRecord;
-using ce::TxnSlot;
-using storage::Key;
-using storage::Value;
-using storage::Version;
+namespace thunderbolt::ce {
 
 class OccEngine final : public BatchEngine {
  public:
@@ -35,7 +28,7 @@ class OccEngine final : public BatchEngine {
   /// OCC restarts are always validation failures (the only abort site is
   /// the Finish-time version cross-check), so every callback invocation
   /// reports obs::AbortReason::kValidationFailure.
-  void SetAbortCallback(ce::AbortCallback cb) override {
+  void SetAbortCallback(AbortCallback cb) override {
     on_abort_ = std::move(cb);
   }
 
@@ -65,7 +58,7 @@ class OccEngine final : public BatchEngine {
  private:
   struct ReadEntry {
     Value value;
-    Version version;
+    storage::Version version;
   };
   struct Slot {
     bool running = false;
@@ -94,9 +87,9 @@ class OccEngine final : public BatchEngine {
   /// Atomic so progress checks never block (batch_engine.h contract).
   std::atomic<uint32_t> committed_{0};
   std::atomic<uint64_t> total_aborts_{0};
-  ce::AbortCallback on_abort_;
+  AbortCallback on_abort_;
 };
 
-}  // namespace thunderbolt::baselines
+}  // namespace thunderbolt::ce
 
-#endif  // THUNDERBOLT_BASELINES_OCC_ENGINE_H_
+#endif  // THUNDERBOLT_CE_OCC_ENGINE_H_

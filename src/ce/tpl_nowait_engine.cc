@@ -1,8 +1,8 @@
-#include "baselines/tpl_nowait_engine.h"
+#include "ce/tpl_nowait_engine.h"
 
 #include <algorithm>
 
-namespace thunderbolt::baselines {
+namespace thunderbolt::ce {
 
 TplNoWaitEngine::TplNoWaitEngine(const storage::ReadView* base,
                                  uint32_t batch_size)
@@ -159,4 +159,4 @@ size_t TplNoWaitEngine::LockedKeyCount() const {
   return locks_.size();
 }
 
-}  // namespace thunderbolt::baselines
+}  // namespace thunderbolt::ce

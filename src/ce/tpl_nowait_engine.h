@@ -5,8 +5,8 @@
 // lock cannot be granted immediately the transaction releases all of its
 // locks and re-executes (no waiting, hence deadlock-free). Locks are held
 // until Finish, which applies the write buffer and releases everything.
-#ifndef THUNDERBOLT_BASELINES_TPL_NOWAIT_ENGINE_H_
-#define THUNDERBOLT_BASELINES_TPL_NOWAIT_ENGINE_H_
+#ifndef THUNDERBOLT_CE_TPL_NOWAIT_ENGINE_H_
+#define THUNDERBOLT_CE_TPL_NOWAIT_ENGINE_H_
 
 #include <atomic>
 #include <functional>
@@ -18,13 +18,7 @@
 
 #include "ce/batch_engine.h"
 
-namespace thunderbolt::baselines {
-
-using ce::BatchEngine;
-using ce::TxnRecord;
-using ce::TxnSlot;
-using storage::Key;
-using storage::Value;
+namespace thunderbolt::ce {
 
 class TplNoWaitEngine final : public BatchEngine {
  public:
@@ -33,7 +27,7 @@ class TplNoWaitEngine final : public BatchEngine {
   /// No-wait restarts are always failed lock acquisitions (read, write or
   /// upgrade), so every callback invocation reports
   /// obs::AbortReason::kLockAcquireFailure.
-  void SetAbortCallback(ce::AbortCallback cb) override {
+  void SetAbortCallback(AbortCallback cb) override {
     on_abort_ = std::move(cb);
   }
 
@@ -98,9 +92,9 @@ class TplNoWaitEngine final : public BatchEngine {
   /// Atomic so progress checks never block (batch_engine.h contract).
   std::atomic<uint32_t> committed_{0};
   std::atomic<uint64_t> total_aborts_{0};
-  ce::AbortCallback on_abort_;
+  AbortCallback on_abort_;
 };
 
-}  // namespace thunderbolt::baselines
+}  // namespace thunderbolt::ce
 
-#endif  // THUNDERBOLT_BASELINES_TPL_NOWAIT_ENGINE_H_
+#endif  // THUNDERBOLT_CE_TPL_NOWAIT_ENGINE_H_

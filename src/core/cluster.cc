@@ -1,9 +1,11 @@
 #include "core/cluster.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
+#include "ce/engine_registry.h"
 #include "ce/executor_pool.h"
 
 namespace thunderbolt::core {
@@ -62,10 +64,17 @@ Cluster::Cluster(ThunderboltConfig config, const std::string& workload_name,
                  config_.store.c_str());
     std::abort();
   }
-  // Validate the pool selection before any node constructs with it.
-  if (ce::CreateExecutorPool(config_.pool, 1, config_.exec_costs) == nullptr) {
+  // Validate the pool and engine names before any node constructs with
+  // them.
+  const std::vector<std::string> pools = ce::ExecutorPoolNames();
+  if (std::find(pools.begin(), pools.end(), config_.pool) == pools.end()) {
     std::fprintf(stderr, "Cluster: unknown executor pool \"%s\"\n",
                  config_.pool.c_str());
+    std::abort();
+  }
+  if (!ce::EngineRegistry::Global().Contains(config_.engine)) {
+    std::fprintf(stderr, "Cluster: unknown engine \"%s\"\n",
+                 config_.engine.c_str());
     std::abort();
   }
   workload_->InitStore(shared_->canonical.get());

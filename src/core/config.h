@@ -13,12 +13,12 @@
 
 namespace thunderbolt::core {
 
-/// Which execution pipeline the cluster runs (paper section 12).
+/// Which execution pipeline the cluster runs (paper section 12). The
+/// preplay engine is chosen separately, by ThunderboltConfig::engine.
 enum class ExecutionMode {
-  /// CE preplay (EOV) + parallel verification + OE cross-shard path.
+  /// Preplay (EOV) + parallel verification + OE cross-shard path:
+  /// Thunderbolt with the "ce" engine, Thunderbolt-OCC with "occ".
   kThunderbolt,
-  /// OCC preplay + parallel verification (the Thunderbolt-OCC baseline).
-  kThunderboltOcc,
   /// Plain Tusk: blocks carry raw transactions, executed serially in
   /// commit order after consensus (OE with sequential execution).
   kTusk,
@@ -27,6 +27,10 @@ enum class ExecutionMode {
 struct ThunderboltConfig {
   uint32_t n = 4;                      // Replicas (= shards).
   ExecutionMode mode = ExecutionMode::kThunderbolt;
+  /// Preplay engine, by ce::EngineRegistry name: "ce" (default; the
+  /// Concurrency Controller), "occ" or "2pl". Unused under kTusk, which
+  /// does not preplay.
+  std::string engine = "ce";
 
   // --- Shard proposer / execution ------------------------------------------
   uint32_t batch_size = 500;           // Transactions preplayed per block.

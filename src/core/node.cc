@@ -4,9 +4,8 @@
 #include <cassert>
 #include <map>
 
-#include "baselines/occ_engine.h"
 #include "baselines/serial_executor.h"
-#include "ce/concurrency_controller.h"
+#include "ce/engine_registry.h"
 
 namespace thunderbolt::core {
 
@@ -293,8 +292,7 @@ void ThunderboltNode::BuildProposal(Round round) {
     singles = std::move(runnable);
   }
 
-  if (singles.empty() && config_.mode != ExecutionMode::kTusk &&
-      !deferred_singles_.empty()) {
+  if (singles.empty() && !deferred_singles_.empty()) {
     // Nothing preplayable: emit a Skip block (section 5.4) so the DAG keeps
     // advancing while prior cross-shard leaders finalize.
     auto payload = std::make_shared<ThunderboltPayload>();
@@ -313,13 +311,9 @@ void ThunderboltNode::StartPreplay(Round round,
                                    std::vector<txn::Transaction> crosses) {
   OverlayStore view(&overlay_, shared_->canonical.get());
 
-  std::unique_ptr<ce::BatchEngine> engine;
   const uint32_t batch = static_cast<uint32_t>(singles.size());
-  if (config_.mode == ExecutionMode::kThunderboltOcc) {
-    engine = std::make_unique<baselines::OccEngine>(&view, batch);
-  } else {
-    engine = std::make_unique<ce::ConcurrencyController>(&view, batch);
-  }
+  std::unique_ptr<ce::BatchEngine> engine =
+      ce::EngineRegistry::Global().Create(config_.engine, &view, batch);
 
   SimTime now = simulator_->Now();
   SimTime start = std::max(now, ce_free_);

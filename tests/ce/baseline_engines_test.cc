@@ -3,19 +3,17 @@
 // on the same randomized batches.
 #include <gtest/gtest.h>
 
-#include "baselines/occ_engine.h"
 #include "baselines/serial_executor.h"
-#include "baselines/tpl_nowait_engine.h"
 #include "ce/concurrency_controller.h"
+#include "ce/occ_engine.h"
 #include "ce/sim_executor_pool.h"
+#include "ce/tpl_nowait_engine.h"
 #include "contract/contract.h"
 #include "testutil/testutil.h"
 #include "workload/smallbank_workload.h"
 
-namespace thunderbolt::baselines {
+namespace thunderbolt::ce {
 namespace {
-
-using ce::TxnSlot;
 
 class OccEngineTest : public ::testing::Test {
  protected:
@@ -178,8 +176,8 @@ TEST_P(EngineEquivalenceTest, OutcomeIsSerializable) {
   // same emitted results and final state.
   std::vector<txn::Transaction> ordered;
   for (TxnSlot slot : result->order) ordered.push_back(batch[slot]);
-  SerialExecutionResult serial =
-      ExecuteSerial(*registry, ordered, &serial_store, Micros(1));
+  baselines::SerialExecutionResult serial =
+      baselines::ExecuteSerial(*registry, ordered, &serial_store, Micros(1));
   for (size_t i = 0; i < result->order.size(); ++i) {
     TxnSlot slot = result->order[i];
     ASSERT_EQ(result->records[slot].emitted, serial.records[i].emitted)
@@ -231,4 +229,4 @@ TEST(AbortRateOrderingTest, CcLowestAborts) {
 }
 
 }  // namespace
-}  // namespace thunderbolt::baselines
+}  // namespace thunderbolt::ce

@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/engine_registration.h"
 #include "ce/concurrency_controller.h"
+#include "ce/engine_registry.h"
 #include "ce/executor_pool.h"
 #include "ce/sim_executor_pool.h"
 #include "contract/contract.h"
@@ -244,8 +244,7 @@ uint64_t RunWithPool(const std::string& workload_name,
   for (uint32_t b = 0; b < kAgreementBatches; ++b) {
     auto batch = w->MakeBatch(kAgreementBatch);
     std::unique_ptr<BatchEngine> engine =
-        baselines::RegisterBaselineEngines().Create(engine_name, &store,
-                                                    kAgreementBatch);
+        EngineRegistry::Global().Create(engine_name, &store, kAgreementBatch);
     EXPECT_NE(engine, nullptr) << engine_name;
     if (engine == nullptr) return 0;
     auto r = pool->Run(*engine, *registry, batch);

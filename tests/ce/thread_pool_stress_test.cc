@@ -15,7 +15,7 @@
 #include <tuple>
 #include <vector>
 
-#include "baselines/engine_registration.h"
+#include "ce/engine_registry.h"
 #include "ce/executor_pool.h"
 #include "contract/contract.h"
 #include "storage/kv_store.h"
@@ -57,8 +57,7 @@ uint64_t RunCell(const std::string& workload_name,
   for (uint32_t b = 0; b < kBatches; ++b) {
     auto batch = w->MakeBatch(kBatchSize);
     std::unique_ptr<BatchEngine> engine =
-        baselines::RegisterBaselineEngines().Create(engine_name, &store,
-                                                    kBatchSize);
+        EngineRegistry::Global().Create(engine_name, &store, kBatchSize);
     EXPECT_NE(engine, nullptr) << engine_name;
     if (engine == nullptr) return 0;
     auto r = pool->Run(*engine, *registry, batch);

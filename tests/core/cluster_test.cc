@@ -1,7 +1,7 @@
 // End-to-end integration tests for the simulated Thunderbolt cluster:
-// liveness, state convergence, balance conservation, the Tusk and
-// Thunderbolt-OCC modes, cross-shard handling, failures, and non-blocking
-// reconfiguration.
+// liveness, state convergence, balance conservation, Tusk mode, the OCC
+// and 2PL-No-Wait preplay engines, cross-shard handling, failures, and
+// non-blocking reconfiguration.
 #include "core/cluster.h"
 
 #include <gtest/gtest.h>
@@ -79,11 +79,24 @@ TEST(ClusterTest, TuskModeCommitsSerially) {
 
 TEST(ClusterTest, ThunderboltOccMode) {
   auto cfg = SmallConfig();
-  cfg.mode = ExecutionMode::kThunderboltOcc;
+  cfg.engine = "occ";
   Cluster cluster(cfg, "smallbank", SmallWorkload());
   ClusterResult r = cluster.Run(Seconds(5));
   EXPECT_GT(r.committed_single, 500u);
   EXPECT_EQ(r.invalid_blocks, 0u);
+}
+
+TEST(ClusterTest, TwoPhaseLockingMode) {
+  // Any registered engine can preplay: 2PL-No-Wait's schedules validate
+  // like the CC's and OCC's.
+  auto cfg = SmallConfig();
+  cfg.engine = "2pl";
+  Cluster cluster(cfg, "smallbank", SmallWorkload());
+  ClusterResult r = cluster.Run(Seconds(5));
+  EXPECT_GT(r.committed_single, 500u);
+  EXPECT_EQ(r.invalid_blocks, 0u);
+  EXPECT_TRUE(cluster.CheckInvariant().ok())
+      << cluster.CheckInvariant().ToString();
 }
 
 TEST(ClusterTest, SurvivesFCrashedReplicas) {

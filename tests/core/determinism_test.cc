@@ -13,9 +13,12 @@
 // carry the historical byte-identical baselines forward, and "cow"/
 // "sorted" runs pin the new backends to the same bar — plus a cross-
 // backend leg asserting mem and cow converge to the same committed state.
+// A second suite holds the other execution pipelines (OCC and 2PL-No-Wait
+// preplay, Tusk's serial execution) to the same bar.
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <utility>
 
@@ -51,9 +54,25 @@ struct DeterminismParam {
   const char* admission = nullptr;
 };
 
-RunOutput RunClusterOnce(const DeterminismParam& param, uint64_t seed) {
+/// The execution pipeline: the preplay engine by ce::EngineRegistry name,
+/// and the mode (kTusk executes serially after consensus instead).
+struct PipelineParam {
+  const char* engine = "ce";
+  ExecutionMode mode = ExecutionMode::kThunderbolt;
+};
+
+/// Prints the fields, so the listed test names carry no pointer bytes.
+void PrintTo(const PipelineParam& param, std::ostream* os) {
+  *os << "engine=" << param.engine << " mode="
+      << (param.mode == ExecutionMode::kTusk ? "tusk" : "thunderbolt");
+}
+
+RunOutput RunClusterOnce(const DeterminismParam& param, uint64_t seed,
+                         const PipelineParam& pipeline = {}) {
   ThunderboltConfig cfg;
   cfg.n = 4;
+  cfg.engine = pipeline.engine;
+  cfg.mode = pipeline.mode;
   cfg.batch_size = 100;
   cfg.placement = param.placement;
   cfg.store = param.store;
@@ -113,12 +132,7 @@ RunOutput RunClusterOnce(const DeterminismParam& param, uint64_t seed) {
   return out;
 }
 
-class ClusterDeterminismTest
-    : public ::testing::TestWithParam<DeterminismParam> {};
-
-TEST_P(ClusterDeterminismTest, IdenticalSeedsProduceByteIdenticalRuns) {
-  RunOutput a = RunClusterOnce(GetParam(), /*seed=*/1234);
-  RunOutput b = RunClusterOnce(GetParam(), /*seed=*/1234);
+void ExpectByteIdentical(const RunOutput& a, const RunOutput& b) {
   EXPECT_FALSE(a.commit_order.empty());
   EXPECT_EQ(a.commit_order, b.commit_order);
   EXPECT_EQ(a.histogram, b.histogram);
@@ -133,6 +147,14 @@ TEST_P(ClusterDeterminismTest, IdenticalSeedsProduceByteIdenticalRuns) {
   EXPECT_FALSE(a.timeseries_json.empty());
   EXPECT_EQ(a.timeseries_json, b.timeseries_json);
   EXPECT_EQ(a.phase_json, b.phase_json);
+}
+
+class ClusterDeterminismTest
+    : public ::testing::TestWithParam<DeterminismParam> {};
+
+TEST_P(ClusterDeterminismTest, IdenticalSeedsProduceByteIdenticalRuns) {
+  ExpectByteIdentical(RunClusterOnce(GetParam(), /*seed=*/1234),
+                      RunClusterOnce(GetParam(), /*seed=*/1234));
 }
 
 TEST_P(ClusterDeterminismTest, DifferentSeedsDiverge) {
@@ -189,6 +211,36 @@ INSTANTIATE_TEST_SUITE_P(
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
       return name;
+    });
+
+// Every pipeline other than the default CE preplay, on smallbank/hash/mem:
+// OCC and 2PL-No-Wait schedules and Tusk's post-consensus serial execution
+// must replay byte-identically per seed too.
+class PipelineDeterminismTest
+    : public ::testing::TestWithParam<PipelineParam> {};
+
+const DeterminismParam kPipelineConfig{"smallbank", "hash", "mem"};
+
+TEST_P(PipelineDeterminismTest, IdenticalSeedsProduceByteIdenticalRuns) {
+  ExpectByteIdentical(RunClusterOnce(kPipelineConfig, 1234, GetParam()),
+                      RunClusterOnce(kPipelineConfig, 1234, GetParam()));
+}
+
+TEST_P(PipelineDeterminismTest, DifferentSeedsDiverge) {
+  RunOutput a = RunClusterOnce(kPipelineConfig, 1234, GetParam());
+  RunOutput b = RunClusterOnce(kPipelineConfig, 99, GetParam());
+  EXPECT_NE(a.commit_order, b.commit_order);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SmallbankHashMem, PipelineDeterminismTest,
+    ::testing::Values(PipelineParam{"occ", ExecutionMode::kThunderbolt},
+                      PipelineParam{"2pl", ExecutionMode::kThunderbolt},
+                      PipelineParam{"ce", ExecutionMode::kTusk}),
+    [](const auto& info) {
+      return info.param.mode == ExecutionMode::kTusk
+                 ? std::string("tusk")
+                 : std::string(info.param.engine);
     });
 
 // Swapping the storage backend must not move the committed state: a mem

@@ -11,8 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/occ_engine.h"
-#include "ce/concurrency_controller.h"
+#include "ce/engine_registry.h"
 #include "ce/executor_pool.h"
 #include "contract/contract.h"
 #include "core/cluster.h"
@@ -49,12 +48,8 @@ std::vector<obs::TraceEvent> RunTracedBatch(obs::Observability* obs,
   std::unique_ptr<ce::ExecutorPool> pool =
       ce::CreateExecutorPool("sim", 8, ce::ExecutionCostModel{});
   pool->SetObs(ce::PoolObsContext{obs->tracer(), &obs->metrics(), 0});
-  std::unique_ptr<ce::BatchEngine> engine;
-  if (use_occ) {
-    engine = std::make_unique<baselines::OccEngine>(&store, batch_size);
-  } else {
-    engine = std::make_unique<ce::ConcurrencyController>(&store, batch_size);
-  }
+  std::unique_ptr<ce::BatchEngine> engine = ce::EngineRegistry::Global().Create(
+      use_occ ? "occ" : "ce", &store, batch_size);
   auto r = pool->Run(*engine, *registry, batch);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r->order.size(), batch_size);  // Every txn committed.

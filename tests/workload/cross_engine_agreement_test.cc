@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/engine_registration.h"
 #include "baselines/serial_executor.h"
 #include "ce/engine_registry.h"
 #include "ce/sim_executor_pool.h"
@@ -75,8 +74,8 @@ uint64_t RunEngine(const std::string& workload_name,
       continue;
     }
     std::unique_ptr<ce::BatchEngine> engine =
-        baselines::RegisterBaselineEngines().Create(engine_name, store.get(),
-                                                    kBatchSize);
+        ce::EngineRegistry::Global().Create(engine_name, store.get(),
+                                            kBatchSize);
     EXPECT_NE(engine, nullptr) << engine_name;
     if (engine == nullptr) break;
     auto r = pool.Run(*engine, *registry, batch);
