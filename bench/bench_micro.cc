@@ -327,7 +327,7 @@ void BM_CcBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           batch_size);
 }
-BENCHMARK(BM_CcBatch)->Arg(100)->Arg(500);
+BENCHMARK(BM_CcBatch)->Arg(100)->Arg(500)->Arg(2000);
 
 void BM_SerialBatch(benchmark::State& state) {
   uint32_t batch_size = static_cast<uint32_t>(state.range(0));

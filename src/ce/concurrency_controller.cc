@@ -28,7 +28,9 @@ Value ConcurrencyController::RootValue(const Key& key) const {
 
 bool ConcurrencyController::HasPath(TxnSlot from, TxnSlot to) const {
   if (from == to) return true;
-  // Iterative DFS; batches are small (<= a few hundred nodes).
+  // Iterative DFS. Every caller starts at a live transaction, and a
+  // committed node only has committed in-neighbours, so the search visits
+  // live transactions only: the in-flight frontier, not the whole batch.
   std::vector<bool> visited(batch_size_, false);
   std::vector<TxnSlot> stack{from};
   visited[from] = true;
@@ -420,21 +422,10 @@ void ConcurrencyController::TryCommit(TxnSlot slot) {
     }
     if (!deps_committed) continue;
 
-    // Fix residual write-write order against already-committed writers
-    // (section 7.1: "a dependency is established based on the commit times
-    // of these transactions").
-    for (const auto& [key, rec] : node.records) {
-      if (!rec.has_write) continue;
-      auto it = key_index_.find(key);
-      if (it == key_index_.end()) continue;
-      for (TxnSlot other : it->second.writers) {
-        if (other == cur) continue;
-        if (nodes_[other].state != SlotState::kCommitted) continue;
-        if (HasPath(other, cur) || HasPath(cur, other)) continue;
-        AddEdge(other, cur);
-      }
-    }
-
+    // Committed co-writers need no edge: commit time fixes write-write
+    // order (section 7.1) and order_ already lists them first. Such an
+    // edge would leave a committed node, which no search from a live node
+    // reaches, since no edge is ever added into a committed node.
     node.state = SlotState::kCommitted;
     node.order = static_cast<int>(order_.size());
     order_.push_back(cur);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 
 #include "baselines/serial_executor.h"
@@ -326,10 +328,14 @@ void ThunderboltNode::StartPreplay(Round round,
   if (batch > 0) {
     auto result = pool_->Run(*engine, *registry_, singles, start);
     if (!result.ok()) {
-      // Executor livelock would be a bug; surface loudly in sim runs.
-      assert(false && "preplay failed");
-      building_ = false;
-      return;
+      // A failed preplay (e.g. an engine livelock tripping the pool's
+      // restart bound) is a bug: stop loudly, never report a silent 0 tps.
+      std::fprintf(stderr,
+                   "ThunderboltNode: preplay failed on replica %u, shard %u "
+                   "(engine \"%s\"): %s\n",
+                   id_, owned_shard_, config_.engine.c_str(),
+                   result.status().ToString().c_str());
+      std::abort();
     }
     duration = result->duration;
     if (is_observer_) outcomes_.preplay_aborts.Inc(result->total_aborts);

@@ -6,10 +6,16 @@
 //   2. the dependency graph ends acyclic,
 //   3. serial replay in the scheduled order reproduces every emitted
 //      value and the exact final state (serializability, paper section 10),
-//   4. the schedule survives replica-side validation (first-read checks).
+//   4. the schedule survives replica-side validation (first-read checks),
+//   5. after every engine call, every edge u->v into a committed v comes
+//      from a committed u serialized earlier (no edge ever enters a
+//      committed node, which the commit path relies on), and at batch end
+//      every edge runs forward in the serialization order.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "ce/concurrency_controller.h"
 #include "ce/sim_executor_pool.h"
@@ -92,6 +98,96 @@ class SerialCtx final : public ContractContext {
   std::map<storage::Key, Value> writes_;
 };
 
+/// Forwards every call to a CC and checks invariant (5) after each one,
+/// through the CC's test introspection only. The first violation is kept
+/// and checking stops, so a broken invariant reports once.
+class EdgeInvariantEngine final : public BatchEngine {
+ public:
+  EdgeInvariantEngine(ConcurrencyController* cc, uint32_t batch_size)
+      : cc_(cc), n_(batch_size) {}
+
+  void SetAbortCallback(AbortCallback cb) override {
+    cc_->SetAbortCallback(std::move(cb));
+  }
+  uint32_t Begin(TxnSlot slot) override {
+    const uint32_t incarnation = cc_->Begin(slot);
+    Check("Begin", slot);
+    return incarnation;
+  }
+  Result<Value> Read(TxnSlot slot, uint32_t incarnation,
+                     const Key& key) override {
+    Result<Value> r = cc_->Read(slot, incarnation, key);
+    Check("Read", slot);
+    return r;
+  }
+  Status Write(TxnSlot slot, uint32_t incarnation, const Key& key,
+               Value v) override {
+    Status s = cc_->Write(slot, incarnation, key, v);
+    Check("Write", slot);
+    return s;
+  }
+  void Emit(TxnSlot slot, uint32_t incarnation, Value v) override {
+    cc_->Emit(slot, incarnation, v);
+    Check("Emit", slot);
+  }
+  Status Finish(TxnSlot slot, uint32_t incarnation) override {
+    Status s = cc_->Finish(slot, incarnation);
+    Check("Finish", slot);
+    return s;
+  }
+
+  bool AllCommitted() const override { return cc_->AllCommitted(); }
+  uint32_t committed_count() const override { return cc_->committed_count(); }
+  uint64_t total_aborts() const override { return cc_->total_aborts(); }
+  const std::vector<TxnSlot>& SerializationOrder() const override {
+    return cc_->SerializationOrder();
+  }
+  TxnRecord ExtractRecord(TxnSlot slot) const override {
+    return cc_->ExtractRecord(slot);
+  }
+  storage::WriteBatch FinalWrites() const override {
+    return cc_->FinalWrites();
+  }
+
+  /// Empty while the invariant held after every call.
+  const std::string& violation() const { return violation_; }
+
+  /// Position of each slot in the serialization order; -1 if uncommitted.
+  std::vector<int> Positions() const {
+    std::vector<int> pos(n_, -1);
+    const std::vector<TxnSlot>& order = cc_->SerializationOrder();
+    for (size_t i = 0; i < order.size(); ++i) {
+      pos[order[i]] = static_cast<int>(i);
+    }
+    return pos;
+  }
+
+ private:
+  void Check(const char* call, TxnSlot slot) {
+    if (!violation_.empty()) return;
+    const std::vector<int> pos = Positions();
+    for (TxnSlot v : cc_->SerializationOrder()) {
+      for (TxnSlot u = 0; u < n_; ++u) {
+        if (!cc_->HasEdge(u, v)) continue;
+        if (cc_->state(u) == SlotState::kCommitted && pos[u] < pos[v]) {
+          continue;
+        }
+        std::ostringstream msg;
+        msg << "after " << call << "(slot " << slot << "): edge " << u
+            << "->" << v << " enters committed " << v << " (order " << pos[v]
+            << ") from " << (pos[u] < 0 ? "live" : "later-committed") << " "
+            << u;
+        violation_ = msg.str();
+        return;
+      }
+    }
+  }
+
+  ConcurrencyController* cc_;
+  uint32_t n_;
+  std::string violation_;
+};
+
 struct Param {
   uint64_t seed;
   uint32_t num_keys;
@@ -123,10 +219,21 @@ TEST_P(CcRandomOps, SerializableUnderTorture) {
   }
 
   ConcurrencyController cc(&store, p.batch);
+  EdgeInvariantEngine engine(&cc, p.batch);
   SimExecutorPool pool(p.executors, ExecutionCostModel{});
-  auto r = pool.Run(cc, *registry, batch);
+  auto r = pool.Run(engine, *registry, batch);
   ASSERT_TRUE(r.ok()) << r.status().ToString();  // (1) termination.
   EXPECT_TRUE(cc.GraphIsAcyclic());               // (2) acyclic.
+  EXPECT_EQ(engine.violation(), "") << "seed " << p.seed;  // (5) per call.
+  const std::vector<int> pos = engine.Positions();
+  for (TxnSlot u = 0; u < p.batch; ++u) {
+    for (TxnSlot v = 0; v < p.batch; ++v) {
+      if (cc.HasEdge(u, v)) {
+        EXPECT_LT(pos[u], pos[v]) << "edge " << u << "->" << v << " (seed "
+                                  << p.seed << ")";
+      }
+    }
+  }
 
   // (3) serializability against the scheduled order.
   ASSERT_TRUE(store.Write(r->final_writes).ok());

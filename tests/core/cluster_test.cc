@@ -1,11 +1,15 @@
 // End-to-end integration tests for the simulated Thunderbolt cluster:
 // liveness, state convergence, balance conservation, Tusk mode, the OCC
-// and 2PL-No-Wait preplay engines, cross-shard handling, failures, and
-// non-blocking reconfiguration.
+// and 2PL-No-Wait preplay engines, cross-shard handling, failures,
+// non-blocking reconfiguration, and a loud stop when preplay fails.
 #include "core/cluster.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "ce/engine_registry.h"
+#include "testutil/always_abort_engine.h"
 #include "testutil/testutil.h"
 
 namespace thunderbolt::core {
@@ -97,6 +101,25 @@ TEST(ClusterTest, TwoPhaseLockingMode) {
   EXPECT_EQ(r.invalid_blocks, 0u);
   EXPECT_TRUE(cluster.CheckInvariant().ok())
       << cluster.CheckInvariant().ToString();
+}
+
+TEST(ClusterDeathTest, PreplayFailureAbortsLoudly) {
+  // An engine that livelocks fails the pool's restart bound. The cluster
+  // must stop with the failure on stderr, not carry on to a silent 0 tps.
+  ce::EngineRegistry::Global().Register(
+      "test.always_abort",
+      [](const storage::ReadView*, uint32_t batch_size) {
+        return std::make_unique<testutil::AlwaysAbortSlotZeroEngine>(
+            batch_size);
+      });
+  auto cfg = SmallConfig();
+  cfg.engine = "test.always_abort";
+  EXPECT_DEATH(
+      {
+        Cluster cluster(cfg, "smallbank", SmallWorkload());
+        cluster.Run(Seconds(2));
+      },
+      "preplay failed on replica [0-9]+, shard [0-9]+");
 }
 
 TEST(ClusterTest, SurvivesFCrashedReplicas) {
