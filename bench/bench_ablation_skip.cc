@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
+  const bench::CostFooter cost_footer(argv[0]);
   const SimTime duration =
       bench::QuickMode(argc, argv) ? Seconds(2) : Seconds(4);
   workload::WorkloadOptions options;

@@ -96,6 +96,7 @@ void RunWorkload(const char* title, double read_ratio, uint32_t runs,
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
+  const bench::CostFooter cost_footer(argv[0]);
   const uint32_t runs = bench::QuickMode(argc, argv) ? 4 : 20;
   const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
   const bench::PoolSelection pool = bench::PoolFromFlags(argc, argv);

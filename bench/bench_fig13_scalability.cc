@@ -48,6 +48,7 @@ RunOut RunOne(const bench::ClusterSystem& system, uint32_t n, bool wan,
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
+  const bench::CostFooter cost_footer(argv[0]);
   const bool quick = bench::QuickMode(argc, argv);
   workload::WorkloadOptions options;
   const std::string workload_name =

@@ -50,6 +50,7 @@ void RunSweep(const bench::ClusterSystem& system,
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
+  const bench::CostFooter cost_footer(argv[0]);
   const SimTime duration =
       bench::QuickMode(argc, argv) ? Seconds(2) : Seconds(5);
   workload::WorkloadOptions options;

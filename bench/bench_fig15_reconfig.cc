@@ -9,6 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
+  const bench::CostFooter cost_footer(argv[0]);
   const SimTime duration =
       bench::QuickMode(argc, argv) ? Seconds(3) : Seconds(10);
   workload::WorkloadOptions options;

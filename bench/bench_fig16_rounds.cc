@@ -7,6 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
+  const bench::CostFooter cost_footer(argv[0]);
   const SimTime duration =
       bench::QuickMode(argc, argv) ? Seconds(8) : Seconds(30);
   workload::WorkloadOptions options;

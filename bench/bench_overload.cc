@@ -85,6 +85,7 @@ double CalibrateSaturation(const std::string& engine,
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
+  const bench::CostFooter cost_footer(argv[0]);
   const bool smoke = bench::HasFlag(argc, argv, "smoke");
   const bool quick = smoke || bench::QuickMode(argc, argv);
   const SimTime duration = quick ? Seconds(1) : Seconds(3);

@@ -7,7 +7,10 @@
 #ifndef THUNDERBOLT_BENCH_BENCH_UTIL_H_
 #define THUNDERBOLT_BENCH_BENCH_UTIL_H_
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -129,6 +132,36 @@ class TableLog {
 
  private:
   std::vector<Entry> tables_;
+};
+
+/// The host cost footer every driver ends with. Declared first in main, it
+/// prints one line to stderr when main returns: the driver's name, wall
+/// seconds since it was constructed and the process's peak RSS (getrusage).
+/// stdout and the --json series are left untouched.
+class CostFooter {
+ public:
+  explicit CostFooter(const char* argv0)
+      : name_(argv0), start_(std::chrono::steady_clock::now()) {
+    name_.erase(0, name_.find_last_of('/') + 1);  // Keep the basename.
+  }
+  CostFooter(const CostFooter&) = delete;
+  CostFooter& operator=(const CostFooter&) = delete;
+
+  ~CostFooter() {
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start_)
+                              .count();
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    // Linux reports ru_maxrss in KiB.
+    std::fprintf(stderr, "[cost] %s: wall %.2f s, peak RSS %.1f MB\n",
+                 name_.c_str(), wall_s,
+                 static_cast<double>(usage.ru_maxrss) / 1024.0);
+  }
+
+ private:
+  std::string name_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Prints the figure banner.

@@ -533,6 +533,7 @@ DriverConfig ParseFlags(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
+  const bench::CostFooter cost_footer(argv[0]);
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--list") {
       for (const std::string& name :

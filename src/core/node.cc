@@ -412,11 +412,14 @@ void ThunderboltNode::OnBlockReceived(const dag::BlockPtr& block) {
   if (payload->kind == PayloadKind::kShift) {
     shift_seen_.insert(block->proposer);
   }
-  // Track uncommitted cross-shard transactions for the P4 conflict check.
-  for (const txn::Transaction& tx : payload->cross_shard) {
-    if (pending_cross_.emplace(tx.id, tx.accounts).second) {
-      for (const std::string& account : tx.accounts) {
-        ++pending_cross_accounts_[account];
+  // Track uncommitted cross-shard transactions for the P4 conflict check,
+  // which only a Thunderbolt proposer makes.
+  if (config_.mode == ExecutionMode::kThunderbolt) {
+    for (const txn::Transaction& tx : payload->cross_shard) {
+      if (pending_cross_.insert(tx.id).second) {
+        for (const std::string& account : tx.accounts) {
+          ++pending_cross_accounts_[account];
+        }
       }
     }
   }
@@ -541,15 +544,13 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
     (void)block_ptr;
     for (const txn::Transaction& tx : payload->cross_shard) {
       crosses.push_back(&tx);
-      auto it = pending_cross_.find(tx.id);
-      if (it != pending_cross_.end()) {
-        for (const std::string& account : it->second) {
-          auto ait = pending_cross_accounts_.find(account);
-          if (ait != pending_cross_accounts_.end() && --ait->second == 0) {
-            pending_cross_accounts_.erase(ait);
+      if (pending_cross_.erase(tx.id) > 0) {
+        for (const std::string& account : tx.accounts) {
+          auto it = pending_cross_accounts_.find(account);
+          if (it != pending_cross_accounts_.end() && --it->second == 0) {
+            pending_cross_accounts_.erase(it);
           }
         }
-        pending_cross_.erase(it);
       }
     }
   }

@@ -227,9 +227,15 @@ class ThunderboltNode {
   // with the virtual time each was first deferred (conversion deadline).
   std::deque<std::pair<txn::Transaction, SimTime>> deferred_singles_;
 
-  // Pending (seen, uncommitted) cross-shard transactions: id -> accounts.
-  std::unordered_map<TxnId, std::vector<std::string>> pending_cross_;
-  /// Reference-counted account index over pending_cross_.
+  // P4 index: the cross-shard transactions seen in received blocks but not
+  // yet committed, and a reference count per account they touch. Its only
+  // reader is ConflictsWithPendingCross (rule P4, and the re-admission of
+  // deferred singles, section 5.4), which a Tusk proposer never reaches, so
+  // only kThunderbolt maintains it. An id is enough: TxnIds are unique (one
+  // shared Workload counter), and a replica receives every block before it
+  // commits it, so OnCommit releases the committed transaction's own
+  // accounts. Reconfigure clears both with the old DAG.
+  std::unordered_set<TxnId> pending_cross_;
   std::unordered_map<std::string, uint32_t> pending_cross_accounts_;
 
   // Preplay overlay: own-shard speculative writes from in-flight blocks.

@@ -73,10 +73,16 @@ TEST(ClusterTest, AllCrossShard) {
 TEST(ClusterTest, TuskModeCommitsSerially) {
   auto cfg = SmallConfig();
   cfg.mode = ExecutionMode::kTusk;
-  Cluster cluster(cfg, "smallbank", SmallWorkload());
+  auto wc = SmallWorkload();
+  wc.cross_shard_ratio = 0.3;
+  Cluster cluster(cfg, "smallbank", wc);
   ClusterResult r = cluster.Run(Seconds(5));
   EXPECT_EQ(r.committed_single, 0u);  // Everything is raw/ordered.
   EXPECT_GT(r.committed_cross, 200u);
+  // Tusk never preplays, so rule P4 never runs: no single is converted or
+  // deferred behind a Skip block, whatever the cross-shard mix.
+  EXPECT_EQ(r.conversions, 0u);
+  EXPECT_EQ(r.skip_blocks, 0u);
   EXPECT_TRUE(cluster.CheckInvariant().ok())
       << cluster.CheckInvariant().ToString();
 }

@@ -14,7 +14,8 @@
 // "sorted" runs pin the new backends to the same bar — plus a cross-
 // backend leg asserting mem and cow converge to the same committed state.
 // A second suite holds the other execution pipelines (OCC and 2PL-No-Wait
-// preplay, Tusk's serial execution) to the same bar.
+// preplay, Tusk's serial execution, CE preplay with Skip-block deferral) to
+// the same bar.
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
@@ -55,16 +56,22 @@ struct DeterminismParam {
 };
 
 /// The execution pipeline: the preplay engine by ce::EngineRegistry name,
-/// and the mode (kTusk executes serially after consensus instead).
+/// the mode (kTusk executes serially after consensus instead), and whether
+/// P4 defers conflicting singles behind Skip blocks (section 5.4) rather
+/// than converting them.
 struct PipelineParam {
   const char* engine = "ce";
   ExecutionMode mode = ExecutionMode::kThunderbolt;
+  bool use_skip_blocks = false;
 };
 
 /// Prints the fields, so the listed test names carry no pointer bytes.
+/// use_skip_blocks appears only when set, which keeps the names of the
+/// entries that predate it.
 void PrintTo(const PipelineParam& param, std::ostream* os) {
   *os << "engine=" << param.engine << " mode="
       << (param.mode == ExecutionMode::kTusk ? "tusk" : "thunderbolt");
+  if (param.use_skip_blocks) *os << " use_skip_blocks=1";
 }
 
 RunOutput RunClusterOnce(const DeterminismParam& param, uint64_t seed,
@@ -73,6 +80,7 @@ RunOutput RunClusterOnce(const DeterminismParam& param, uint64_t seed,
   cfg.n = 4;
   cfg.engine = pipeline.engine;
   cfg.mode = pipeline.mode;
+  cfg.use_skip_blocks = pipeline.use_skip_blocks;
   cfg.batch_size = 100;
   cfg.placement = param.placement;
   cfg.store = param.store;
@@ -214,8 +222,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Every pipeline other than the default CE preplay, on smallbank/hash/mem:
-// OCC and 2PL-No-Wait schedules and Tusk's post-consensus serial execution
-// must replay byte-identically per seed too.
+// OCC and 2PL-No-Wait schedules, Tusk's post-consensus serial execution and
+// the CE with P4's Skip-block deferral (where deferred singles re-enter
+// through the pending cross-shard index) must replay byte-identically per
+// seed too.
 class PipelineDeterminismTest
     : public ::testing::TestWithParam<PipelineParam> {};
 
@@ -236,11 +246,14 @@ INSTANTIATE_TEST_SUITE_P(
     SmallbankHashMem, PipelineDeterminismTest,
     ::testing::Values(PipelineParam{"occ", ExecutionMode::kThunderbolt},
                       PipelineParam{"2pl", ExecutionMode::kThunderbolt},
-                      PipelineParam{"ce", ExecutionMode::kTusk}),
+                      PipelineParam{"ce", ExecutionMode::kTusk},
+                      PipelineParam{"ce", ExecutionMode::kThunderbolt,
+                                    /*use_skip_blocks=*/true}),
     [](const auto& info) {
-      return info.param.mode == ExecutionMode::kTusk
-                 ? std::string("tusk")
-                 : std::string(info.param.engine);
+      if (info.param.mode == ExecutionMode::kTusk) return std::string("tusk");
+      std::string name = info.param.engine;
+      if (info.param.use_skip_blocks) name += "_skip";
+      return name;
     });
 
 // Swapping the storage backend must not move the committed state: a mem
