@@ -7,6 +7,7 @@
 #include "baselines/serial_executor.h"
 #include "ce/concurrency_controller.h"
 #include "ce/sim_executor_pool.h"
+#include "common/sha256_kernels.h"
 #include "contract/contract.h"
 #include "core/validator.h"
 #include "crypto/signature.h"
@@ -27,6 +28,19 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+
+void BM_TxnDigest(benchmark::State& state) {
+  // One SmallBank transaction's digest: the unit a Tusk block's
+  // ThunderboltPayload::ContentDigest repeats for each raw transaction.
+  workload::SmallBankConfig wc;
+  wc.num_accounts = 10000;
+  workload::SmallBankWorkload w(wc);
+  const txn::Transaction tx = w.Next();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tx.Digest());
+  }
+}
+BENCHMARK(BM_TxnDigest);
 
 void BM_SignVerify(benchmark::State& state) {
   auto dir = crypto::KeyDirectory::Create(4, 1);
@@ -382,4 +396,14 @@ BENCHMARK(BM_Validation);
 }  // namespace
 }  // namespace thunderbolt
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The SHA-256 body is picked from CPUID, so hashing-bound results are
+  // comparable only between runs that report the same sha256_kernel.
+  benchmark::AddCustomContext("sha256_kernel",
+                              thunderbolt::sha256::ChosenBodyName());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,6 +1,11 @@
 #include "common/hash.h"
 
-#include <cassert>
+#include "common/sha256_kernels.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace thunderbolt {
 
@@ -20,6 +25,77 @@ constexpr uint32_t kK[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
+
+#if defined(__x86_64__) || defined(__i386__)
+
+// The SHA extensions keep the working variables in two registers, (A,B,E,F)
+// and (C,D,G,H), highest lane first; sha256rnds2 runs two rounds and
+// sha256msg1/msg2 extend the message schedule four words at a time.
+__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
+    uint32_t* state, const uint8_t* blocks, size_t count) {
+  // Message words are big-endian: byte-swap each 32-bit lane.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[g & 3] holds schedule words 4g..4g+3 while group g's rounds run.
+    __m128i w[4] = {};
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        w[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * g)),
+            bswap);
+      } else {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16].
+        __m128i& wg = w[g & 3];
+        wg = _mm_sha256msg1_epu32(wg, w[(g - 3) & 3]);
+        wg = _mm_add_epi32(
+            wg, _mm_alignr_epi8(w[(g - 1) & 3], w[(g - 2) & 3], 4));
+        wg = _mm_sha256msg2_epu32(wg, w[(g - 1) & 3]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w[g & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK) + g));
+      // After the first two rounds cdgh holds (A,B,E,F) and abef holds the
+      // new (C,D,G,H); the second two swap them back.
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool CpuHasShaNi() {
+  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool ssse3_sse41 = (ecx & bit_SSSE3) && (ecx & bit_SSE4_1);
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return ssse3_sse41 && (ebx & bit_SHA);
+}
+
+#endif  // defined(__x86_64__) || defined(__i386__)
+
+// All of Sha256's block processing goes through here.
+void Compress(uint32_t* state, const uint8_t* blocks, size_t count) {
+  sha256::ChosenBody()(state, blocks, count);
+}
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
@@ -79,82 +155,46 @@ void Sha256::Reset() {
 }
 
 void Sha256::Update(const void* data, size_t len) {
+  if (len == 0) return;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   bit_count_ += static_cast<uint64_t>(len) * 8;
-  while (len > 0) {
+  if (buffer_len_ > 0) {
     size_t take = 64 - buffer_len_;
     if (take > len) take = len;
     std::memcpy(buffer_ + buffer_len_, p, take);
     buffer_len_ += take;
     p += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-}
-
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           (static_cast<uint32_t>(block[4 * i + 3]));
+  // Whole blocks compress straight from the caller's bytes.
+  const size_t blocks = len / 64;
+  if (blocks > 0) {
+    Compress(state_, p, blocks);
+    p += blocks * 64;
+    len -= blocks * 64;
   }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  std::memcpy(buffer_, p, len);
+  buffer_len_ = len;
 }
 
 Hash256 Sha256::Finalize() {
-  // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit bit count.
-  uint64_t bits = bit_count_;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    // Update() adjusts bit_count_, restore after.
-    Update(&zero, 1);
+  // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit big-endian
+  // bit count. buffer_len_ < 64 here, so the 0x80 always fits.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  uint8_t len_be[8];
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bits >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  Update(len_be, 8);
-  assert(buffer_len_ == 0);
+  Compress(state_, buffer_, 1);
+  buffer_len_ = 0;
 
   Hash256 out;
   for (int i = 0; i < 8; ++i) {
@@ -175,5 +215,74 @@ Hash256 Sha256::Digest(const void* data, size_t len) {
   h.Update(data, len);
   return h.Finalize();
 }
+
+namespace sha256 {
+
+void CompressPortable(uint32_t* state, const uint8_t* blocks, size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<uint32_t>(blocks[4 * i + 2]) << 8) |
+             (static_cast<uint32_t>(blocks[4 * i + 3]));
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+CompressFn ShaNiBody() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const CompressFn body = CpuHasShaNi() ? CompressShaNi : nullptr;
+  return body;
+#else
+  return nullptr;
+#endif
+}
+
+CompressFn ChosenBody() {
+  static const CompressFn body =
+      ShaNiBody() != nullptr ? ShaNiBody() : CompressPortable;
+  return body;
+}
+
+const char* ChosenBodyName() {
+  return ChosenBody() == CompressPortable ? "portable" : "sha-ni";
+}
+
+}  // namespace sha256
 
 }  // namespace thunderbolt

@@ -1,5 +1,8 @@
 // SHA-256 implemented from scratch (FIPS 180-4) plus the fixed-size digest
-// value type used for block ids, transaction digests and signatures.
+// value type used for block ids, transaction digests and signatures. The
+// compression runs on the x86 SHA extensions when CPUID reports them and on
+// portable code otherwise (common/sha256_kernels.h); digests are identical
+// either way.
 #ifndef THUNDERBOLT_COMMON_HASH_H_
 #define THUNDERBOLT_COMMON_HASH_H_
 
@@ -8,6 +11,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace thunderbolt {
 
@@ -80,8 +84,6 @@ class Sha256 {
   static Hash256 Digest(const void* data, size_t len);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

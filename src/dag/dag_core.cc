@@ -443,7 +443,6 @@ void DagCore::ResetForNewEpoch(EpochId epoch) {
   cert_formed_.clear();
   voted_.clear();
   committed_blocks_.clear();
-  requested_blocks_.clear();
   std::fill(latest_block_round_.begin(), latest_block_round_.end(), 0);
   highest_proposed_ = 0;
   highest_ready_ = 0;

@@ -150,7 +150,6 @@ class DagCore {
   /// (round, proposer) pairs we already voted for (equivocation guard).
   std::set<std::pair<Round, ReplicaId>> voted_;
   std::set<Hash256> committed_blocks_;
-  std::set<Hash256> requested_blocks_;
   std::vector<Round> latest_block_round_;  // Indexed by proposer.
   /// Messages from epoch+1 buffered across the reconfiguration boundary.
   std::vector<std::pair<ReplicaId, net::PayloadPtr>> next_epoch_buffer_;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/sha256_kernels.h"
 
 namespace thunderbolt {
 namespace {
@@ -24,6 +30,14 @@ TEST(Sha256Test, TwoBlockMessage) {
           "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
           .ToHex(),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256Test, FourBlockVector896Bits) {
+  EXPECT_EQ(
+      Sha256::Digest("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                     "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")
+          .ToHex(),
+      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
 }
 
 TEST(Sha256Test, MillionAs) {
@@ -48,6 +62,120 @@ TEST(Sha256Test, BoundaryLengths) {
     h.Update(data.substr(0, len / 2));
     h.Update(data.substr(len / 2));
     EXPECT_EQ(h.Finalize(), Sha256::Digest(data)) << "len=" << len;
+  }
+}
+
+using State = std::array<uint32_t, 8>;
+
+// FIPS 180-4 section 5.3.3.
+constexpr State kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                 0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                 0x1f83d9ab, 0x5be0cd19};
+
+std::vector<uint8_t> RandomBytes(Rng& rng, size_t n) {
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng.Next());
+  return out;
+}
+
+State RandomState(Rng& rng) {
+  State s{};
+  for (uint32_t& w : s) w = static_cast<uint32_t>(rng.Next());
+  return s;
+}
+
+// The digest of `data` computed without Sha256's buffering or padding:
+// FIPS 180-4 padding built here, then the portable body over all of it.
+Hash256 ReferenceDigest(const std::vector<uint8_t>& data) {
+  std::vector<uint8_t> padded = data;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const uint64_t bits = static_cast<uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  }
+  State s = kInitialState;
+  sha256::CompressPortable(s.data(), padded.data(), padded.size() / 64);
+  Hash256 out;
+  for (size_t i = 0; i < 32; ++i) {
+    out.bytes[i] = static_cast<uint8_t>(s[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+TEST(Sha256Test, ChunkedUpdatesMatchOneShotForEveryLength) {
+  // Every length 0-300 covers the 55/56/63/64-byte padding edges of
+  // Finalize; random chunk sizes up to 150 mix buffered bytes with whole
+  // blocks compressed straight from the caller's data.
+  Rng rng(3);
+  for (size_t len = 0; len <= 300; ++len) {
+    const std::vector<uint8_t> data = RandomBytes(rng, len);
+    const Hash256 one_shot = Sha256::Digest(data.data(), data.size());
+    ASSERT_EQ(one_shot, ReferenceDigest(data)) << "len=" << len;
+    for (int trial = 0; trial < 4; ++trial) {
+      Sha256 h;
+      size_t pos = 0;
+      while (pos < len) {
+        const size_t chunk =
+            std::min<size_t>(rng.NextRange(0, 150), len - pos);
+        h.Update(data.data() + pos, chunk);
+        pos += chunk;
+      }
+      ASSERT_EQ(h.Finalize(), one_shot) << "len=" << len
+                                        << " trial=" << trial;
+    }
+  }
+}
+
+TEST(Sha256KernelTest, PortableRunEqualsBlockByBlock) {
+  // The FIPS 180-4 "abc" block, padded by hand, from the initial state.
+  uint8_t abc[64] = {'a', 'b', 'c', 0x80};
+  abc[63] = 24;
+  State s = kInitialState;
+  sha256::CompressPortable(s.data(), abc, 1);
+  EXPECT_EQ(s, (State{0xba7816bf, 0x8f01cfea, 0x414140de, 0x5dae2223,
+                      0xb00361a3, 0x96177a9c, 0xb410ff61, 0xf20015ad}));
+
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const State init = RandomState(rng);
+    const size_t count = rng.NextRange(1, 8);
+    const std::vector<uint8_t> blocks = RandomBytes(rng, 64 * count);
+    State run = init;
+    sha256::CompressPortable(run.data(), blocks.data(), count);
+    State one_by_one = init;
+    for (size_t i = 0; i < count; ++i) {
+      sha256::CompressPortable(one_by_one.data(), blocks.data() + 64 * i, 1);
+    }
+    ASSERT_EQ(run, one_by_one) << "trial=" << trial;
+  }
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesPortable) {
+  const sha256::CompressFn sha_ni = sha256::ShaNiBody();
+  if (sha_ni == nullptr) GTEST_SKIP() << "CPUID reports no SHA extensions";
+  Rng rng(11);
+  for (int trial = 0; trial < 500; ++trial) {
+    const State init = RandomState(rng);
+    const size_t count = rng.NextRange(1, 8);
+    const std::vector<uint8_t> blocks = RandomBytes(rng, 64 * count);
+    State portable = init;
+    sha256::CompressPortable(portable.data(), blocks.data(), count);
+    State accelerated = init;
+    sha_ni(accelerated.data(), blocks.data(), count);
+    ASSERT_EQ(accelerated, portable) << "trial=" << trial
+                                     << " count=" << count;
+  }
+}
+
+TEST(Sha256KernelTest, ChosenBodyFollowsCpuid) {
+  const sha256::CompressFn sha_ni = sha256::ShaNiBody();
+  if (sha_ni != nullptr) {
+    EXPECT_EQ(sha256::ChosenBody(), sha_ni);
+    EXPECT_STREQ(sha256::ChosenBodyName(), "sha-ni");
+  } else {
+    EXPECT_EQ(sha256::ChosenBody(), &sha256::CompressPortable);
+    EXPECT_STREQ(sha256::ChosenBodyName(), "portable");
   }
 }
 
