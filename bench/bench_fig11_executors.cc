@@ -56,7 +56,7 @@ Measurement RunConfig(const std::string& engine_name, uint32_t executors,
       std::fprintf(stderr, "run failed: %s\n", r.status().ToString().c_str());
       continue;
     }
-    store->Write(r->final_writes);
+    store->Write(engine->FinalWrites());
     total_time += r->duration;
     total_txns += batch_size;
     total_aborts += r->total_aborts;

@@ -58,7 +58,7 @@ Measurement RunConfig(const std::string& engine_name, uint32_t batch_size,
                                             batch_size);
     auto r = pool->Run(*engine, *registry, batch);
     if (!r.ok()) continue;
-    store->Write(r->final_writes);
+    store->Write(engine->FinalWrites());
     total_time += r->duration;
     total_txns += batch_size;
     latency_sum += r->commit_latency_us.Mean();

@@ -2,7 +2,15 @@
 // concurrency controller, the executor pool, validation, and the workload
 // generator. These are wall-clock benchmarks of the implementation itself
 // (not the simulated system) — useful for tracking regressions.
+//
+// This file replaces the global operator new/delete with a counting
+// malloc/free pair, so BM_CcBatch and BM_Validation can report heap
+// allocations per transaction (the allocs_per_txn counter).
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "baselines/serial_executor.h"
 #include "ce/concurrency_controller.h"
@@ -16,8 +24,60 @@
 #include "obs/trace.h"
 #include "workload/smallbank_workload.h"
 
+namespace {
+
+// Counting is off except inside CountAllocations, so a timed loop pays one
+// relaxed load and branch per allocation.
+std::atomic<bool> g_count_allocations{false};
+std::atomic<uint64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size) noexcept {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+// Out of line: inlined into a delete-expression, free() on a pointer from
+// operator new trips GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void CountedFree(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = CountedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+
 namespace thunderbolt {
 namespace {
+
+/// Exact number of operator new calls `fn` makes (single-threaded).
+template <typename Fn>
+uint64_t CountAllocations(Fn&& fn) {
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_count_allocations.store(true, std::memory_order_relaxed);
+  fn();
+  g_count_allocations.store(false, std::memory_order_relaxed);
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 void BM_Sha256(benchmark::State& state) {
   std::string data(static_cast<size_t>(state.range(0)), 'x');
@@ -332,6 +392,17 @@ void BM_CcBatch(benchmark::State& state) {
   w.InitStore(&store);
   auto registry = contract::Registry::CreateDefault();
   ce::SimExecutorPool pool(16, ce::ExecutionCostModel{});
+  {
+    // Allocations of the CC and pool over the first batch (generated from
+    // a copy of the workload, so the timed loop still starts there).
+    const auto batch = workload::SmallBankWorkload(wc).MakeBatch(batch_size);
+    const uint64_t allocs = CountAllocations([&] {
+      ce::ConcurrencyController cc(&store, batch_size);
+      benchmark::DoNotOptimize(pool.Run(cc, *registry, batch).ok());
+    });
+    state.counters["allocs_per_txn"] =
+        static_cast<double>(allocs) / batch_size;
+  }
   for (auto _ : state) {
     auto batch = w.MakeBatch(batch_size);
     ce::ConcurrencyController cc(&store, batch_size);
@@ -384,6 +455,11 @@ void BM_Validation(benchmark::State& state) {
     p.emitted = r->records[slot].emitted;
     preplayed.push_back(std::move(p));
   }
+  const uint64_t allocs = CountAllocations([&] {
+    benchmark::DoNotOptimize(
+        core::ValidatePreplay(*registry, preplayed, store).valid);
+  });
+  state.counters["allocs_per_txn"] = static_cast<double>(allocs) / batch_size;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::ValidatePreplay(*registry, preplayed, store).valid);

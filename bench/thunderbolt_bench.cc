@@ -242,7 +242,7 @@ Result<SweepResult> RunCell(const DriverConfig& config,
       THUNDERBOLT_ASSIGN_OR_RETURN(
           ce::BatchExecutionResult r,
           pool->Run(*engine, *registry, batch, clock));
-      THUNDERBOLT_RETURN_NOT_OK(store->Write(r.final_writes));
+      THUNDERBOLT_RETURN_NOT_OK(store->Write(engine->FinalWrites()));
       clock += r.duration;
       out.phases.Merge(r.phases);
       out.aborts += r.total_aborts;
@@ -318,7 +318,7 @@ Result<SweepResult> RunCell(const DriverConfig& config,
       }
       THUNDERBOLT_ASSIGN_OR_RETURN(ce::BatchExecutionResult r,
                                    pool->Run(*engine, *registry, batch));
-      THUNDERBOLT_RETURN_NOT_OK(store->Write(r.final_writes));
+      THUNDERBOLT_RETURN_NOT_OK(store->Write(engine->FinalWrites()));
       total_time += r.duration;
       out.phases.Merge(r.phases);
       out.aborts += r.total_aborts;

@@ -91,7 +91,7 @@ int main() {
                  r.status().ToString().c_str());
     return 1;
   }
-  store.Write(r->final_writes);
+  store.Write(engine->FinalWrites());
   std::printf("alice: released=%lld checking=%lld escrow=%lld\n",
               (long long)r->records[0].emitted[0],
               (long long)store.GetOrDefault("alice/checking", 0),

@@ -49,7 +49,7 @@ int main() {
                      r.status().ToString().c_str());
         return 1;
       }
-      Status applied = store.Write(r->final_writes);
+      Status applied = store.Write(engine->FinalWrites());
       if (!applied.ok()) {
         std::fprintf(stderr, "%s write-back failed: %s\n", name.c_str(),
                      applied.ToString().c_str());

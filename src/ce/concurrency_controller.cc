@@ -16,8 +16,22 @@ void EraseFromVector(std::vector<TxnSlot>& v, TxnSlot slot) {
 
 ConcurrencyController::ConcurrencyController(const storage::ReadView* base,
                                              uint32_t batch_size)
-    : base_(base), batch_size_(batch_size), nodes_(batch_size) {
+    : base_(base),
+      batch_size_(batch_size),
+      nodes_(batch_size),
+      visited_at_(batch_size, 0) {
   order_.reserve(batch_size);
+  // Room for a typical transaction's keys (SmallBank touches at most
+  // three), kept across restarts.
+  for (Node& node : nodes_) node.records.reserve(4);
+}
+
+ConcurrencyController::KeyRecord* ConcurrencyController::FindRecord(
+    Node& node, const KeyEntry* key) {
+  for (TouchedKey& t : node.records) {
+    if (t.key == key) return &t.rec;
+  }
+  return nullptr;
 }
 
 Value ConcurrencyController::RootValue(const Key& key) const {
@@ -26,22 +40,27 @@ Value ConcurrencyController::RootValue(const Key& key) const {
 
 // --- Graph helpers ---------------------------------------------------------
 
-bool ConcurrencyController::HasPath(TxnSlot from, TxnSlot to) const {
+bool ConcurrencyController::HasPath(TxnSlot from, TxnSlot to) {
   if (from == to) return true;
   // Iterative DFS. Every caller starts at a live transaction, and a
   // committed node only has committed in-neighbours, so the search visits
   // live transactions only: the in-flight frontier, not the whole batch.
-  std::vector<bool> visited(batch_size_, false);
-  std::vector<TxnSlot> stack{from};
-  visited[from] = true;
-  while (!stack.empty()) {
-    TxnSlot cur = stack.back();
-    stack.pop_back();
+  // A node is visited when its mark equals this search's generation.
+  if (++visit_generation_ == 0) {
+    std::fill(visited_at_.begin(), visited_at_.end(), 0);
+    visit_generation_ = 1;
+  }
+  dfs_stack_.clear();
+  dfs_stack_.push_back(from);
+  visited_at_[from] = visit_generation_;
+  while (!dfs_stack_.empty()) {
+    TxnSlot cur = dfs_stack_.back();
+    dfs_stack_.pop_back();
     for (TxnSlot next : nodes_[cur].out) {
       if (next == to) return true;
-      if (!visited[next]) {
-        visited[next] = true;
-        stack.push_back(next);
+      if (visited_at_[next] != visit_generation_) {
+        visited_at_[next] = visit_generation_;
+        dfs_stack_.push_back(next);
       }
     }
   }
@@ -114,16 +133,18 @@ Result<Value> ConcurrencyController::Read(TxnSlot slot, uint32_t incarnation,
     return Status::Aborted("stale incarnation");
   }
 
+  KeyEntry& entry = *key_index_.try_emplace(key).first;
+
   // Section 8.3: if the node already holds a record for the key, the result
   // is retrieved directly (read-your-writes, then repeat-your-reads).
-  auto it = node.records.find(key);
-  if (it != node.records.end()) {
-    const KeyRecord& rec = it->second;
-    if (rec.has_write) return rec.last_write;
-    if (rec.has_read) return rec.first_read;
+  // Every record holds a read or a write, so past this point the node has
+  // none for the key.
+  if (const KeyRecord* rec = FindRecord(node, &entry)) {
+    if (rec->has_write) return rec->last_write;
+    if (rec->has_read) return rec->first_read;
   }
 
-  std::optional<TxnSlot> source = PlanRead(slot, key);
+  std::optional<TxnSlot> source = PlanRead(slot, entry.second);
   if (!source.has_value()) {
     // Section 8.4: no consistent source exists. Abort the acting
     // transaction (and anything that consumed its writes).
@@ -135,31 +156,28 @@ Result<Value> ConcurrencyController::Read(TxnSlot slot, uint32_t incarnation,
   if (*source == kRootSlot) {
     value = RootValue(key);
   } else {
-    const KeyRecord& src_rec = nodes_[*source].records.at(key);
-    assert(src_rec.has_write);
-    value = src_rec.last_write;
+    const KeyRecord* src_rec = FindRecord(nodes_[*source], &entry);
+    assert(src_rec != nullptr && src_rec->has_write);
+    value = src_rec->last_write;
   }
 
-  KeyRecord& rec = node.records[key];
-  if (!rec.has_read && !rec.has_write) {
-    key_index_[key].readers.push_back(slot);
-  }
+  KeyRecord rec;
   rec.has_read = true;
   rec.first_read = value;
   rec.read_from = *source;
+  node.records.push_back(TouchedKey{&entry, rec});
+  entry.second.readers.push_back(slot);
   return value;
 }
 
-std::optional<TxnSlot> ConcurrencyController::PlanRead(TxnSlot slot,
-                                                       const Key& key) {
-  KeyIndex& index = key_index_[key];
-
+std::optional<TxnSlot> ConcurrencyController::PlanRead(
+    TxnSlot slot, const KeyIndex& index) {
   // Candidate sources: writers from most- to least-recent, then the root.
-  std::vector<TxnSlot> candidates;
+  candidates_.clear();
   for (auto it = index.writers.rbegin(); it != index.writers.rend(); ++it) {
-    if (*it != slot) candidates.push_back(*it);
+    if (*it != slot) candidates_.push_back(*it);
   }
-  candidates.push_back(kRootSlot);
+  candidates_.push_back(kRootSlot);
 
   // Ordering constraints must be *stable*: a transitive path through an
   // uncommitted third party disappears if that node aborts, silently
@@ -167,16 +185,16 @@ std::optional<TxnSlot> ConcurrencyController::PlanRead(TxnSlot slot,
   // live transactions is materialized as a direct edge; orderings
   // involving committed transactions are immutable facts of the
   // serialization prefix and need no edge.
-  for (TxnSlot source : candidates) {
+  for (TxnSlot source : candidates_) {
     if (source != kRootSlot && HasPath(slot, source)) {
       // The source would have to precede the reader but is already ordered
       // after it; try an older writer (Figure 10a fallback).
       continue;
     }
 
-    std::vector<std::pair<TxnSlot, TxnSlot>> applied;
+    applied_.clear();
     auto rollback = [&]() {
-      for (auto& [a, b] : applied) {
+      for (auto& [a, b] : applied_) {
         nodes_[a].out.erase(b);
         nodes_[b].in.erase(a);
       }
@@ -194,7 +212,7 @@ std::optional<TxnSlot> ConcurrencyController::PlanRead(TxnSlot slot,
       if (nodes_[a].out.count(b)) return true;  // Direct edge exists.
       if (HasPath(b, a)) return false;          // Would create a cycle.
       AddEdge(a, b);
-      applied.emplace_back(a, b);
+      applied_.emplace_back(a, b);
       return true;
     };
 
@@ -229,9 +247,10 @@ Status ConcurrencyController::Write(TxnSlot slot, uint32_t incarnation,
     return Status::Aborted("stale incarnation");
   }
 
-  KeyIndex& index = key_index_[key];
-  auto it = node.records.find(key);
-  const bool had_write = (it != node.records.end()) && it->second.has_write;
+  KeyEntry& entry = *key_index_.try_emplace(key).first;
+  KeyIndex& index = entry.second;
+  const KeyRecord* own = FindRecord(node, &entry);
+  const bool had_write = own != nullptr && own->has_write;
 
   // An abort of another transaction can cascade back to the acting one
   // (the victim may be upstream of a value this transaction consumed on a
@@ -249,10 +268,8 @@ Status ConcurrencyController::Write(TxnSlot slot, uint32_t incarnation,
     std::set<TxnSlot> victims;
     for (TxnSlot r : index.readers) {
       if (r == slot) continue;
-      const Node& rn = nodes_[r];
-      auto rit = rn.records.find(key);
-      if (rit != rn.records.end() && rit->second.has_read &&
-          rit->second.read_from == slot) {
+      const KeyRecord* rrec = FindRecord(nodes_[r], &entry);
+      if (rrec != nullptr && rrec->has_read && rrec->read_from == slot) {
         victims.insert(r);
         CollectValueDependents(r, victims);
       }
@@ -260,8 +277,7 @@ Status ConcurrencyController::Write(TxnSlot slot, uint32_t incarnation,
     victims.erase(slot);
     ResetSlots(victims, kRootSlot, obs::AbortReason::kCascadeInvalidation);
     if (!self_alive()) return Status::Aborted("aborted during rewrite");
-    auto self = node.records.find(key);
-    self->second.last_write = value;
+    FindRecord(node, &entry)->last_write = value;
     // Refresh recency: move this writer to the back of the writer list.
     EraseFromVector(index.writers, slot);
     index.writers.push_back(slot);
@@ -276,15 +292,15 @@ Status ConcurrencyController::Write(TxnSlot slot, uint32_t incarnation,
   // us observed a value that our write now invalidates -> abort it. The
   // scan runs before the write registers so a cascading self-abort leaves
   // no half-registered state.
-  std::vector<TxnSlot> snapshot(index.readers);
-  for (TxnSlot r : snapshot) {
+  reader_snapshot_.assign(index.readers.begin(), index.readers.end());
+  for (TxnSlot r : reader_snapshot_) {
     if (r == slot) continue;
     Node& rn = nodes_[r];
     if (rn.state == SlotState::kIdle) continue;      // Stale entry.
     if (rn.state == SlotState::kCommitted) continue;  // Already before us.
-    auto rit = rn.records.find(key);
-    if (rit == rn.records.end() || !rit->second.has_read) continue;
-    if (rit->second.read_from == slot) continue;  // Reads our own value.
+    const KeyRecord* rrec = FindRecord(rn, &entry);
+    if (rrec == nullptr || !rrec->has_read) continue;
+    if (rrec->read_from == slot) continue;  // Reads our own value.
     if (HasPath(slot, r)) {
       // Reader is ordered after us but read an older value: its read is no
       // longer the latest-preceding write. Abort the reader (cascading from
@@ -298,9 +314,12 @@ Status ConcurrencyController::Write(TxnSlot slot, uint32_t incarnation,
     AddEdge(r, slot);
   }
 
-  KeyRecord& rec = node.records[key];
-  rec.has_write = true;
-  rec.last_write = value;
+  KeyRecord* rec = FindRecord(node, &entry);
+  if (rec == nullptr) {
+    rec = &node.records.emplace_back(TouchedKey{&entry, {}}).rec;
+  }
+  rec->has_write = true;
+  rec->last_write = value;
   index.writers.push_back(slot);
   return Status::OK();
 }
@@ -340,8 +359,8 @@ void ConcurrencyController::CollectValueDependents(
       if (out.count(succ)) continue;
       const Node& sn = nodes_[succ];
       bool reads_from_cur = false;
-      for (const auto& [key, rec] : sn.records) {
-        if (rec.has_read && rec.read_from == cur) {
+      for (const TouchedKey& t : sn.records) {
+        if (t.rec.has_read && t.rec.read_from == cur) {
           reads_from_cur = true;
           break;
         }
@@ -388,12 +407,9 @@ void ConcurrencyController::ResetSlot(TxnSlot slot, obs::AbortReason reason) {
   Node& node = nodes_[slot];
   assert(node.state != SlotState::kCommitted);
   RemoveNodeEdges(slot);
-  for (const auto& [key, rec] : node.records) {
-    auto it = key_index_.find(key);
-    if (it != key_index_.end()) {
-      EraseFromVector(it->second.writers, slot);
-      EraseFromVector(it->second.readers, slot);
-    }
+  for (const TouchedKey& t : node.records) {
+    EraseFromVector(t.key->second.writers, slot);
+    EraseFromVector(t.key->second.readers, slot);
   }
   node.records.clear();
   node.emitted.clear();
@@ -406,10 +422,10 @@ void ConcurrencyController::ResetSlot(TxnSlot slot, obs::AbortReason reason) {
 // --- Commit machinery --------------------------------------------------------
 
 void ConcurrencyController::TryCommit(TxnSlot slot) {
-  std::deque<TxnSlot> worklist{slot};
-  while (!worklist.empty()) {
-    TxnSlot cur = worklist.front();
-    worklist.pop_front();
+  commit_worklist_.clear();
+  commit_worklist_.push_back(slot);
+  for (size_t head = 0; head < commit_worklist_.size(); ++head) {
+    const TxnSlot cur = commit_worklist_[head];
     Node& node = nodes_[cur];
     if (node.state != SlotState::kFinished) continue;
 
@@ -433,7 +449,7 @@ void ConcurrencyController::TryCommit(TxnSlot slot) {
 
     for (TxnSlot succ : node.out) {
       if (nodes_[succ].state == SlotState::kFinished) {
-        worklist.push_back(succ);
+        commit_worklist_.push_back(succ);
       }
     }
   }
@@ -447,35 +463,49 @@ TxnRecord ConcurrencyController::ExtractRecord(TxnSlot slot) const {
   out.re_executions = node.re_executions;
   out.order = node.order;
   out.emitted = node.emitted;
-  for (const auto& [key, rec] : node.records) {
-    if (rec.has_read) {
+  size_t reads = 0;
+  for (const TouchedKey& t : node.records) reads += t.rec.has_read;
+  out.rw_set.reads.reserve(reads);
+  out.rw_set.writes.reserve(node.records.size() - reads);
+  for (const TouchedKey& t : node.records) {
+    if (t.rec.has_read) {
       out.rw_set.reads.push_back(
-          txn::Operation{txn::OpType::kRead, key, rec.first_read});
+          txn::Operation{txn::OpType::kRead, t.key->first, t.rec.first_read});
     }
-    if (rec.has_write) {
-      out.rw_set.writes.push_back(
-          txn::Operation{txn::OpType::kWrite, key, rec.last_write});
+    if (t.rec.has_write) {
+      out.rw_set.writes.push_back(txn::Operation{
+          txn::OpType::kWrite, t.key->first, t.rec.last_write});
     }
   }
+  // Ascending by key: block payloads hash the sets in this order.
+  auto by_key = [](const txn::Operation& a, const txn::Operation& b) {
+    return a.key < b.key;
+  };
+  std::sort(out.rw_set.reads.begin(), out.rw_set.reads.end(), by_key);
+  std::sort(out.rw_set.writes.begin(), out.rw_set.writes.end(), by_key);
   return out;
 }
 
 storage::WriteBatch ConcurrencyController::FinalWrites() const {
-  std::unordered_map<Key, Value> finals;
+  // Every write in serialization order, then stably by key: the last of a
+  // run of one key is its last committed writer's value.
+  std::vector<std::pair<const KeyEntry*, Value>> writes;
   for (TxnSlot slot : order_) {
-    const Node& node = nodes_[slot];
-    for (const auto& [key, rec] : node.records) {
-      if (rec.has_write) finals[key] = rec.last_write;
+    for (const TouchedKey& t : nodes_[slot].records) {
+      if (t.rec.has_write) writes.emplace_back(t.key, t.rec.last_write);
     }
   }
+  std::stable_sort(writes.begin(), writes.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first->first < b.first->first;
+                   });
   storage::WriteBatch batch;
-  // Deterministic application order.
-  std::vector<const std::pair<const Key, Value>*> entries;
-  entries.reserve(finals.size());
-  for (const auto& kv : finals) entries.push_back(&kv);
-  std::sort(entries.begin(), entries.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* kv : entries) batch.Put(kv->first, kv->second);
+  for (size_t i = 0; i < writes.size(); ++i) {
+    if (i + 1 < writes.size() && writes[i + 1].first == writes[i].first) {
+      continue;
+    }
+    batch.Put(writes[i].first->first, writes[i].second);
+  }
   return batch;
 }
 

@@ -35,12 +35,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ce/batch_engine.h"
@@ -141,17 +141,6 @@ class ConcurrencyController final : public BatchEngine {
     Value last_write = 0;
   };
 
-  struct Node {
-    SlotState state = SlotState::kIdle;
-    uint32_t incarnation = 0;
-    std::map<Key, KeyRecord> records;
-    std::set<TxnSlot> out;  // this -> other (this serializes first).
-    std::set<TxnSlot> in;
-    std::vector<Value> emitted;
-    uint32_t re_executions = 0;
-    int order = -1;
-  };
-
   struct KeyIndex {
     /// Writers ordered by write recency (back = latest).
     std::vector<TxnSlot> writers;
@@ -159,15 +148,41 @@ class ConcurrencyController final : public BatchEngine {
     std::vector<TxnSlot> readers;
   };
 
+  /// A key_index_ element. Entries are never erased and unordered_map
+  /// nodes never move, so its address interns the key for the batch.
+  using KeyEntry = std::pair<const Key, KeyIndex>;
+
+  /// One key a transaction touched, with its first-read / last-write pair.
+  struct TouchedKey {
+    KeyEntry* key;
+    KeyRecord rec;
+  };
+
+  struct Node {
+    SlotState state = SlotState::kIdle;
+    uint32_t incarnation = 0;
+    /// In first-touch order. A transaction touches a handful of keys, so
+    /// lookups scan by interned key; ExtractRecord sorts by key string.
+    std::vector<TouchedKey> records;
+    std::set<TxnSlot> out;  // this -> other (this serializes first).
+    std::set<TxnSlot> in;
+    std::vector<Value> emitted;
+    uint32_t re_executions = 0;
+    int order = -1;
+  };
+
+  static KeyRecord* FindRecord(Node& node, const KeyEntry* key);
+
   // Graph helpers.
-  bool HasPath(TxnSlot from, TxnSlot to) const;
+  bool HasPath(TxnSlot from, TxnSlot to);
   void AddEdge(TxnSlot from, TxnSlot to);
   void RemoveNodeEdges(TxnSlot slot);
 
-  // Read algorithm: picks a source for (slot, key), ordering all other
-  // writers consistently. Returns the source slot (kRootSlot for storage)
-  // or nullopt if every candidate fails.
-  std::optional<TxnSlot> PlanRead(TxnSlot slot, const Key& key);
+  // Read algorithm: picks a source for `slot`'s read of the key `index`
+  // describes, ordering all other writers consistently. Returns the
+  // source slot (kRootSlot for storage) or nullopt if every candidate
+  // fails.
+  std::optional<TxnSlot> PlanRead(TxnSlot slot, const KeyIndex& index);
 
   // Abort machinery (section 8.4). `reason` describes the *initiator*'s
   // abort cause; transitive victims always report kCascadeInvalidation.
@@ -195,6 +210,17 @@ class ConcurrencyController final : public BatchEngine {
   std::vector<Node> nodes_;
   std::unordered_map<Key, KeyIndex> key_index_;
   std::vector<TxnSlot> order_;
+  // Scratch buffers reused across operations (under mu_; none of their
+  // users re-enters another): PlanRead's candidates and tentative edges,
+  // HasPath's generation-stamped visited marks and DFS stack, Write's
+  // reader snapshot and TryCommit's FIFO worklist.
+  std::vector<TxnSlot> candidates_;
+  std::vector<std::pair<TxnSlot, TxnSlot>> applied_;
+  std::vector<uint32_t> visited_at_;
+  uint32_t visit_generation_ = 0;
+  std::vector<TxnSlot> dfs_stack_;
+  std::vector<TxnSlot> reader_snapshot_;
+  std::vector<TxnSlot> commit_worklist_;
   /// Atomic so progress checks never block on mu_ (thread-safety contract
   /// point 2 in batch_engine.h).
   std::atomic<uint32_t> committed_count_{0};

@@ -70,11 +70,11 @@ inline constexpr uint64_t kMaxRestartFactor = 1000;
 
 /// Outcome of executing one batch. `duration` (and the latency histogram)
 /// is virtual time for the "sim" pool and wall-clock microseconds for the
-/// "thread" pool — see EXPERIMENTS.md before comparing the two.
+/// "thread" pool — see EXPERIMENTS.md before comparing the two. A caller
+/// that applies the batch to storage takes the engine's FinalWrites().
 struct BatchExecutionResult {
   std::vector<TxnRecord> records;      // Indexed by slot.
   std::vector<TxnSlot> order;          // Serialization order.
-  storage::WriteBatch final_writes;    // To apply to storage.
   uint64_t total_aborts = 0;           // Re-executions across the batch.
   /// total_aborts broken down by cause, indexed by obs::AbortReason (the
   /// engine reports the reason through the abort callback).

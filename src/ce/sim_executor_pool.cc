@@ -94,6 +94,8 @@ struct TxnRun {
   std::vector<LoggedOp> log;
   uint32_t incarnation = 0;
   bool started = false;
+  /// Set by the first Begin; restarts keep first_started_at.
+  bool ever_started = false;
   SimTime first_started_at = 0;
 };
 
@@ -256,7 +258,10 @@ Result<BatchExecutionResult> SimExecutorPool::Run(
     if (!run.started) {
       run.incarnation = engine.Begin(slot);
       run.started = true;
-      if (run.first_started_at == 0) run.first_started_at = now;
+      if (!run.ever_started) {
+        run.ever_started = true;
+        run.first_started_at = now;
+      }
       *cost += costs_.start_cost;
     }
     SteppingContext ctx(&engine, slot, run.incarnation, &run.log);
@@ -412,7 +417,6 @@ Result<BatchExecutionResult> SimExecutorPool::Run(
 
   result.order = engine.SerializationOrder();
   result.total_aborts = engine.total_aborts();
-  result.final_writes = engine.FinalWrites();
   result.abort_reasons = reason_counts;
   result.records.reserve(n);
   for (TxnSlot s = 0; s < n; ++s) {

@@ -18,8 +18,11 @@
 // from a log and performs exactly one new engine operation before pausing.
 // Because contracts are deterministic given their read values, the replay
 // is exact; engine state is only touched by the single new operation, at
-// the correct virtual time. SmallBank transactions have ~4 operations, so
-// the quadratic replay cost is negligible.
+// the correct virtual time. The replay cost is quadratic in a contract's
+// operation count and not negligible: on the perfbench cluster-smallbank
+// workload (seeds 1 and 13) a transaction attempt runs its contract 3.9
+// times, and each engine operation costs 2.05 more context calls replayed
+// from the log, each run rebuilding the contract's key strings.
 //
 // Timing model per operation:
 //   start   = max(executor_free, engine_serial_free)

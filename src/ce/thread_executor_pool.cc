@@ -331,7 +331,6 @@ Result<BatchExecutionResult> ThreadExecutorPool::Run(
   result.duration = wall_us;
   result.order = engine.SerializationOrder();
   result.total_aborts = engine.total_aborts();
-  result.final_writes = engine.FinalWrites();
   result.abort_reasons = job_.reason_counts;
   result.records.reserve(n);
   for (TxnSlot s = 0; s < n; ++s) {

@@ -349,14 +349,14 @@ void ThunderboltNode::StartPreplay(Round round,
           .Inc(result->total_aborts);
     }
 
-    // Assemble the preplayed section in serialization order.
+    // Assemble the preplayed section in serialization order, moving each
+    // transaction and its outcome out of the batch and the pool's result.
     payload->preplayed.reserve(batch);
     for (ce::TxnSlot slot : result->order) {
-      PreplayedTxn p;
-      p.tx = singles[slot];
-      p.rw_set = result->records[slot].rw_set;
-      p.emitted = result->records[slot].emitted;
-      payload->preplayed.push_back(std::move(p));
+      ce::TxnRecord& record = result->records[slot];
+      payload->preplayed.push_back(PreplayedTxn{std::move(singles[slot]),
+                                                std::move(record.rw_set),
+                                                std::move(record.emitted)});
     }
   }
   ce_free_ = start + duration;

@@ -170,7 +170,7 @@ TEST_P(EngineEquivalenceTest, OutcomeIsSerializable) {
   ce::SimExecutorPool pool(8, ce::ExecutionCostModel{});
   auto result = pool.Run(*engine, *registry, batch);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(store.Write(result->final_writes).ok());
+  ASSERT_TRUE(store.Write(engine->FinalWrites()).ok());
 
   // Serial replay in the engine's serialization order must reproduce the
   // same emitted results and final state.

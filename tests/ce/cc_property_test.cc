@@ -49,7 +49,7 @@ TEST_P(CcSerializabilityTest, ScheduledOrderIsSerialOrder) {
   EXPECT_TRUE(cc.GraphIsAcyclic());
 
   // Apply the CC's final writes.
-  ASSERT_TRUE(store.Write(result->final_writes).ok());
+  ASSERT_TRUE(store.Write(cc.FinalWrites()).ok());
 
   // Serial re-execution in the scheduled order.
   std::vector<txn::Transaction> serial_batch;

@@ -236,7 +236,7 @@ TEST_P(CcRandomOps, SerializableUnderTorture) {
   }
 
   // (3) serializability against the scheduled order.
-  ASSERT_TRUE(store.Write(r->final_writes).ok());
+  ASSERT_TRUE(store.Write(engine.FinalWrites()).ok());
   for (TxnSlot slot : r->order) {
     SerialCtx ctx(&serial_store);
     ASSERT_TRUE(registry->Execute(batch[slot], ctx).ok());

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "storage/kv_store.h"
 #include "testutil/testutil.h"
 
@@ -207,6 +209,46 @@ TEST_F(CcTest, ExtractRecordHoldsFirstReadLastWrite) {
   ASSERT_EQ(rec.emitted.size(), 1u);
   EXPECT_EQ(rec.emitted[0], 123);
   EXPECT_EQ(rec.order, 0);
+}
+
+// Block payloads hash each rw-set in ExtractRecord's order, so both sets
+// and the final write batch come out ascending by key, whatever order the
+// transactions touched their keys in (here: descending).
+TEST_F(CcTest, RecordsAndFinalWritesAscendByKey) {
+  ConcurrencyController cc(&store_, 2);
+  uint32_t i0 = cc.Begin(0);
+  uint32_t i1 = cc.Begin(1);
+  ASSERT_TRUE(cc.Read(0, i0, "D").ok());
+  ASSERT_TRUE(cc.Write(0, i0, "D", 4).ok());
+  ASSERT_TRUE(cc.Read(0, i0, "C").ok());
+  ASSERT_TRUE(cc.Read(0, i0, "B").ok());
+  ASSERT_TRUE(cc.Write(0, i0, "B", 6).ok());
+  ASSERT_TRUE(cc.Write(0, i0, "A", 7).ok());
+  ASSERT_TRUE(cc.Write(1, i1, "E", 1).ok());
+  ASSERT_TRUE(cc.Write(1, i1, "C", 9).ok());  // Orders T0 (read C) first.
+  ASSERT_TRUE(cc.Finish(1, i1).ok());
+  ASSERT_TRUE(cc.Finish(0, i0).ok());
+  ASSERT_TRUE(cc.AllCommitted());
+
+  auto keys = [](const std::vector<txn::Operation>& ops) {
+    std::vector<Key> out;
+    for (const txn::Operation& op : ops) out.push_back(op.key);
+    return out;
+  };
+  TxnRecord t0 = cc.ExtractRecord(0);
+  EXPECT_EQ(keys(t0.rw_set.reads), (std::vector<Key>{"B", "C", "D"}));
+  EXPECT_EQ(t0.rw_set.reads[2].value, 3);
+  EXPECT_EQ(keys(t0.rw_set.writes), (std::vector<Key>{"A", "B", "D"}));
+  EXPECT_EQ(t0.rw_set.writes[0].value, 7);
+  TxnRecord t1 = cc.ExtractRecord(1);
+  EXPECT_TRUE(t1.rw_set.reads.empty());
+  EXPECT_EQ(keys(t1.rw_set.writes), (std::vector<Key>{"C", "E"}));
+
+  storage::WriteBatch batch = cc.FinalWrites();
+  std::vector<Key> final_keys;
+  for (const auto& e : batch.entries()) final_keys.push_back(e.key);
+  EXPECT_EQ(final_keys, (std::vector<Key>{"A", "B", "C", "D", "E"}));
+  EXPECT_EQ(batch.entries()[2].value, 9);  // T1 commits after T0.
 }
 
 TEST_F(CcTest, StaleIncarnationOpsRejected) {

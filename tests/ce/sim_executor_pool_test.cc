@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "ce/concurrency_controller.h"
 #include "contract/contract.h"
 #include "contract/kv.h"
+#include "obs/trace.h"
 #include "testutil/always_abort_engine.h"
 #include "testutil/testutil.h"
 #include "workload/smallbank_workload.h"
@@ -130,6 +134,77 @@ TEST_F(PoolTest, PerSlotLivelockBoundTripsBeforeGlobalCap) {
       << r.status().ToString();
   EXPECT_GT(engine.total_aborts(), kMaxRestartsPerTxn * n);
   EXPECT_LT(engine.total_aborts(), kMaxRestartFactor * n / 2);
+}
+
+// One-slot engine whose first Finish aborts, reported through the abort
+// callback as every engine reports restarts; the retry commits.
+class AbortFirstFinishEngine final : public BatchEngine {
+ public:
+  void SetAbortCallback(AbortCallback cb) override { cb_ = std::move(cb); }
+  uint32_t Begin(TxnSlot) override { return incarnation_; }
+  Result<Value> Read(TxnSlot, uint32_t, const Key&) override {
+    return Value{0};
+  }
+  Status Write(TxnSlot, uint32_t, const Key&, Value) override {
+    return Status::OK();
+  }
+  void Emit(TxnSlot, uint32_t, Value) override {}
+  Status Finish(TxnSlot slot, uint32_t) override {
+    if (incarnation_ == 0) {
+      ++incarnation_;
+      if (cb_) cb_(slot, obs::AbortReason::kValidationFailure);
+      return Status::Aborted("first attempt aborts");
+    }
+    order_.push_back(slot);
+    return Status::OK();
+  }
+  bool AllCommitted() const override { return !order_.empty(); }
+  uint32_t committed_count() const override {
+    return static_cast<uint32_t>(order_.size());
+  }
+  uint64_t total_aborts() const override { return incarnation_; }
+  const std::vector<TxnSlot>& SerializationOrder() const override {
+    return order_;
+  }
+  TxnRecord ExtractRecord(TxnSlot) const override { return TxnRecord{}; }
+  storage::WriteBatch FinalWrites() const override { return {}; }
+
+ private:
+  AbortCallback cb_;
+  uint32_t incarnation_ = 0;
+  std::vector<TxnSlot> order_;
+};
+
+// A restart keeps the transaction's first start, also when that start was
+// virtual time 0: its queue wait stays 0 and its lifecycle span still
+// begins at the batch start.
+TEST_F(PoolTest, RestartKeepsFirstStartTime) {
+  std::vector<txn::Transaction> batch(1);
+  batch[0].id = 7;
+  batch[0].contract = contract::kKvUpdate;
+  batch[0].accounts = {"r0"};
+  batch[0].params = {1};
+  for (SimTime start : {SimTime{0}, SimTime{1000}}) {
+    AbortFirstFinishEngine engine;
+    obs::RingTracer tracer(64);
+    SimExecutorPool pool(1, ExecutionCostModel{});
+    pool.SetObs(PoolObsContext{&tracer, nullptr, 0});
+    auto r = pool.Run(engine, *registry_, batch, start);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->total_aborts, 1u);
+    ASSERT_EQ(r->phases[obs::Phase::kQueueWait].Count(), 1u);
+    EXPECT_EQ(r->phases[obs::Phase::kQueueWait].Max(), 0.0)
+        << "start_time " << start;
+    EXPECT_GT(r->phases[obs::Phase::kRestartBackoff].Max(), 0.0);
+    size_t spans = 0;
+    for (const obs::TraceEvent& ev : tracer.Snapshot()) {
+      if (ev.kind != obs::EventKind::kTxnSpan) continue;
+      ++spans;
+      EXPECT_EQ(ev.ts_us, start);
+      EXPECT_EQ(ev.txn, 7u);
+    }
+    EXPECT_EQ(spans, 1u);
+  }
 }
 
 TEST_F(PoolTest, ReportsReExecutions) {

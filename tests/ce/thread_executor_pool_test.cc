@@ -251,7 +251,7 @@ uint64_t RunWithPool(const std::string& workload_name,
     EXPECT_TRUE(r.ok()) << engine_name << "/" << pool_name << ": "
                         << r.status().ToString();
     if (!r.ok()) return 0;
-    EXPECT_TRUE(store.Write(r->final_writes).ok());
+    EXPECT_TRUE(store.Write(engine->FinalWrites()).ok());
   }
   Status invariant = w->CheckInvariant(store);
   EXPECT_TRUE(invariant.ok())

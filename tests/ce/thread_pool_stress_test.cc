@@ -73,7 +73,7 @@ uint64_t RunCell(const std::string& workload_name,
       seen[s] = true;
     }
     EXPECT_GE(r->commit_latency_us.Count(), kBatchSize);
-    EXPECT_TRUE(store.Write(r->final_writes).ok());
+    EXPECT_TRUE(store.Write(engine->FinalWrites()).ok());
   }
   Status invariant = w->CheckInvariant(store);
   EXPECT_TRUE(invariant.ok())

@@ -60,7 +60,7 @@ TEST_F(ValidatorTest, HonestPreplayValidates) {
   ce::SimExecutorPool pool(8, ce::ExecutionCostModel{});
   auto r = pool.Run(cc, *registry_, txs);
   ASSERT_TRUE(r.ok());
-  ASSERT_TRUE(replayed.Write(r->final_writes).ok());
+  ASSERT_TRUE(replayed.Write(cc.FinalWrites()).ok());
   EXPECT_EQ(validated.ContentFingerprint(), replayed.ContentFingerprint());
 }
 

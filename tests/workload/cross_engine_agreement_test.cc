@@ -81,7 +81,7 @@ uint64_t RunEngine(const std::string& workload_name,
     auto r = pool.Run(*engine, *registry, batch);
     EXPECT_TRUE(r.ok()) << engine_name << ": " << r.status().ToString();
     if (!r.ok()) break;
-    EXPECT_TRUE(store->Write(r->final_writes).ok());
+    EXPECT_TRUE(store->Write(engine->FinalWrites()).ok());
   }
   Status invariant = w->CheckInvariant(*store);
   EXPECT_TRUE(invariant.ok())
