@@ -13,6 +13,10 @@
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
+  bench::AcceptOnlyFlags(argc, argv,
+                         {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
+                          bench::kPlacementFlags, bench::kStoreFlags,
+                          bench::kObsFlags});
   const SimTime duration =
       bench::QuickMode(argc, argv) ? Seconds(2) : Seconds(4);
   workload::WorkloadOptions options;

@@ -119,6 +119,9 @@ void ReadRatioSweep(uint32_t runs, const bench::StoreSelection& store,
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
+  bench::AcceptOnlyFlags(argc, argv,
+                         {bench::kQuickJsonFlags, bench::kStoreFlags,
+                          bench::kPoolFlags, bench::kObsFlags});
   const uint32_t runs = bench::QuickMode(argc, argv) ? 4 : 20;
   const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
   const bench::PoolSelection pool = bench::PoolFromFlags(argc, argv);

@@ -49,6 +49,10 @@ RunOut RunOne(const bench::ClusterSystem& system, uint32_t n, bool wan,
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
+  bench::AcceptOnlyFlags(argc, argv,
+                         {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
+                          bench::kPlacementFlags, bench::kStoreFlags,
+                          bench::kObsFlags});
   const bool quick = bench::QuickMode(argc, argv);
   workload::WorkloadOptions options;
   const std::string workload_name =

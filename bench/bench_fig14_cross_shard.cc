@@ -51,6 +51,10 @@ void RunSweep(const bench::ClusterSystem& system,
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
+  bench::AcceptOnlyFlags(argc, argv,
+                         {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
+                          bench::kPlacementFlags, bench::kStoreFlags,
+                          bench::kObsFlags});
   const SimTime duration =
       bench::QuickMode(argc, argv) ? Seconds(2) : Seconds(5);
   workload::WorkloadOptions options;

@@ -8,6 +8,10 @@
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
+  bench::AcceptOnlyFlags(argc, argv,
+                         {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
+                          bench::kPlacementFlags, bench::kStoreFlags,
+                          bench::kObsFlags});
   const SimTime duration =
       bench::QuickMode(argc, argv) ? Seconds(8) : Seconds(30);
   workload::WorkloadOptions options;

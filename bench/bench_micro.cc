@@ -4,8 +4,8 @@
 // (not the simulated system) — useful for tracking regressions.
 //
 // This file replaces the global operator new/delete with a counting
-// malloc/free pair, so BM_CcBatch and BM_Validation can report heap
-// allocations per transaction (the allocs_per_txn counter).
+// malloc/free pair, so BM_CcBatch, BM_Validation and BM_CrossShardExecute
+// can report heap allocations per transaction (the allocs_per_txn counter).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -17,6 +17,7 @@
 #include "ce/sim_executor_pool.h"
 #include "common/sha256_kernels.h"
 #include "contract/contract.h"
+#include "core/cross_shard_executor.h"
 #include "core/validator.h"
 #include "crypto/signature.h"
 #include "obs/metrics.h"
@@ -468,6 +469,44 @@ void BM_Validation(benchmark::State& state) {
                           batch_size);
 }
 BENCHMARK(BM_Validation);
+
+void BM_CrossShardExecute(benchmark::State& state) {
+  // Real-time cost of the OE path: one committed batch of cross-shard
+  // SmallBank transactions through the CrossShardExecutor, with the home
+  // shards and remote-access tracker the cluster's commit path passes.
+  const uint32_t batch_size = static_cast<uint32_t>(state.range(0));
+  workload::SmallBankConfig wc;
+  wc.num_accounts = 1000;
+  wc.theta = 0.85;
+  wc.cross_shard_ratio = 1.0;
+  wc.num_shards = 4;
+  wc.seed = 6;
+  workload::SmallBankWorkload w(wc);
+  storage::MemKVStore store;
+  w.InitStore(&store);
+  auto registry = contract::Registry::CreateDefault();
+  const core::CrossShardExecutor executor(registry.get(), Micros(1),
+                                          /*num_workers=*/4, &w.mapper());
+  std::vector<txn::Transaction> batch;
+  std::vector<ShardId> homes;
+  for (uint32_t i = 0; i < batch_size; ++i) {
+    batch.push_back(w.NextForShard(i % wc.num_shards));
+    homes.push_back(w.HomeShard(batch.back()));
+  }
+  placement::AccessTracker tracker;
+  const uint64_t allocs = CountAllocations([&] {
+    benchmark::DoNotOptimize(
+        executor.Execute(batch, &store, &homes, &tracker).executed);
+  });
+  state.counters["allocs_per_txn"] = static_cast<double>(allocs) / batch_size;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        executor.Execute(batch, &store, &homes, &tracker).executed);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          batch_size);
+}
+BENCHMARK(BM_CrossShardExecute)->Arg(500);
 
 }  // namespace
 }  // namespace thunderbolt

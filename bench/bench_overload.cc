@@ -86,6 +86,15 @@ double CalibrateSaturation(const std::string& engine,
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
+  // The sweep owns the offered rate, so --rate is not accepted here, and
+  // --admission takes a comma list.
+  bench::AcceptOnlyFlags(
+      argc, argv,
+      {"--smoke --engine <names> --admission <names> --arrival <name> "
+       "--arrival-params <k=v,...> --queue-depth <n> --limiter-rate <tps> "
+       "--limiter-burst <tokens> --codel-target-us <us>",
+       bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
+       bench::kPlacementFlags, bench::kStoreFlags, bench::kObsFlags});
   const bool smoke = bench::HasFlag(argc, argv, "smoke");
   const bool quick = smoke || bench::QuickMode(argc, argv);
   const SimTime duration = quick ? Seconds(1) : Seconds(3);

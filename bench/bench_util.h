@@ -241,6 +241,9 @@ inline bool QuickMode(int argc, char** argv) {
   return false;
 }
 
+/// --quick and --json (WriteTablesJsonIfRequested), for AcceptOnlyFlags.
+inline constexpr const char* kQuickJsonFlags = "--quick --json <path>";
+
 /// True when the bare flag `--<name>` appears in argv.
 inline bool HasFlag(int argc, char** argv, const std::string& name) {
   const std::string flag = "--" + name;
@@ -262,12 +265,14 @@ inline std::string FlagValue(int argc, char** argv, const std::string& name) {
   return "";
 }
 
-/// Splits a comma list ("a,b,c"), dropping empty items.
-inline std::vector<std::string> SplitList(const std::string& csv) {
+/// Splits a comma list ("a,b,c"), or a list on another `separator`,
+/// dropping empty items.
+inline std::vector<std::string> SplitList(const std::string& csv,
+                                          char separator = ',') {
   std::vector<std::string> items;
   size_t start = 0;
   while (start <= csv.size()) {
-    size_t comma = csv.find(',', start);
+    size_t comma = csv.find(separator, start);
     if (comma == std::string::npos) comma = csv.size();
     if (comma > start) items.push_back(csv.substr(start, comma - start));
     start = comma + 1;
@@ -308,6 +313,61 @@ T PositiveFlag(const char* flag, const std::string& text) {
   return static_cast<T>(v);
 }
 
+/// Accepts only the flags in `specs`: each `--name` in a spec is a flag,
+/// and a `<...>` placeholder after it means the flag takes a value
+/// (`--name v` or `--name=v`); the k*Flags spec next to each shared parser
+/// lists that parser's flags. An unknown `--flag`, a stray word, a value flag
+/// without its value or a switch given one prints the accepted flags to
+/// stderr and exits with code 2: a typo must not run the default sweep.
+/// `--help` prints them to stdout and exits 0. Call first in main.
+inline void AcceptOnlyFlags(int argc, char** argv,
+                            std::initializer_list<const char*> specs) {
+  std::vector<std::pair<std::string, std::string>> flags;  // (--name, <v>)
+  for (const char* spec : specs) {
+    for (const std::string& word : SplitList(spec, ' ')) {
+      if (word.rfind("--", 0) == 0) {
+        flags.emplace_back(word, "");
+      } else if (!flags.empty()) {
+        flags.back().second = word;
+      }
+    }
+  }
+  auto print_flags = [&](std::FILE* out) {
+    std::fprintf(out, "accepted flags:\n");
+    for (const auto& [name, value] : flags) {
+      std::fprintf(out, "  %s%s%s\n", name.c_str(), value.empty() ? "" : " ",
+                   value.c_str());
+    }
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help") {
+      print_flags(stdout);
+      std::exit(0);
+    }
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    auto flag = std::find_if(flags.begin(), flags.end(),
+                             [&](const auto& f) { return f.first == name; });
+    std::string error;
+    if (flag == flags.end()) {
+      error = (arg.rfind("--", 0) == 0 ? "unknown flag "
+                                        : "unexpected argument ") +
+              arg;
+    } else if (flag->second.empty() && eq != std::string::npos) {
+      error = name + " takes no value";
+    } else if (!flag->second.empty() && eq == std::string::npos &&
+               ++i == argc) {
+      error = name + " needs a value " + flag->second;
+    }
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      print_flags(stderr);
+      std::exit(2);
+    }
+  }
+}
+
 /// Exits with code 2 when `spec` (a `k=v,...` param string) assigns any
 /// of the `reserved` keys. Drivers reserve the axes their own flags or
 /// sweep loops control: accepting such an override and then clobbering
@@ -328,6 +388,9 @@ inline void RejectReservedParams(const std::string& spec,
     }
   }
 }
+
+inline constexpr const char* kClusterWorkloadFlags =
+    "--workload <name> --params <k=v,...>";
 
 /// Shared `--workload <name>` / `--params <k=v,...>` handling for the
 /// cluster figure binaries: seeds `options` with the paper's shared
@@ -397,6 +460,9 @@ struct PlacementSelection {
   }
 };
 
+inline constexpr const char* kPlacementFlags =
+    "--placement <name> --placement-params <k=v,...>";
+
 /// Shared `--placement <name>` / `--placement-params <k=v,...>` handling
 /// for every bench binary: validates the policy name against
 /// placement::PlacementRegistry::Global() and exits with code 2 on a typo
@@ -431,6 +497,8 @@ struct StoreSelection {
   }
 };
 
+inline constexpr const char* kStoreFlags = "--store <spec>";
+
 /// Shared `--store <name>` handling for every bench binary: validates the
 /// backend against storage::StoreRegistry::Global() and exits with code 2
 /// on a typo (mirroring --workload/--placement — a typo must not silently
@@ -461,6 +529,8 @@ struct PoolSelection {
   }
 };
 
+inline constexpr const char* kPoolFlags = "--pool <name>";
+
 /// Shared `--pool <name>` handling: validates against
 /// ce::ExecutorPoolNames() and exits with code 2 on a typo. "sim" keeps
 /// virtual-time determinism; "thread" measures real wall-clock scaling.
@@ -487,6 +557,11 @@ struct ServiceSelection {
     cluster_config->service = config;
   }
 };
+
+inline constexpr const char* kServiceFlags =
+    "--arrival <name> --arrival-params <k=v,...> --rate <tps> "
+    "--admission <policy> --queue-depth <n> --limiter-rate <tps> "
+    "--limiter-burst <tokens> --codel-target-us <us>";
 
 /// Shared `--arrival <name>` / `--arrival-params <k=v,...>` /
 /// `--rate <tps>` / `--admission <policy>` / `--queue-depth <n>` handling
@@ -636,6 +711,10 @@ struct ObsSelection {
   std::string metrics_json_;
   std::string timeseries_json_;
 };
+
+inline constexpr const char* kObsFlags =
+    "--trace-out <path> --metrics-out <path> --timeseries-out <path> "
+    "--timeseries-window <us> --trace-capacity <n>";
 
 /// Shared `--trace-out` / `--metrics-out` / `--timeseries-out` /
 /// `--timeseries-window` / `--trace-capacity` handling.

@@ -44,6 +44,8 @@
 //   --engine-list            print registered engines and exit
 //   --placement-list         print registered placement policies and exit
 //   --store-list             print registered storage backends and exit
+//   --help                   print the accepted flags and exit; any other
+//                            unknown flag exits with code 2
 //
 // With --shards > 1 each batch is drawn shard-homed (round-robin over the
 // shards) and every cell reports cross_frac: the fraction of generated
@@ -534,6 +536,15 @@ DriverConfig ParseFlags(int argc, char** argv) {
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
+  bench::AcceptOnlyFlags(
+      argc, argv,
+      {"--smoke --list --engine-list --placement-list --store-list "
+       "--workload <names|all> --engine <names|all> --batch <sizes> "
+       "--theta <values> --executors <n> --pool <names> --threads <counts> "
+       "--runs <n> --records <n> --shards <n> --params <k=v,...> "
+       "--json <path>",
+       bench::kPlacementFlags, bench::kStoreFlags, bench::kServiceFlags,
+       bench::kObsFlags});
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--list") {
       for (const std::string& name :

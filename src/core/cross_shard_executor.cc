@@ -12,6 +12,16 @@ CrossShardResult CrossShardExecutor::Execute(
     const std::vector<txn::Transaction>& txs, storage::KVStore* store,
     const std::vector<ShardId>* home_shards,
     placement::AccessTracker* tracker) const {
+  std::vector<const txn::Transaction*> ptrs;
+  ptrs.reserve(txs.size());
+  for (const txn::Transaction& tx : txs) ptrs.push_back(&tx);
+  return ExecuteInPlace(ptrs, store, home_shards, tracker);
+}
+
+CrossShardResult CrossShardExecutor::ExecuteInPlace(
+    const std::vector<const txn::Transaction*>& txs, storage::KVStore* store,
+    const std::vector<ShardId>* home_shards,
+    placement::AccessTracker* tracker) const {
   CrossShardResult result;
   if (txs.empty()) return result;
   const bool track = mapper_ != nullptr && home_shards != nullptr &&
@@ -25,7 +35,7 @@ CrossShardResult CrossShardExecutor::Execute(
   std::unordered_map<std::string, SimTime> account_queue;
   SimTime total = 0;
   for (size_t t = 0; t < txs.size(); ++t) {
-    const txn::Transaction& tx = txs[t];
+    const txn::Transaction& tx = *txs[t];
     if (track) {
       // Remote-access accounting: every account this transaction reaches
       // outside its home shard is a pull the placement policy could have
@@ -38,12 +48,11 @@ CrossShardResult CrossShardExecutor::Execute(
         }
       }
     }
-    std::vector<txn::Transaction> one{tx};
-    baselines::SerialExecutionResult r =
-        baselines::ExecuteSerial(*registry_, one, store, op_cost_);
-    result.total_ops += r.total_ops;
+    const uint64_t ops = baselines::ExecuteSerialOne(*registry_, tx, store);
+    const SimTime duration = ops * op_cost_;
+    result.total_ops += ops;
     ++result.executed;
-    total += r.duration;
+    total += duration;
     // Chained dependency: the transaction starts after every queue it
     // participates in has drained; its cost extends all of them.
     SimTime ready = 0;
@@ -51,7 +60,7 @@ CrossShardResult CrossShardExecutor::Execute(
       ready = std::max(ready, account_queue[account]);
     }
     for (const std::string& account : tx.accounts) {
-      account_queue[account] = ready + r.duration;
+      account_queue[account] = ready + duration;
     }
   }
   result.distinct_accounts = account_queue.size();

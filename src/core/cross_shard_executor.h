@@ -14,6 +14,11 @@
 // implementation executes in commit order; the queue structure only
 // determines the virtual-time makespan):
 //   makespan = max(total_cost / num_workers, heaviest account queue)
+//
+// Execution runs by pointer: ExecuteInPlace runs each transaction where it
+// lies (the commit path passes the committed blocks' own transactions)
+// through baselines::ExecuteSerialOne, which builds no TxnRecord, since
+// nothing here reads one.
 #ifndef THUNDERBOLT_CORE_CROSS_SHARD_EXECUTOR_H_
 #define THUNDERBOLT_CORE_CROSS_SHARD_EXECUTOR_H_
 
@@ -54,14 +59,21 @@ class CrossShardExecutor {
         num_workers_(num_workers == 0 ? 1 : num_workers),
         mapper_(mapper) {}
 
-  /// Executes `txs` (already in consensus commit order) against `store`,
-  /// mutating it exactly as serial commit-order execution would.
+  /// Executes the transactions `txs` points at (already in consensus commit
+  /// order) against `store`, mutating it exactly as serial commit-order
+  /// execution would.
   ///
   /// With a mapper configured and `home_shards` given (one entry per
   /// transaction: the shard the transaction is anchored at), every account
   /// an execution reaches outside its home shard is counted into `tracker`
   /// — the per-shard access counters PlacementPolicy::Rebalance consults
   /// at the next reconfiguration boundary.
+  CrossShardResult ExecuteInPlace(
+      const std::vector<const txn::Transaction*>& txs, storage::KVStore* store,
+      const std::vector<ShardId>* home_shards = nullptr,
+      placement::AccessTracker* tracker = nullptr) const;
+
+  /// ExecuteInPlace over a batch held by value.
   CrossShardResult Execute(const std::vector<txn::Transaction>& txs,
                            storage::KVStore* store,
                            const std::vector<ShardId>* home_shards = nullptr,

@@ -87,7 +87,8 @@ ThunderboltNode::ThunderboltNode(
                                    config.exec_costs)),
       cross_executor_(registry_.get(), config.exec_costs.op_cost,
                       /*num_workers=*/4, &workload->mapper()),
-      owned_shard_(ShardOwnedBy(id, 0, config.n)) {
+      owned_shard_(ShardOwnedBy(id, 0, config.n)),
+      pending_cross_(&shared->account_ids) {
   // The preplay pool records its per-transaction/batch events and
   // pool.<name>.* metrics directly; pid scopes them to this replica.
   pool_->SetObs(
@@ -159,14 +160,6 @@ bool ThunderboltNode::ShouldShift(Round round) const {
         return true;
       }
     }
-  }
-  return false;
-}
-
-bool ThunderboltNode::ConflictsWithPendingCross(
-    const txn::Transaction& tx) const {
-  for (const std::string& account : tx.accounts) {
-    if (pending_cross_accounts_.count(account)) return true;
   }
   return false;
 }
@@ -256,7 +249,7 @@ void ThunderboltNode::BuildProposal(Round round) {
   while (!deferred_singles_.empty()) {
     auto [tx, since] = std::move(deferred_singles_.front());
     deferred_singles_.pop_front();
-    if (!ConflictsWithPendingCross(tx)) {
+    if (!pending_cross_.Conflicts(tx)) {
       singles.push_back(std::move(tx));
     } else if (now - since > config_.leader_timeout) {
       if (is_observer_) outcomes_.conversions.Inc();
@@ -282,7 +275,7 @@ void ThunderboltNode::BuildProposal(Round round) {
     std::vector<txn::Transaction> runnable;
     runnable.reserve(singles.size());
     for (txn::Transaction& tx : singles) {
-      if (!ConflictsWithPendingCross(tx)) {
+      if (!pending_cross_.Conflicts(tx)) {
         runnable.push_back(std::move(tx));
       } else if (config_.use_skip_blocks) {
         deferred_singles_.emplace_back(std::move(tx), now);
@@ -415,13 +408,7 @@ void ThunderboltNode::OnBlockReceived(const dag::BlockPtr& block) {
   // Track uncommitted cross-shard transactions for the P4 conflict check,
   // which only a Thunderbolt proposer makes.
   if (config_.mode == ExecutionMode::kThunderbolt) {
-    for (const txn::Transaction& tx : payload->cross_shard) {
-      if (pending_cross_.insert(tx.id).second) {
-        for (const std::string& account : tx.accounts) {
-          ++pending_cross_accounts_[account];
-        }
-      }
-    }
+    pending_cross_.Add(*payload);
   }
   // Rule P3 continuation: a waiting proposer re-checks once the leader's
   // proposal arrives.
@@ -544,15 +531,8 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
     (void)block_ptr;
     for (const txn::Transaction& tx : payload->cross_shard) {
       crosses.push_back(&tx);
-      if (pending_cross_.erase(tx.id) > 0) {
-        for (const std::string& account : tx.accounts) {
-          auto it = pending_cross_accounts_.find(account);
-          if (it != pending_cross_accounts_.end() && --it->second == 0) {
-            pending_cross_accounts_.erase(it);
-          }
-        }
-      }
     }
+    pending_cross_.Release(*payload);
   }
 
   if (!crosses.empty()) {
@@ -561,27 +541,29 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
     if (memo != shared_->cross_outcomes.end()) {
       cross_outcome = memo->second;
     } else {
-      std::vector<txn::Transaction> txs;
-      txs.reserve(crosses.size());
-      for (const txn::Transaction* tx : crosses) txs.push_back(*tx);
+      // Both paths execute the committed blocks' own transactions, in
+      // place, and build no records.
       if (config_.mode == ExecutionMode::kTusk) {
         // Serial post-consensus execution.
-        baselines::SerialExecutionResult r = baselines::ExecuteSerial(
-            *registry_, txs, shared_->canonical.get(), config_.exec_costs.op_cost);
-        cross_outcome.executed = txs.size();
-        cross_outcome.duration = r.duration;
+        uint64_t ops = 0;
+        for (const txn::Transaction* tx : crosses) {
+          ops += baselines::ExecuteSerialOne(*registry_, *tx,
+                                             shared_->canonical.get());
+        }
+        cross_outcome.executed = crosses.size();
+        cross_outcome.duration = ops * config_.exec_costs.op_cost;
       } else {
         // Home shards anchor the remote-access counters hot-key migration
         // ranks on: an account pulled in by a transaction homed elsewhere
         // is remote traffic its placement could have avoided.
         std::vector<ShardId> homes;
-        homes.reserve(txs.size());
-        for (const txn::Transaction& tx : txs) {
-          homes.push_back(workload_->HomeShard(tx));
+        homes.reserve(crosses.size());
+        for (const txn::Transaction* tx : crosses) {
+          homes.push_back(workload_->HomeShard(*tx));
         }
-        CrossShardResult r =
-            cross_executor_.Execute(txs, shared_->canonical.get(), &homes,
-                                    &shared_->access_tracker);
+        CrossShardResult r = cross_executor_.ExecuteInPlace(
+            crosses, shared_->canonical.get(), &homes,
+            &shared_->access_tracker);
         cross_outcome.executed = r.executed;
         cross_outcome.remote_accesses = r.remote_accesses;
         cross_outcome.duration = r.duration;
@@ -788,8 +770,7 @@ void ThunderboltNode::Reconfigure(Round ending_round) {
 
   // Uncommitted state of the old DAG is discarded; clients retransmit the
   // affected transactions (open-loop workload keeps generating).
-  pending_cross_.clear();
-  pending_cross_accounts_.clear();
+  pending_cross_.Clear();
   deferred_singles_.clear();
   in_flight_.clear();
   overlay_.clear();

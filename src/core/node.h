@@ -32,7 +32,12 @@
 // committed sequence, so the cluster keeps one canonical committed store
 // and memoizes per-commit outcomes; the first replica to process a commit
 // computes validation/execution for real and the rest reuse the verdict
-// while still being charged the virtual-time cost.
+// while still being charged the virtual-time cost. Per-block host work is
+// shared the same way: replicas receive one payload object per block, and
+// its cached digest, size and cross-shard account ids (interned in the
+// cluster's one AccountIdTable) are computed by the first replica to ask.
+// Each replica still applies its own receive, commit and reconfiguration
+// events to its own P4 index, so sharing the ids changes no decision.
 #ifndef THUNDERBOLT_CORE_NODE_H_
 #define THUNDERBOLT_CORE_NODE_H_
 
@@ -52,6 +57,7 @@
 #include "core/config.h"
 #include "core/cross_shard_executor.h"
 #include "core/payload.h"
+#include "core/pending_cross_index.h"
 #include "core/validator.h"
 #include "crypto/signature.h"
 #include "dag/dag_core.h"
@@ -83,6 +89,9 @@ struct SharedClusterState {
     SimTime duration = 0;
   };
   std::unordered_map<Hash256, CrossOutcome> cross_outcomes;  // By leader.
+  /// Dense ids for the accounts of cross-shard transactions, shared by
+  /// every replica's P4 index (PendingCrossIndex).
+  AccountIdTable account_ids;
   /// Remote-access counters for the current epoch, recorded by the first
   /// replica to execute each committed cross-shard batch and consumed by
   /// PlacementPolicy::Rebalance at the next reconfiguration boundary.
@@ -152,9 +161,6 @@ class ThunderboltNode {
   void PullBatch(std::vector<txn::Transaction>* singles,
                  std::vector<txn::Transaction>* crosses);
   bool ShouldShift(Round round) const;
-  /// True when `tx`'s accounts overlap any known uncommitted cross-shard
-  /// transaction (the P4 conflict predicate).
-  bool ConflictsWithPendingCross(const txn::Transaction& tx) const;
 
   // --- DAG callbacks -----------------------------------------------------------
   void OnBlockReceived(const dag::BlockPtr& block);
@@ -229,14 +235,16 @@ class ThunderboltNode {
 
   // P4 index: the cross-shard transactions seen in received blocks but not
   // yet committed, and a reference count per account they touch. Its only
-  // reader is ConflictsWithPendingCross (rule P4, and the re-admission of
+  // reader is the conflict check of rule P4 (and the re-admission of
   // deferred singles, section 5.4), which a Tusk proposer never reaches, so
   // only kThunderbolt maintains it. An id is enough: TxnIds are unique (one
   // shared Workload counter), and a replica receives every block before it
   // commits it, so OnCommit releases the committed transaction's own
-  // accounts. Reconfigure clears both with the old DAG.
-  std::unordered_set<TxnId> pending_cross_;
-  std::unordered_map<std::string, uint32_t> pending_cross_accounts_;
+  // accounts. Reconfigure clears it with the old DAG. The counts are kept
+  // by dense account id (shared_->account_ids), read from each payload's
+  // shared id cache; the events that move them are this replica's own, so
+  // P4 decides exactly as with per-replica account strings.
+  PendingCrossIndex pending_cross_;
 
   // Preplay overlay: own-shard speculative writes from in-flight blocks.
   struct InFlightBlock {

@@ -1,5 +1,7 @@
 #include "core/payload.h"
 
+#include "core/pending_cross_index.h"
+
 namespace thunderbolt::core {
 
 namespace {
@@ -42,6 +44,7 @@ Hash256 ThunderboltPayload::ContentDigest() const {
 }
 
 uint64_t ThunderboltPayload::SizeBytes() const {
+  if (size_cache_ != 0) return size_cache_;
   // Rough wire estimate: a transaction is ~120 bytes; a preplayed entry
   // additionally carries its read/write sets and results.
   uint64_t size = 64;  // Header.
@@ -51,7 +54,22 @@ uint64_t ThunderboltPayload::SizeBytes() const {
     size += 8 * p.emitted.size();
   }
   size += 120 * cross_shard.size();
+  size_cache_ = size;
   return size;
+}
+
+const std::vector<uint32_t>& ThunderboltPayload::CrossAccountIds(
+    AccountIdTable* table) const {
+  if (cross_ids_table_ != table) {
+    cross_ids_.clear();
+    for (const txn::Transaction& tx : cross_shard) {
+      for (const std::string& account : tx.accounts) {
+        cross_ids_.push_back(table->Intern(account));
+      }
+    }
+    cross_ids_table_ = table;
+  }
+  return cross_ids_;
 }
 
 }  // namespace thunderbolt::core

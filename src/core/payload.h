@@ -33,10 +33,13 @@ enum class PayloadKind : uint8_t {
   kShift = 2,   // Reconfiguration vote (section 6).
 };
 
+class AccountIdTable;
+
 class ThunderboltPayload final : public dag::BlockContent {
  public:
   ThunderboltPayload() = default;
-  /// Copies drop the digest cache so a mutated copy re-hashes correctly.
+  /// Copies drop the caches (digest, size, account ids) so a mutated copy
+  /// recomputes them.
   ThunderboltPayload(const ThunderboltPayload& other)
       : kind(other.kind),
         shard(other.shard),
@@ -49,6 +52,9 @@ class ThunderboltPayload final : public dag::BlockContent {
       preplayed = other.preplayed;
       cross_shard = other.cross_shard;
       digest_cached_ = false;
+      size_cache_ = 0;
+      cross_ids_.clear();
+      cross_ids_table_ = nullptr;
     }
     return *this;
   }
@@ -65,12 +71,24 @@ class ThunderboltPayload final : public dag::BlockContent {
   Hash256 ContentDigest() const override;
 
   /// Approximate wire size, used by the simulated network's bandwidth and
-  /// processing cost models.
+  /// processing cost models. Cached like the digest: the network asks once
+  /// per receiver.
   uint64_t SizeBytes() const override;
+
+  /// The OE section's account ids in `table`, flattened in order: the ids
+  /// of cross_shard[i] follow those of cross_shard[0..i-1], one per entry
+  /// of its `accounts`. Interned on the first call per table and cached
+  /// like the digest, so every replica of a cluster shares one
+  /// computation per block (the P4 index, pending_cross_index.h). Built on
+  /// the simulator thread only.
+  const std::vector<uint32_t>& CrossAccountIds(AccountIdTable* table) const;
 
  private:
   mutable Hash256 digest_cache_{};
   mutable bool digest_cached_ = false;
+  mutable uint64_t size_cache_ = 0;  // 0 until computed (the header is 64).
+  mutable std::vector<uint32_t> cross_ids_;
+  mutable const AccountIdTable* cross_ids_table_ = nullptr;
 };
 
 }  // namespace thunderbolt::core

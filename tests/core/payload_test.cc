@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pending_cross_index.h"
+
 namespace thunderbolt::core {
 namespace {
 
@@ -93,6 +95,46 @@ TEST(PayloadTest, SizeGrowsWithContent) {
     bigger.cross_shard.push_back(bigger.cross_shard[0]);
   }
   EXPECT_GT(bigger.SizeBytes(), loaded.SizeBytes() + 100 * 100);
+}
+
+TEST(PayloadTest, CopiesRecomputeTheCachedSize) {
+  ThunderboltPayload a = MakePayload();
+  const uint64_t size = a.SizeBytes();
+  ThunderboltPayload b = a;
+  b.cross_shard.push_back(b.cross_shard[0]);
+  EXPECT_GT(b.SizeBytes(), size);
+  ThunderboltPayload c;
+  c.SizeBytes();
+  c = b;  // Assignment drops the cache too.
+  EXPECT_EQ(c.SizeBytes(), b.SizeBytes());
+}
+
+TEST(PayloadTest, CrossAccountIdsFlattenTheCrossSection) {
+  AccountIdTable table;
+  ThunderboltPayload p = MakePayload();
+  txn::Transaction second = p.cross_shard[0];
+  second.accounts = {"d", "e", "c"};
+  p.cross_shard.push_back(second);
+  const std::vector<uint32_t>& ids = p.CrossAccountIds(&table);
+  EXPECT_EQ(ids, (std::vector<uint32_t>{0, 1, 1, 2, 0}));  // c d | d e c
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.Find("e"), 2u);
+  EXPECT_EQ(table.Find("a"), AccountIdTable::kNone);  // Preplayed only.
+}
+
+TEST(PayloadTest, MutatedCopyRecomputesCrossAccountIds) {
+  AccountIdTable table;
+  ThunderboltPayload a = MakePayload();
+  EXPECT_EQ(a.CrossAccountIds(&table), (std::vector<uint32_t>{0, 1}));
+  ThunderboltPayload b = a;
+  b.cross_shard[0].accounts = {"d", "x"};
+  EXPECT_EQ(b.CrossAccountIds(&table), (std::vector<uint32_t>{1, 2}));
+  ThunderboltPayload c;
+  c.CrossAccountIds(&table);
+  c = b;  // Assignment drops the cache too.
+  c.cross_shard[0].accounts = {"y"};
+  EXPECT_EQ(c.CrossAccountIds(&table), std::vector<uint32_t>{3});
+  EXPECT_EQ(a.CrossAccountIds(&table), (std::vector<uint32_t>{0, 1}));
 }
 
 }  // namespace
