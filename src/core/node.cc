@@ -182,13 +182,20 @@ void ThunderboltNode::PullBatch(std::vector<txn::Transaction>* singles,
       tx.admit_time = now;
     }
   }
-  for (txn::Transaction& tx : batch) {
-    if (config_.mode == ExecutionMode::kTusk ||
-        !workload_->mapper().IsSingleShard(tx)) {
-      crosses->push_back(std::move(tx));
-    } else {
-      singles->push_back(std::move(tx));
-    }
+  // Route in two passes so each side is reserved to the count this batch
+  // adds to it. A payload keeps `crosses` as its cross-shard section,
+  // capacity included; BuildProposal's rule-P4 conversions may still grow it.
+  std::vector<bool> is_cross(batch.size());
+  size_t num_cross = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    is_cross[i] = config_.mode == ExecutionMode::kTusk ||
+                  !workload_->mapper().IsSingleShard(batch[i]);
+    num_cross += is_cross[i];
+  }
+  singles->reserve(singles->size() + batch.size() - num_cross);
+  crosses->reserve(crosses->size() + num_cross);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    (is_cross[i] ? crosses : singles)->push_back(std::move(batch[i]));
   }
 }
 
@@ -264,6 +271,7 @@ void ThunderboltNode::BuildProposal(Round round) {
     // Rule P6: the leader is silent; convert this round's single-shard
     // transactions to cross-shard and submit them directly.
     if (is_observer_) outcomes_.conversions.Inc(singles.size());
+    crosses.reserve(crosses.size() + singles.size());
     for (txn::Transaction& tx : singles) crosses.push_back(std::move(tx));
     singles.clear();
   } else {
@@ -701,6 +709,12 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
       if (stopped_ || epoch_ != epoch_now) return;
       Reconfigure(ending_round);
     });
+  }
+
+  // Release the DAG below the GC watermark; `sub_dag` still holds this
+  // commit's blocks until the callback returns.
+  if (sub_dag.leader_round > kDagGcDepth) {
+    dag_->CollectGarbageBelow(sub_dag.leader_round - kDagGcDepth);
   }
 }
 

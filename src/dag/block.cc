@@ -4,6 +4,9 @@ namespace thunderbolt::dag {
 
 Status Certificate::Validate(const crypto::KeyDirectory& dir,
                              uint32_t n) const {
+  // No signature covers `proposer`, so a relayed copy of a genuine
+  // certificate can name any replica; one naming none is rejected here.
+  if (proposer >= n) return Status::Corruption("unknown proposer");
   if (qc.digest != block_digest) {
     return Status::Corruption("certificate digest mismatch");
   }

@@ -113,7 +113,7 @@ Status DagCore::ValidateBlock(const Block& block) const {
     if (block.parent_certs.size() != block.parents.size()) {
       return Status::Corruption("parent/certificate count mismatch");
     }
-    std::set<ReplicaId> parent_proposers;
+    std::vector<bool> parent_proposers(config_.n);
     for (size_t i = 0; i < block.parents.size(); ++i) {
       const Certificate& cert = block.parent_certs[i];
       if (cert.block_digest != block.parents[i]) {
@@ -122,9 +122,13 @@ Status DagCore::ValidateBlock(const Block& block) const {
       if (cert.round != block.round - 1 || cert.epoch != block.epoch) {
         return Status::Corruption("parent from wrong round/epoch");
       }
-      if (!parent_proposers.insert(cert.proposer).second) {
+      if (cert.proposer >= config_.n) {
+        return Status::Corruption("unknown parent proposer");
+      }
+      if (parent_proposers[cert.proposer]) {
         return Status::Corruption("duplicate parent proposer");
       }
+      parent_proposers[cert.proposer] = true;
       // Quorum certificates are validated once and cached in
       // StoreCertificate; structural checks suffice here for certs we have
       // already seen.
@@ -143,6 +147,7 @@ void DagCore::HandleProposal(ReplicaId from, const BlockProposalMsg& msg) {
   const Block& block = *msg.block;
   if (block.epoch != config_.epoch) return;  // Stale/future epoch.
   if (from != block.proposer) return;        // Relayed proposals not allowed.
+  if (BelowWatermark(block.round)) return;
   if (!ValidateBlock(block).ok()) return;
 
   // One vote per (round, proposer): equivocation guard.
@@ -173,6 +178,7 @@ void DagCore::HandleProposal(ReplicaId from, const BlockProposalMsg& msg) {
 
 void DagCore::HandleVote(ReplicaId from, const BlockVoteMsg& msg) {
   if (msg.epoch != config_.epoch) return;
+  if (BelowWatermark(msg.round)) return;
   if (cert_formed_[msg.round]) return;
   BlockPtr own = GetBlock(msg.round, config_.id);
   if (!own || own->Digest() != msg.block_digest) return;
@@ -203,6 +209,7 @@ void DagCore::HandleCertificate(ReplicaId from, const CertificateMsg& msg) {
   (void)from;
   const Certificate& cert = msg.certificate;
   if (cert.epoch != config_.epoch) return;
+  if (BelowWatermark(cert.round)) return;
   if (HasCertificate(cert.round, cert.proposer)) return;
   if (!cert.Validate(*keys_, config_.n).ok()) return;
   StoreCertificate(cert);
@@ -222,6 +229,7 @@ void DagCore::HandleBlockResponse(ReplicaId from, const BlockResponseMsg& msg) {
   if (!msg.block) return;
   const Block& block = *msg.block;
   if (block.epoch != config_.epoch) return;
+  if (BelowWatermark(block.round)) return;
   if (blocks_by_digest_.count(block.Digest())) return;
   if (!ValidateBlock(block).ok()) return;
   for (const Certificate& cert : block.parent_certs) {
@@ -231,10 +239,14 @@ void DagCore::HandleBlockResponse(ReplicaId from, const BlockResponseMsg& msg) {
 }
 
 void DagCore::StoreBlock(const BlockPtr& block) {
+  // A handler's own earlier step (a parent certificate completing a
+  // commit) can raise the watermark past the block it is storing.
+  if (BelowWatermark(block->round)) return;
   Hash256 digest = block->Digest();
   if (!blocks_by_digest_.emplace(digest, block).second) return;
   RoundState& rs = rounds_[block->round];
   rs.blocks.emplace(block->proposer, block);
+  rs.digests.push_back(digest);
   latest_block_round_[block->proposer] =
       std::max(latest_block_round_[block->proposer], block->round);
   if (on_block_received_) on_block_received_(block);
@@ -242,8 +254,11 @@ void DagCore::StoreBlock(const BlockPtr& block) {
 }
 
 void DagCore::StoreCertificate(const Certificate& cert) {
+  // The parent certificates of a block at the watermark round lie below it.
+  if (BelowWatermark(cert.round)) return;
   RoundState& rs = rounds_[cert.round];
-  if (!rs.certificates.emplace(cert.proposer, cert).second) return;
+  // try_emplace copies the certificate only when the key is new.
+  if (!rs.certificates.try_emplace(cert.proposer, cert).second) return;
   // Fetch the certified block if we never received the proposal (e.g. a
   // censoring proposer excluded us from dissemination).
   if (!blocks_by_digest_.count(cert.block_digest)) {
@@ -320,9 +335,7 @@ bool DagCore::HaveCausalHistory(const Hash256& digest) {
       complete = false;
       continue;
     }
-    for (const Hash256& parent : it->second->parents) {
-      frontier.push_back(parent);
-    }
+    ExpandParents(*it->second, &frontier);
   }
   return complete;
 }
@@ -380,9 +393,7 @@ void DagCore::TryCommitLeaders() {
           auto bit = blocks_by_digest_.find(cur);
           if (bit == blocks_by_digest_.end()) continue;
           if (bit->second->round <= earlier->round) continue;
-          for (const Hash256& parent : bit->second->parents) {
-            frontier.push_back(parent);
-          }
+          ExpandParents(*bit->second, &frontier);
         }
         if (is_ancestor) {
           chain.push_back(earlier);
@@ -413,9 +424,7 @@ void DagCore::CommitLeader(const BlockPtr& leader) {
     auto it = blocks_by_digest_.find(cur);
     if (it == blocks_by_digest_.end()) continue;  // Guarded by caller.
     history.push_back(it->second);
-    for (const Hash256& parent : it->second->parents) {
-      frontier.push_back(parent);
-    }
+    ExpandParents(*it->second, &frontier);
   }
   std::sort(history.begin(), history.end(),
             [](const BlockPtr& a, const BlockPtr& b) {
@@ -435,6 +444,42 @@ void DagCore::CommitLeader(const BlockPtr& leader) {
   if (on_commit_) on_commit_(sub_dag);
 }
 
+bool DagCore::BelowWatermark(Round round) {
+  if (round >= gc_round_) return false;
+  ++ignored_below_gc_;
+  return true;
+}
+
+void DagCore::ExpandParents(const Block& block,
+                            std::deque<Hash256>* frontier) {
+  if (block.round <= gc_round_) {
+    // The parents (round - 1) are below the watermark: collected, so the
+    // walk neither requests nor collects them.
+    ++ignored_below_gc_;
+    return;
+  }
+  for (const Hash256& parent : block.parents) frontier->push_back(parent);
+}
+
+void DagCore::CollectGarbageBelow(Round watermark) {
+  if (watermark <= std::max<Round>(gc_round_, 1)) return;
+  gc_round_ = watermark;
+  // Everything below the previous watermark is gone already, so each range
+  // below starts at its first uncollected round.
+  const auto end = rounds_.lower_bound(watermark);
+  for (auto it = rounds_.begin(); it != end; ++it) {
+    for (const Hash256& digest : it->second.digests) {
+      blocks_by_digest_.erase(digest);
+      committed_blocks_.erase(digest);
+    }
+  }
+  rounds_.erase(rounds_.begin(), end);
+  vote_collect_.erase(vote_collect_.begin(),
+                      vote_collect_.lower_bound(watermark));
+  cert_formed_.erase(cert_formed_.begin(), cert_formed_.lower_bound(watermark));
+  voted_.erase(voted_.begin(), voted_.lower_bound({watermark, ReplicaId{0}}));
+}
+
 void DagCore::ResetForNewEpoch(EpochId epoch) {
   config_.epoch = epoch;
   rounds_.clear();
@@ -447,6 +492,7 @@ void DagCore::ResetForNewEpoch(EpochId epoch) {
   highest_proposed_ = 0;
   highest_ready_ = 0;
   last_committed_leader_round_ = 0;
+  gc_round_ = 0;
   Start();
 
   // Replay messages that arrived for this epoch before we switched.

@@ -16,9 +16,33 @@
 // DagCore is payload-agnostic: the owner (core::ThunderboltNode) supplies
 // content when a round becomes proposable and consumes committed sub-DAGs.
 // Reconfiguration (paper section 6) resets the machine into a fresh epoch.
+//
+// Garbage collection (the Narwhal/Tusk rule) is the owner's call:
+// CollectGarbageBelow(w) erases every round below the watermark w: its
+// blocks (and with them their payloads, unless the owner holds them),
+// certificates, votes and commit marks. From then on DagCore ignores any
+// proposal, vote, certificate or block response of a round below w, drops
+// the parent certificates (of round w-1) that a round-w block carries, and
+// leaves requests for collected digests unanswered. A block of round w
+// itself is still accepted, as Narwhal accepts a header at its GC round: a
+// walk may need to fetch it, and refusing it would leave that walk waiting
+// forever. The three DAG walks (HaveCausalHistory, the ancestor test in
+// TryCommitLeaders, CommitLeader) stop at the watermark: at a round-w block
+// they neither request nor collect its parents. The watermark is a function
+// of the committed sequence, so every replica cuts the same history there.
+// Each message or certificate dropped this way and each stopped walk
+// counts in ignored_below_gc(): it marks a place where the machine without
+// GC would still have acted, so the owner picks a watermark deep enough
+// below its commits that this does not happen (core::kDagGcDepth says how
+// deep, and why that is safe). Block requests are the exception: they
+// carry no round, so a request for a collected digest looks the same as
+// one for a digest never stored, and it goes unanswered without being
+// counted; a zero count says nothing about requests. Without a call,
+// nothing is collected.
 #ifndef THUNDERBOLT_DAG_DAG_CORE_H_
 #define THUNDERBOLT_DAG_DAG_CORE_H_
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -94,6 +118,13 @@ class DagCore {
   /// per-epoch state and announces round 1 of the new epoch.
   void ResetForNewEpoch(EpochId epoch);
 
+  /// Erases all state of the rounds below `watermark` (see the file
+  /// header). The watermark only rises: a call at or below the current one
+  /// is a no-op, and so is one at round 1, below which nothing exists.
+  /// Should stay at or below last_committed_leader_round(): a round above
+  /// it may still hold a leader's uncommitted history.
+  void CollectGarbageBelow(Round watermark);
+
   // --- Introspection --------------------------------------------------------
 
   EpochId epoch() const { return config_.epoch; }
@@ -113,12 +144,24 @@ class DagCore {
   /// drives the reconfiguration silence detector (paper section 6 cond. 1).
   Round LatestBlockRoundFrom(ReplicaId proposer) const;
   uint64_t committed_block_count() const { return committed_block_count_; }
+  /// Blocks currently stored (equivocating duplicates included).
+  size_t retained_block_count() const { return blocks_by_digest_.size(); }
+  /// The GC watermark: every round below it is collected (0 before the
+  /// first collection and after an epoch reset).
+  Round gc_watermark() const { return gc_round_; }
+  /// Messages ignored and walks stopped because they reached below the GC
+  /// watermark, since construction. Unanswered block requests are not
+  /// counted (see the file header).
+  uint64_t ignored_below_gc() const { return ignored_below_gc_; }
 
  private:
   struct RoundState {
     std::map<ReplicaId, BlockPtr> blocks;            // By proposer.
     std::map<ReplicaId, Certificate> certificates;   // By proposer.
-    bool ready_announced = false;
+    /// Every stored block of the round, including an equivocating
+    /// proposer's second block that `blocks` has no slot for; GC erases
+    /// these from blocks_by_digest_ and committed_blocks_.
+    std::vector<Hash256> digests;
   };
 
   void HandleProposal(ReplicaId from, const BlockProposalMsg& msg);
@@ -137,6 +180,12 @@ class DagCore {
   bool HaveCausalHistory(const Hash256& digest);
   void CommitLeader(const BlockPtr& leader);
   void RequestBlock(const Hash256& digest);
+  /// True, and counted in ignored_below_gc(), when `round` is below the GC
+  /// watermark: whatever arrives for it is dropped.
+  bool BelowWatermark(Round round);
+  /// One step of a DAG walk: appends `block`'s parents to `frontier`, but
+  /// stops at the GC watermark (see the file header), counting each stop.
+  void ExpandParents(const Block& block, std::deque<Hash256>* frontier);
 
   DagConfig config_;
   const crypto::KeyDirectory* keys_;
@@ -159,6 +208,8 @@ class DagCore {
   Round highest_ready_ = 0;
   Round last_committed_leader_round_ = 0;
   uint64_t committed_block_count_ = 0;
+  Round gc_round_ = 0;  // GC watermark; 0 or at least 2.
+  uint64_t ignored_below_gc_ = 0;
 
   RoundReadyCallback on_round_ready_;
   BlockReceivedCallback on_block_received_;

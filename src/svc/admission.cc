@@ -1,5 +1,6 @@
 #include "svc/admission.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace thunderbolt::svc {
@@ -58,6 +59,7 @@ AdmissionQueue::DequeueResult AdmissionQueue::Dequeue(SimTime now,
       ++result.shed;
     }
   }
+  result.batch.reserve(std::min(queue_.size(), max));
   while (!queue_.empty() && result.batch.size() < max) {
     result.batch.push_back(std::move(queue_.front()));
     queue_.pop_front();

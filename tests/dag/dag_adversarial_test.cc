@@ -131,6 +131,51 @@ TEST_F(AdversarialTest, ForgedCertificateRejected) {
   EXPECT_NE(honest->Digest(), forged->Digest());
 }
 
+TEST_F(AdversarialTest, ParentCertificateFromUnknownProposerRejected) {
+  StartAll();
+  sim_.RunUntil(Millis(200));
+  BlockPtr honest = cores_[1]->GetBlock(2, 0);
+  ASSERT_TRUE(honest != nullptr);
+  // A round-2 block whose first parent certificate names proposer kN,
+  // which does not exist; the certificate's quorum signatures are genuine.
+  auto forged = std::make_shared<Block>(*honest);
+  forged->content = std::make_shared<TestContent>(31337);
+  forged->parent_certs.front().proposer = kN;
+  auto msg = std::make_shared<BlockResponseMsg>();
+  msg->block = forged;
+  cores_[1]->OnMessage(2, msg);
+  EXPECT_EQ(cores_[1]->GetBlockByDigest(forged->Digest()), nullptr);
+}
+
+TEST_F(AdversarialTest, CertificateFromUnknownProposerIgnored) {
+  // Replica 3 relays every genuine certificate it receives to all replicas
+  // with the proposer field, which no signature covers, set to kN. Stored,
+  // such a certificate would enter the next round's parents, and every
+  // replica would reject the block that carries it.
+  DagCore* relay = cores_[3].get();
+  net_.RegisterHandler(3, [this, relay](ReplicaId from,
+                                        const net::PayloadPtr& p) {
+    auto* msg = dynamic_cast<const CertificateMsg*>(p.get());
+    if (msg != nullptr && msg->certificate.proposer < kN) {
+      auto forged = std::make_shared<CertificateMsg>(*msg);
+      forged->certificate.proposer = kN;
+      net_.Broadcast(3, forged);
+    }
+    relay->OnMessage(from, p);
+  });
+  StartAll();
+  sim_.RunUntil(Millis(1000));
+  for (ReplicaId id = 0; id < kN; ++id) {
+    const DagCore& core = *cores_[id];
+    uint64_t stored = 0;
+    for (Round r = 1; r <= core.highest_ready_round(); ++r) {
+      stored += core.HasCertificate(r, kN);
+    }
+    EXPECT_EQ(stored, 0u) << "replica " << id;
+    EXPECT_GT(core.last_committed_leader_round(), 10u) << "replica " << id;
+  }
+}
+
 TEST_F(AdversarialTest, WrongEpochMessagesIgnored) {
   StartAll();
   sim_.RunUntil(Millis(50));
@@ -167,6 +212,64 @@ TEST_F(AdversarialTest, DuplicateMessagesAreIdempotent) {
   EXPECT_GE(commits_[1], commits_before);
   // And all replicas still agree.
   EXPECT_GT(cores_[1]->last_committed_leader_round(), 0u);
+}
+
+TEST_F(AdversarialTest, ReplayBelowGcWatermarkIgnored) {
+  StartAll();
+  sim_.RunUntil(Millis(500));
+  DagCore& core = *cores_[1];
+  // Round-1 traffic as it first arrived at replica 1: replica 0's
+  // proposal, a vote for replica 1's own block, and a round-1 certificate
+  // (carried by a round-2 block).
+  const BlockPtr block = core.GetBlock(1, 0);
+  const BlockPtr own = core.GetBlock(1, 1);
+  const BlockPtr child = core.GetBlock(2, 0);
+  ASSERT_TRUE(block && own && child);
+  ASSERT_EQ(child->parent_certs.front().round, 1u);
+  ASSERT_GT(core.last_committed_leader_round(), 5u);
+
+  core.CollectGarbageBelow(core.last_committed_leader_round() - 2);
+  ASSERT_GT(core.gc_watermark(), 2u);
+  ASSERT_EQ(core.GetBlockByDigest(block->Digest()), nullptr);
+  ASSERT_EQ(core.ignored_below_gc(), 0u);
+
+  // Delivered synchronously, so any reply would be a new pending event.
+  uint64_t received = 0;
+  core.SetBlockReceivedCallback([&received](const BlockPtr&) { ++received; });
+  const uint64_t pending = sim_.pending_events();
+
+  auto proposal = std::make_shared<BlockProposalMsg>();
+  proposal->block = block;
+  core.OnMessage(0, proposal);
+  EXPECT_EQ(core.ignored_below_gc(), 1u);
+
+  auto vote = std::make_shared<BlockVoteMsg>();
+  vote->round = 1;
+  vote->block_digest = own->Digest();
+  vote->signature = keys_.key(2).Sign(own->Digest());
+  core.OnMessage(2, vote);
+  EXPECT_EQ(core.ignored_below_gc(), 2u);
+
+  auto cert = std::make_shared<CertificateMsg>();
+  cert->certificate = child->parent_certs.front();
+  core.OnMessage(3, cert);
+  EXPECT_EQ(core.ignored_below_gc(), 3u);
+
+  auto response = std::make_shared<BlockResponseMsg>();
+  response->block = block;
+  core.OnMessage(2, response);
+  EXPECT_EQ(core.ignored_below_gc(), 4u);
+
+  // A request for the collected digest goes unanswered.
+  auto request = std::make_shared<BlockRequestMsg>();
+  request->block_digest = block->Digest();
+  core.OnMessage(3, request);
+  EXPECT_EQ(core.ignored_below_gc(), 4u);  // Requests carry no round.
+
+  EXPECT_EQ(received, 0u);  // The owner's receipt hooks never fire again.
+  EXPECT_EQ(sim_.pending_events(), pending);  // No vote, no response.
+  EXPECT_EQ(core.GetBlock(1, 0), nullptr);
+  EXPECT_FALSE(core.HasCertificate(1, cert->certificate.proposer));
 }
 
 TEST_F(AdversarialTest, LivenessUnderAllAttacksCombined) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "common/simulator.h"
@@ -24,10 +25,12 @@ struct TestContent final : public BlockContent {
 };
 
 /// Harness running n DagCores over a simulated network, auto-proposing a
-/// tagged block whenever a round becomes ready.
+/// tagged block whenever a round becomes ready. With `gc_depth` > 0, each
+/// core collects its DAG below that many rounds under every committed
+/// leader, as core::ThunderboltNode does with kDagGcDepth.
 class DagHarness {
  public:
-  explicit DagHarness(uint32_t n, uint64_t seed = 5)
+  explicit DagHarness(uint32_t n, uint64_t seed = 5, Round gc_depth = 0)
       : n_(n),
         net_(&sim_, n, net::LatencyModel::Lan(), seed),
         keys_(crypto::KeyDirectory::Create(n, seed)) {
@@ -41,11 +44,15 @@ class DagHarness {
         if (!auto_propose_[id]) return;
         core->Propose(r, std::make_shared<TestContent>(id * 1000 + r));
       });
-      core->SetCommitCallback([this, id](const CommittedSubDag& sub) {
+      core->SetCommitCallback([this, id, core,
+                               gc_depth](const CommittedSubDag& sub) {
         for (const BlockPtr& b : sub.blocks) {
           commit_log_[id].emplace_back(b->round, b->proposer);
         }
         leader_commits_[id].push_back(sub.leader_round);
+        if (gc_depth > 0 && sub.leader_round > gc_depth) {
+          core->CollectGarbageBelow(sub.leader_round - gc_depth);
+        }
       });
       net_.RegisterHandler(id, [core](ReplicaId from,
                                       const net::PayloadPtr& p) {
@@ -189,6 +196,86 @@ TEST(DagCoreTest, EpochResetStartsFreshDag) {
   h.sim_.RunUntil(h.sim_.Now() + Seconds(2));
   // The new DAG makes progress.
   EXPECT_GT(h.commit_log_[0].size(), commits_before + 5);
+}
+
+TEST(DagCoreTest, GarbageCollectionKeepsCommitsAndDropsOldRounds) {
+  // One seeded run without GC, one collecting eight rounds under every
+  // committed leader (ThunderboltNode's depth). This harness commits a
+  // lagging replica's blocks at most 6 rounds under their leader, so the
+  // collection never cuts history: the commit logs must match, rounds below
+  // each watermark must be gone, and every round from it up intact.
+  DagHarness plain(4);
+  DagHarness gc(4, /*seed=*/5, /*gc_depth=*/8);
+  plain.StartAll();
+  gc.StartAll();
+  plain.sim_.RunUntil(Seconds(3));
+  gc.sim_.RunUntil(Seconds(3));
+  for (ReplicaId id = 0; id < 4; ++id) {
+    ASSERT_GT(gc.commit_log_[id].size(), 50u);
+    EXPECT_EQ(plain.commit_log_[id], gc.commit_log_[id]) << "replica " << id;
+
+    const DagCore& full = *plain.cores_[id];
+    const DagCore& core = *gc.cores_[id];
+    const Round watermark = core.gc_watermark();
+    EXPECT_EQ(watermark, core.last_committed_leader_round() - 8);
+    EXPECT_GT(watermark, 100u);
+    EXPECT_EQ(core.ignored_below_gc(), 0u);
+    for (Round r = 1; r < watermark; ++r) {
+      EXPECT_EQ(core.CertificateCount(r), 0u) << "round " << r;
+      for (ReplicaId p = 0; p < 4; ++p) {
+        EXPECT_EQ(core.GetBlock(r, p), nullptr) << "round " << r;
+        const BlockPtr collected = full.GetBlock(r, p);
+        if (collected) {
+          EXPECT_EQ(core.GetBlockByDigest(collected->Digest()), nullptr);
+        }
+      }
+    }
+    Round top = 0;
+    for (ReplicaId p = 0; p < 4; ++p) {
+      top = std::max(top, full.LatestBlockRoundFrom(p));
+    }
+    size_t retained = 0;
+    for (Round r = watermark; r <= top; ++r) {
+      EXPECT_EQ(core.CertificateCount(r), full.CertificateCount(r));
+      for (ReplicaId p = 0; p < 4; ++p) {
+        const BlockPtr kept = core.GetBlock(r, p);
+        const BlockPtr reference = full.GetBlock(r, p);
+        ASSERT_EQ(kept == nullptr, reference == nullptr) << "round " << r;
+        if (kept == nullptr) continue;
+        EXPECT_EQ(kept->Digest(), reference->Digest());
+        EXPECT_EQ(core.HasCertificate(r, p), full.HasCertificate(r, p));
+        ++retained;
+      }
+    }
+    EXPECT_EQ(core.retained_block_count(), retained);
+  }
+}
+
+TEST(DagCoreTest, ShallowGarbageCollectionCutsTheSameHistoryEverywhere) {
+  // Two rounds under each committed leader is shallower than this run's
+  // commit lag, so lagging blocks fall below the watermark before a leader
+  // reaches them and are never committed (as under Narwhal's GC). The
+  // watermark follows the committed sequence, so every replica cuts the
+  // same blocks: the logs still agree, and each cut is counted.
+  DagHarness plain(4);
+  DagHarness gc(4, /*seed=*/5, /*gc_depth=*/2);
+  plain.StartAll();
+  gc.StartAll();
+  plain.sim_.RunUntil(Seconds(3));
+  gc.sim_.RunUntil(Seconds(3));
+  EXPECT_LT(gc.commit_log_[0].size(), plain.commit_log_[0].size());
+  for (ReplicaId id = 0; id < 4; ++id) {
+    EXPECT_GT(gc.cores_[id]->ignored_below_gc(), 0u) << "replica " << id;
+  }
+  for (ReplicaId id = 1; id < 4; ++id) {
+    const size_t common =
+        std::min(gc.commit_log_[0].size(), gc.commit_log_[id].size());
+    ASSERT_GT(common, 1000u);
+    for (size_t i = 0; i < common; ++i) {
+      ASSERT_EQ(gc.commit_log_[0][i], gc.commit_log_[id][i])
+          << "replica " << id << " diverged at commit " << i;
+    }
+  }
 }
 
 TEST(BlockTest, DigestCoversAllFields) {
