@@ -39,6 +39,7 @@
 
 #include "bench/bench_util.h"
 #include "ce/engine_registry.h"
+#include "common/params.h"
 #include "core/cluster.h"
 
 namespace thunderbolt {
@@ -138,7 +139,7 @@ int main(int argc, char** argv) {
       engines = smoke ? std::vector<std::string>{"ce"}
                       : std::vector<std::string>{"ce", "tusk"};
     } else {
-      engines = bench::SplitList(spec);
+      engines = Split(spec, ',');
     }
     const ce::EngineRegistry& registry = ce::EngineRegistry::Global();
     std::vector<std::string> known = registry.Names();
@@ -155,7 +156,7 @@ int main(int argc, char** argv) {
     // single-policy flag of the other benches.
     std::string spec = bench::FlagValue(argc, argv, "admission");
     policies =
-        spec.empty() ? svc::AdmissionPolicyNames() : bench::SplitList(spec);
+        spec.empty() ? svc::AdmissionPolicyNames() : Split(spec, ',');
     for (const std::string& name : policies) {
       svc::AdmissionPolicy parsed;
       if (!svc::ParseAdmissionPolicy(name, &parsed)) {

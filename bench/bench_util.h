@@ -22,6 +22,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/params.h"
 #include "core/config.h"
 #include "obs/latency.h"
 #include "obs/obs.h"
@@ -265,21 +266,6 @@ inline std::string FlagValue(int argc, char** argv, const std::string& name) {
   return "";
 }
 
-/// Splits a comma list ("a,b,c"), or a list on another `separator`,
-/// dropping empty items.
-inline std::vector<std::string> SplitList(const std::string& csv,
-                                          char separator = ',') {
-  std::vector<std::string> items;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    size_t comma = csv.find(separator, start);
-    if (comma == std::string::npos) comma = csv.size();
-    if (comma > start) items.push_back(csv.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return items;
-}
-
 /// Exits with code 2 unless `name` is `known`, listing the `registered`
 /// names: a typo in a registry-backed flag (--workload, --engine,
 /// --placement, --store, --pool, --arrival, --admission) must not silently
@@ -324,7 +310,7 @@ inline void AcceptOnlyFlags(int argc, char** argv,
                             std::initializer_list<const char*> specs) {
   std::vector<std::pair<std::string, std::string>> flags;  // (--name, <v>)
   for (const char* spec : specs) {
-    for (const std::string& word : SplitList(spec, ' ')) {
+    for (const std::string& word : Split(spec, ' ')) {
       if (word.rfind("--", 0) == 0) {
         flags.emplace_back(word, "");
       } else if (!flags.empty()) {
@@ -491,7 +477,7 @@ struct StoreSelection {
   }
 
   /// Instantiates the backend from storage::StoreRegistry (never null:
-  /// the name was validated by StoreFromFlags).
+  /// StoreFromFlags created the spec once already).
   std::unique_ptr<storage::KVStore> Create() const {
     return storage::StoreRegistry::Global().Create(name);
   }
@@ -499,10 +485,11 @@ struct StoreSelection {
 
 inline constexpr const char* kStoreFlags = "--store <spec>";
 
-/// Shared `--store <name>` handling for every bench binary: validates the
-/// backend against storage::StoreRegistry::Global() and exits with code 2
-/// on a typo (mirroring --workload/--placement — a typo must not silently
-/// bench the default backend).
+/// Shared `--store <spec>` handling for every bench binary: validates the
+/// backend name against storage::StoreRegistry::Global(), then the whole
+/// spec by creating it once (reopening a store is idempotent), and exits
+/// with code 2 on either error (mirroring --workload/--placement — a typo
+/// must not silently bench the default backend or crash a driver).
 inline StoreSelection StoreFromFlags(int argc, char** argv) {
   StoreSelection selection;
   std::string name = FlagValue(argc, argv, "store");
@@ -510,6 +497,10 @@ inline StoreSelection StoreFromFlags(int argc, char** argv) {
     const storage::StoreRegistry& stores = storage::StoreRegistry::Global();
     RequireRegistered("store backend", name, stores.Contains(name),
                       stores.Names());
+    if (stores.Create(name) == nullptr) {
+      std::fprintf(stderr, "bad store spec \"%s\"\n", name.c_str());
+      std::exit(2);
+    }
     selection.name = name;
   }
   return selection;

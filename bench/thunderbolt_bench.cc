@@ -75,6 +75,7 @@
 #include "ce/engine_registry.h"
 #include "ce/executor_pool.h"
 #include "common/histogram.h"
+#include "common/params.h"
 #include "contract/contract.h"
 #include "workload/workload.h"
 
@@ -426,16 +427,16 @@ DriverConfig ParseFlags(int argc, char** argv) {
   if (workloads.empty() || workloads == "all") {
     config.workloads = workload::WorkloadRegistry::Global().Names();
   } else {
-    config.workloads = bench::SplitList(workloads);
+    config.workloads = Split(workloads, ',');
   }
   std::string engines = bench::FlagValue(argc, argv, "engine");
   if (engines.empty() || engines == "all") {
     config.engines = {"serial", "occ", "2pl", "ce"};
   } else {
-    config.engines = bench::SplitList(engines);
+    config.engines = Split(engines, ',');
   }
   std::string batches = bench::FlagValue(argc, argv, "batch");
-  for (const std::string& b : bench::SplitList(batches)) {
+  for (const std::string& b : Split(batches, ',')) {
     config.batch_sizes.push_back(bench::PositiveFlag<uint32_t>("batch", b));
   }
   if (config.batch_sizes.empty()) {
@@ -443,7 +444,7 @@ DriverConfig ParseFlags(int argc, char** argv) {
                                : std::vector<uint32_t>{100, 300};
   }
   std::string thetas = bench::FlagValue(argc, argv, "theta");
-  for (const std::string& t : bench::SplitList(thetas)) {
+  for (const std::string& t : Split(thetas, ',')) {
     char* end = nullptr;
     double theta = std::strtod(t.c_str(), &end);
     if (end == t.c_str() || *end != '\0' || theta < 0 || theta >= 1) {
@@ -462,10 +463,10 @@ DriverConfig ParseFlags(int argc, char** argv) {
   if (pools.empty()) {
     config.pools = {"sim"};
   } else {
-    config.pools = bench::SplitList(pools);
+    config.pools = Split(pools, ',');
   }
   std::string threads = bench::FlagValue(argc, argv, "threads");
-  for (const std::string& t : bench::SplitList(threads)) {
+  for (const std::string& t : Split(threads, ',')) {
     config.threads.push_back(bench::PositiveFlag<uint32_t>("threads", t));
   }
   std::string runs = bench::FlagValue(argc, argv, "runs");

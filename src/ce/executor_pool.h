@@ -126,7 +126,6 @@ class ExecutorPool {
   /// per transaction/batch, `pool.<name>.*` metrics). Call between
   /// batches, not during Run.
   void SetObs(const PoolObsContext& ctx) { obs_ = ctx; }
-  const PoolObsContext& obs_context() const { return obs_; }
 
  protected:
   /// Publishes a finished batch into obs_.metrics (no-op without one) as

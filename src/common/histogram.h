@@ -3,77 +3,35 @@
 #define THUNDERBOLT_COMMON_HISTOGRAM_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 namespace thunderbolt {
 
 /// Collects double-valued samples and reports summary statistics. Keeps all
-/// samples (bench populations are modest); percentile queries sort lazily
-/// into a mutable cache.
-///
-/// Single-writer contract: mutating calls (Add/Merge/Clear, assignment) are
-/// not synchronized against anything else. Const queries, however, are
-/// *genuinely* const: Percentile/Median/Min/Max sort into an internal
-/// mutex-guarded cache, never the sample vector itself, so any number of
-/// concurrent readers may query a quiescent histogram safely (e.g. a
-/// metrics snapshot vs a reporting thread). Code that records from
-/// multiple threads still keeps one Histogram per thread and combines them
-/// afterwards with Merge() (see ce/thread_executor_pool.cc).
+/// samples (bench populations are modest). A plain value type: queries
+/// select on a local copy and write nothing, so any number of concurrent
+/// readers may query a quiescent histogram (e.g. a metrics snapshot vs a
+/// reporting thread). Mutating calls (Add/Merge/Clear, assignment) are not
+/// synchronized: code that records from multiple threads keeps one
+/// Histogram per thread and combines them afterwards with Merge() (see
+/// ce/thread_executor_pool.cc).
 class Histogram {
  public:
-  Histogram() = default;
-  // The cache mutex is identity, not state: copies and moves transfer the
-  // samples and drop the cache (it rebuilds lazily on the next query).
-  Histogram(const Histogram& other)
-      : samples_(other.samples_), sum_(other.sum_) {}
-  Histogram(Histogram&& other) noexcept
-      : samples_(std::move(other.samples_)), sum_(other.sum_) {
-    other.samples_.clear();
-    other.sum_ = 0;
-    other.InvalidateCache();
-  }
-  Histogram& operator=(const Histogram& other) {
-    if (this != &other) {
-      samples_ = other.samples_;
-      sum_ = other.sum_;
-      InvalidateCache();
-    }
-    return *this;
-  }
-  Histogram& operator=(Histogram&& other) noexcept {
-    if (this != &other) {
-      samples_ = std::move(other.samples_);
-      sum_ = other.sum_;
-      other.samples_.clear();
-      other.sum_ = 0;
-      other.InvalidateCache();
-      InvalidateCache();
-    }
-    return *this;
-  }
-
   void Add(double v) {
     samples_.push_back(v);
-    InvalidateCache();
     sum_ += v;
   }
 
-  /// Appends all of `other`'s samples. Quiescent inputs only (see the
-  /// contract above).
+  /// Appends all of `other`'s samples.
   void Merge(const Histogram& other) {
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
-    if (!other.samples_.empty()) InvalidateCache();
     sum_ += other.sum_;
   }
 
   void Clear() {
     samples_.clear();
     sum_ = 0;
-    InvalidateCache();
   }
 
   size_t Count() const { return samples_.size(); }
@@ -85,31 +43,17 @@ class Histogram {
   double Min() const;
   double Max() const;
 
-  /// Raw samples, always in insertion order (queries sort the cache, not
-  /// this vector). Used to merge per-batch histograms into a sweep-level
-  /// one.
+  /// Raw samples, always in insertion order. Used to merge per-batch
+  /// histograms into a sweep-level one.
   const std::vector<double>& samples() const { return samples_; }
 
-  /// p in [0, 100].
+  /// p in [0, 100]: linear interpolation between the two nearest ranks.
   double Percentile(double p) const;
   double Median() const { return Percentile(50.0); }
 
  private:
-  /// Returns the sorted-sample cache, building it under `cache_mu_` if
-  /// stale. The returned reference stays valid until the next mutation
-  /// (callers are quiescent-read-only per the contract).
-  const std::vector<double>& Sorted() const;
-  void InvalidateCache() {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    cache_valid_ = false;
-  }
-
   std::vector<double> samples_;  // Insertion order, never reordered.
   double sum_ = 0;
-
-  mutable std::mutex cache_mu_;
-  mutable std::vector<double> sorted_cache_;
-  mutable bool cache_valid_ = false;
 };
 
 }  // namespace thunderbolt

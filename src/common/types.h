@@ -36,9 +36,6 @@ constexpr SimTime Seconds(uint64_t s) { return s * 1000 * 1000; }
 constexpr double ToSeconds(SimTime t) {
   return static_cast<double>(t) / 1e6;
 }
-constexpr double ToMillis(SimTime t) {
-  return static_cast<double>(t) / 1e3;
-}
 
 /// The number of Byzantine faults tolerated by n replicas (n = 3f + 1).
 constexpr uint32_t MaxFaults(uint32_t n) { return (n - 1) / 3; }

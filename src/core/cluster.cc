@@ -60,7 +60,7 @@ Cluster::Cluster(ThunderboltConfig config, const std::string& workload_name,
   shared_->canonical =
       storage::StoreRegistry::Global().Create(config_.store, store_options);
   if (shared_->canonical == nullptr) {
-    std::fprintf(stderr, "Cluster: unknown store backend \"%s\"\n",
+    std::fprintf(stderr, "Cluster: bad store spec \"%s\"\n",
                  config_.store.c_str());
     std::abort();
   }

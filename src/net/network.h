@@ -94,7 +94,6 @@ class SimNetwork {
   /// Crashed replicas neither send nor receive.
   void Crash(ReplicaId id);
   void Restart(ReplicaId id);
-  bool IsCrashed(ReplicaId id) const { return crashed_[id]; }
 
   /// Cuts/restores an individual directed link (censorship simulation).
   void SetLink(ReplicaId from, ReplicaId to, bool up);

@@ -2,21 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/hash.h"
+#include "common/params.h"
 
 namespace thunderbolt::placement {
 
 namespace {
-
-/// One "key=value" assignment from a placement param spec.
-struct Param {
-  std::string key;
-  std::string value;
-};
 
 [[noreturn]] void AbortBadParams(const std::string& spec,
                                  const std::string& why) {
@@ -25,56 +19,20 @@ struct Param {
   std::abort();
 }
 
-/// Splits "key=value[,key=value...]", aborting on malformed entries —
-/// placement is cluster configuration and a typo must not be ignored.
-std::vector<Param> SplitParams(const std::string& spec) {
-  std::vector<Param> params;
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    if (comma > start) {
-      std::string item = spec.substr(start, comma - start);
-      size_t eq = item.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == item.size()) {
-        AbortBadParams(spec, "\"" + item + "\" is not key=value");
-      }
-      params.push_back(Param{item.substr(0, eq), item.substr(eq + 1)});
-    }
-    start = comma + 1;
-  }
-  return params;
+/// The parsed value, or an abort naming `spec`: placement is cluster
+/// configuration and a typo must not be ignored.
+template <typename T>
+T OrAbort(const std::string& spec, Result<T> parsed) {
+  if (!parsed.ok()) AbortBadParams(spec, parsed.status().message());
+  return std::move(parsed).value();
 }
 
-/// Splits a ';'-separated list value (ranges' split points, directory
-/// assignments).
-std::vector<std::string> SplitSemis(const std::string& value) {
-  std::vector<std::string> items;
-  size_t start = 0;
-  while (start <= value.size()) {
-    size_t semi = value.find(';', start);
-    if (semi == std::string::npos) semi = value.size();
-    if (semi > start) items.push_back(value.substr(start, semi - start));
-    start = semi + 1;
-  }
-  return items;
+std::vector<Param> ParamsOrAbort(const std::string& spec) {
+  return OrAbort(spec, ParseParams(spec));
 }
 
 uint32_t ParseShardCount(uint32_t num_shards) {
   return num_shards == 0 ? 1 : num_shards;
-}
-
-uint64_t ParseU64OrAbort(const std::string& spec, const Param& p) {
-  if (p.value.empty() || p.value[0] == '-' || p.value[0] == '+') {
-    AbortBadParams(spec, p.key + ": bad integer \"" + p.value + "\"");
-  }
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(p.value.c_str(), &end, 10);
-  if (end == p.value.c_str() || *end != '\0' || errno == ERANGE) {
-    AbortBadParams(spec, p.key + ": bad integer \"" + p.value + "\"");
-  }
-  return v;
 }
 
 ShardId HashShard(const std::string& account, uint32_t num_shards) {
@@ -368,34 +326,11 @@ uint64_t LocalityPlacement::Fingerprint() const {
 
 // --- PlacementRegistry ------------------------------------------------------
 
-void PlacementRegistry::Register(std::string name, Factory factory) {
-  factories_[std::move(name)] = std::move(factory);
-}
-
-std::unique_ptr<PlacementPolicy> PlacementRegistry::Create(
-    const std::string& name, const PlacementOptions& options) const {
-  auto it = factories_.find(name);
-  return it == factories_.end() ? nullptr : it->second(options);
-}
-
-bool PlacementRegistry::Contains(const std::string& name) const {
-  return factories_.find(name) != factories_.end();
-}
-
-std::vector<std::string> PlacementRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
-
 PlacementRegistry& PlacementRegistry::Global() {
-  // Built-ins register here (not via static initializers, which static
-  // libraries would dead-strip).
   static PlacementRegistry* registry = [] {
     auto* r = new PlacementRegistry();
     r->Register("hash", [](const PlacementOptions& options) {
-      for (const Param& p : SplitParams(options.params)) {
+      for (const Param& p : ParamsOrAbort(options.params)) {
         AbortBadParams(options.params, "hash: unknown key \"" + p.key + "\"");
       }
       return std::unique_ptr<PlacementPolicy>(
@@ -404,9 +339,9 @@ PlacementRegistry& PlacementRegistry::Global() {
     r->Register("range", [](const PlacementOptions& options) {
       std::vector<std::string> splits;
       bool have_splits = false;
-      for (const Param& p : SplitParams(options.params)) {
+      for (const Param& p : ParamsOrAbort(options.params)) {
         if (p.key == "splits") {
-          splits = SplitSemis(p.value);
+          splits = Split(p.value, ';');
           have_splits = true;
           if (!std::is_sorted(splits.begin(), splits.end())) {
             AbortBadParams(options.params, "splits must be sorted");
@@ -432,14 +367,15 @@ PlacementRegistry& PlacementRegistry::Global() {
       uint32_t top_k = DirectoryPlacement::kDefaultTopK;
       uint32_t max_entries = DirectoryPlacement::kDefaultMaxEntries;
       std::vector<std::pair<std::string, ShardId>> assignments;
-      for (const Param& p : SplitParams(options.params)) {
+      for (const Param& p : ParamsOrAbort(options.params)) {
         if (p.key == "top_k") {
-          top_k = static_cast<uint32_t>(ParseU64OrAbort(options.params, p));
+          top_k = static_cast<uint32_t>(
+              OrAbort(options.params, ParseUint(p, UINT32_MAX)));
         } else if (p.key == "max_entries") {
-          max_entries =
-              static_cast<uint32_t>(ParseU64OrAbort(options.params, p));
+          max_entries = static_cast<uint32_t>(
+              OrAbort(options.params, ParseUint(p, UINT32_MAX)));
         } else if (p.key == "assign") {
-          for (const std::string& entry : SplitSemis(p.value)) {
+          for (const std::string& entry : Split(p.value, ';')) {
             size_t colon = entry.rfind(':');
             if (colon == std::string::npos || colon == 0 ||
                 colon + 1 == entry.size()) {
@@ -447,13 +383,10 @@ PlacementRegistry& PlacementRegistry::Global() {
                              "assign entry \"" + entry + "\" is not "
                              "account:shard");
             }
-            char* end = nullptr;
-            unsigned long shard =
-                std::strtoul(entry.c_str() + colon + 1, &end, 10);
-            if (*end != '\0' || shard >= num_shards) {
-              AbortBadParams(options.params, "assign entry \"" + entry +
-                                                 "\": shard out of range");
-            }
+            const Param shard_param{"assign entry \"" + entry + "\" shard",
+                                    entry.substr(colon + 1)};
+            const uint64_t shard = OrAbort(
+                options.params, ParseUint(shard_param, num_shards - 1));
             assignments.emplace_back(entry.substr(0, colon),
                                      static_cast<ShardId>(shard));
           }
@@ -470,7 +403,7 @@ PlacementRegistry& PlacementRegistry::Global() {
       return std::unique_ptr<PlacementPolicy>(std::move(policy));
     });
     r->Register("locality", [](const PlacementOptions& options) {
-      for (const Param& p : SplitParams(options.params)) {
+      for (const Param& p : ParamsOrAbort(options.params)) {
         AbortBadParams(options.params,
                        "locality: unknown key \"" + p.key + "\"");
       }

@@ -21,8 +21,8 @@
 //              PlacementHint, then the group is hashed — so entities that
 //              transact together land on the same shard.
 //
-// Policies register by name in PlacementRegistry::Global(), mirroring
-// workload::WorkloadRegistry, which is how core::Cluster and the bench
+// Policies register by name in PlacementRegistry::Global()
+// (common/registry.h), which is how core::Cluster and the bench
 // drivers select one from a `--placement <name>` flag without compile-time
 // coupling. Every policy must be deterministic: all replicas construct the
 // same policy from the same configuration and must agree on every lookup,
@@ -39,6 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/registry.h"
 #include "common/result.h"
 #include "common/types.h"
 
@@ -286,31 +287,14 @@ class LocalityPlacement final : public PlacementPolicy {
   AccountGroupFn hint_;
 };
 
-/// Name -> factory registry, mirroring workload::WorkloadRegistry.
-/// `Global()` is preloaded with the four built-ins.
-class PlacementRegistry {
+/// Name -> factory registry (common/registry.h). `Global()` is preloaded
+/// with the four built-ins. Malformed `options.params` abort in Create
+/// (configuration error).
+class PlacementRegistry
+    : public FactoryRegistry<PlacementPolicy, const PlacementOptions&> {
  public:
-  using Factory =
-      std::function<std::unique_ptr<PlacementPolicy>(const PlacementOptions&)>;
-
-  /// Registers `factory` under `name`. Overwrites any existing entry.
-  void Register(std::string name, Factory factory);
-
-  /// Instantiates the named policy, or nullptr for unknown names.
-  /// Malformed `options.params` abort (configuration error).
-  std::unique_ptr<PlacementPolicy> Create(
-      const std::string& name, const PlacementOptions& options) const;
-
-  bool Contains(const std::string& name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
   /// The process-wide registry, preloaded with the built-ins.
   static PlacementRegistry& Global();
-
- private:
-  std::map<std::string, Factory> factories_;
 };
 
 }  // namespace thunderbolt::placement

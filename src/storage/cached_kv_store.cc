@@ -1,6 +1,8 @@
 #include "storage/cached_kv_store.h"
 
-#include <cstdlib>
+#include <cstdint>
+
+#include "common/params.h"
 
 namespace thunderbolt::storage {
 
@@ -13,7 +15,9 @@ std::unique_ptr<KVStore> CachedKVStore::FromOptions(
   std::string inner_spec = "sorted";
   for (const auto& [key, value] : ParseStoreParams(options.params)) {
     if (key == "capacity") {
-      capacity = static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
+      const Result<uint64_t> v = ParseUint(Param{key, value}, SIZE_MAX);
+      if (!v.ok()) return nullptr;
+      capacity = static_cast<size_t>(*v);
     } else if (key == "inner") {
       inner_spec = value;
     } else {
@@ -136,11 +140,6 @@ std::unique_ptr<KVStore> CachedKVStore::Fork() const {
   // The fork starts cold: cache contents are a recency artifact, not
   // state, and sharing them would couple the forks' mutexes.
   return std::make_unique<CachedKVStore>(inner_->Fork(), capacity_);
-}
-
-size_t CachedKVStore::cached_rows() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return map_.size();
 }
 
 StoreStats CachedKVStore::Stats() const {

@@ -36,8 +36,8 @@ class CachedKVStore final : public KVStore {
   CachedKVStore(std::unique_ptr<KVStore> inner, size_t capacity);
 
   /// Registry factory: parses StoreOptions::params
-  /// ("capacity=<n>,inner=<spec>"). Returns nullptr on unknown params or
-  /// an unresolvable inner spec.
+  /// ("capacity=<n>,inner=<spec>"). Returns nullptr on unknown params, a
+  /// malformed capacity or an unresolvable inner spec.
   static std::unique_ptr<KVStore> FromOptions(const StoreOptions& options);
 
   std::string name() const override { return "cached"; }
@@ -62,8 +62,6 @@ class CachedKVStore final : public KVStore {
   StoreStats Stats() const override;
 
   size_t capacity() const { return capacity_; }
-  /// Rows currently cached (<= capacity).
-  size_t cached_rows() const;
 
  private:
   struct CacheEntry {

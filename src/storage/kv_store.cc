@@ -213,37 +213,15 @@ std::vector<std::pair<std::string, std::string>> ParseStoreParams(
   return out;
 }
 
-namespace {
-
-/// Splits "name:params" at the first ':'; plain names pass through with
-/// empty params.
-void SplitSpec(const std::string& spec, std::string* name,
-               std::string* params) {
-  const size_t colon = spec.find(':');
-  if (colon == std::string::npos) {
-    *name = spec;
-    params->clear();
-  } else {
-    *name = spec.substr(0, colon);
-    *params = spec.substr(colon + 1);
-  }
-}
-
-}  // namespace
-
-void StoreRegistry::Register(std::string name, Factory factory) {
-  factories_[std::move(name)] = std::move(factory);
-}
-
 std::unique_ptr<KVStore> StoreRegistry::Create(
     const std::string& spec, const StoreOptions& options) const {
-  std::string name, params;
-  SplitSpec(spec, &name, &params);
-  auto it = factories_.find(name);
-  if (it == factories_.end()) return nullptr;
+  const size_t colon = spec.find(':');
   StoreOptions opts = options;
-  if (!params.empty()) opts.params = params;
-  std::unique_ptr<KVStore> store = it->second(opts);
+  if (colon != std::string::npos && colon + 1 < spec.size()) {
+    opts.params = spec.substr(colon + 1);
+  }
+  std::unique_ptr<KVStore> store =
+      FactoryRegistry::Create(spec.substr(0, colon), opts);
   if (store != nullptr && opts.expected_keys > 0) {
     store->Reserve(opts.expected_keys);
   }
@@ -251,21 +229,10 @@ std::unique_ptr<KVStore> StoreRegistry::Create(
 }
 
 bool StoreRegistry::Contains(const std::string& spec) const {
-  std::string name, params;
-  SplitSpec(spec, &name, &params);
-  return factories_.find(name) != factories_.end();
-}
-
-std::vector<std::string> StoreRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
+  return FactoryRegistry::Contains(spec.substr(0, spec.find(':')));
 }
 
 StoreRegistry& StoreRegistry::Global() {
-  // Built-ins register here (not via static initializers, which static
-  // libraries would dead-strip).
   static StoreRegistry* registry = [] {
     auto* r = new StoreRegistry();
     r->Register("mem", [](const StoreOptions&) {

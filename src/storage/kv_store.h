@@ -16,10 +16,10 @@
 //                  WriteBatches (puts + deletes), ordered Scan, O(?)
 //                  Snapshot()/Fork(), content fingerprinting and Stats().
 //
-// Implementations register by name in StoreRegistry::Global(), mirroring
-// workload::WorkloadRegistry and placement::PlacementRegistry, which is how
-// core::Cluster and the bench drivers select a backend from a `--store
-// <name>` flag without compile-time coupling. Built-ins:
+// Implementations register by name in StoreRegistry::Global()
+// (common/registry.h), which is how core::Cluster and the bench drivers
+// select a backend from a `--store <name>` flag without compile-time
+// coupling. Built-ins:
 //
 //   mem     Hash map. Byte-identical behavior to the historical MemKVStore
 //           (determinism baselines carry over); Scan sorts on demand and
@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/registry.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -393,39 +394,26 @@ struct StoreOptions {
 std::vector<std::pair<std::string, std::string>> ParseStoreParams(
     const std::string& params);
 
-/// Name -> factory registry, mirroring workload::WorkloadRegistry and
-/// placement::PlacementRegistry. `Global()` is preloaded with the built-in
-/// backends ("mem", "sorted", "cow", "cached", "wal").
+/// Name -> factory registry (common/registry.h). `Global()` is preloaded
+/// with the built-in backends ("mem", "sorted", "cow", "cached", "wal").
 ///
 /// Create/Contains accept full *specs*: "wal:inner=sorted" resolves the
 /// factory registered as "wal" and passes "inner=sorted" through
 /// StoreOptions::params (any params already present in `options` are
-/// overwritten by the spec's).
-class StoreRegistry {
+/// overwritten by the spec's). Register takes a plain name, no ':'.
+class StoreRegistry : public FactoryRegistry<KVStore, const StoreOptions&> {
  public:
-  using Factory =
-      std::function<std::unique_ptr<KVStore>(const StoreOptions&)>;
-
-  /// Registers `factory` under `name` (a plain name, no ':'). Overwrites
-  /// any existing entry.
-  void Register(std::string name, Factory factory);
-
   /// Instantiates the backend named by `spec` (plain name or
-  /// "name:params"), or nullptr for unknown names.
+  /// "name:params"), or nullptr for unknown names and for params the
+  /// backend rejects.
   std::unique_ptr<KVStore> Create(const std::string& spec,
                                   const StoreOptions& options = {}) const;
 
   /// True when the spec's base name is registered (params unvalidated).
   bool Contains(const std::string& spec) const;
 
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
   /// The process-wide registry, preloaded with the built-ins.
   static StoreRegistry& Global();
-
- private:
-  std::map<std::string, Factory> factories_;
 };
 
 }  // namespace thunderbolt::storage

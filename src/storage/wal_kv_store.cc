@@ -1,7 +1,7 @@
 #include "storage/wal_kv_store.h"
 
 #include <atomic>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -10,6 +10,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/params.h"
 #include "obs/trace.h"
 
 namespace thunderbolt::storage {
@@ -232,14 +233,14 @@ std::unique_ptr<KVStore> WalKVStore::FromOptions(const StoreOptions& options) {
       params.inner_spec = value;
     } else if (key == "dir") {
       params.dir = value;
-    } else if (key == "group_commit") {
-      params.group_commit =
-          static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
-    } else if (key == "checkpoint_every") {
-      params.checkpoint_every =
-          static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
+    } else if (key == "group_commit" || key == "checkpoint_every") {
+      const Result<uint64_t> v = ParseUint(Param{key, value}, SIZE_MAX);
+      if (!v.ok()) return nullptr;
+      (key == "group_commit" ? params.group_commit : params.checkpoint_every) =
+          static_cast<size_t>(*v);
     } else if (key == "fsync") {
       params.fsync = value == "1" || value == "true";
+      if (!params.fsync && value != "0" && value != "false") return nullptr;
     } else {
       return nullptr;  // Unknown param: reject, don't silently ignore.
     }

@@ -83,7 +83,9 @@ class WalKVStore final : public KVStore {
   ~WalKVStore() override;
 
   /// Registry factory: parses StoreOptions::params (see file comment).
-  /// Returns nullptr on unknown params or an unresolvable inner spec.
+  /// Returns nullptr on unknown params, a malformed value (the counts are
+  /// unsigned decimals, fsync one of 0|1|true|false) or an unresolvable
+  /// inner spec.
   static std::unique_ptr<KVStore> FromOptions(const StoreOptions& options);
 
   std::string name() const override { return "wal"; }

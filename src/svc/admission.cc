@@ -5,15 +5,6 @@
 
 namespace thunderbolt::svc {
 
-const char* AdmissionPolicyName(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kDropTail: return "drop-tail";
-    case AdmissionPolicy::kShedOldest: return "shed-oldest";
-    case AdmissionPolicy::kCoDel: return "codel";
-  }
-  return "unknown";
-}
-
 bool ParseAdmissionPolicy(const std::string& name, AdmissionPolicy* out) {
   if (name == "drop-tail") {
     *out = AdmissionPolicy::kDropTail;

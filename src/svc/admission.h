@@ -41,9 +41,6 @@ enum class AdmissionPolicy : uint8_t {
   kCoDel = 2,
 };
 
-/// "drop-tail" / "shed-oldest" / "codel".
-const char* AdmissionPolicyName(AdmissionPolicy policy);
-
 /// Parses a policy name; returns false (and leaves *out alone) on an
 /// unknown name so callers can print the registered list and exit.
 bool ParseAdmissionPolicy(const std::string& name, AdmissionPolicy* out);

@@ -1,22 +1,17 @@
 #include "svc/arrival.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/params.h"
+
 namespace thunderbolt::svc {
 
 namespace {
-
-/// One "key=value" assignment from an arrival param spec.
-struct Param {
-  std::string key;
-  std::string value;
-};
 
 [[noreturn]] void AbortBadParams(const std::string& spec,
                                  const std::string& why) {
@@ -25,48 +20,16 @@ struct Param {
   std::abort();
 }
 
-/// Splits "key=value[,key=value...]", aborting on malformed entries —
-/// arrival specs are configuration (see ArrivalOptions::params).
-std::vector<Param> SplitParams(const std::string& spec) {
-  std::vector<Param> params;
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    if (comma > start) {
-      const std::string item = spec.substr(start, comma - start);
-      size_t eq = item.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        AbortBadParams(spec, "\"" + item + "\" is not key=value");
-      }
-      params.push_back(Param{item.substr(0, eq), item.substr(eq + 1)});
-    }
-    start = comma + 1;
-  }
-  return params;
+/// The parsed value, or an abort naming `spec`: arrival specs are
+/// configuration (see ArrivalOptions::params).
+template <typename T>
+T OrAbort(const std::string& spec, Result<T> parsed) {
+  if (!parsed.ok()) AbortBadParams(spec, parsed.status().message());
+  return std::move(parsed).value();
 }
 
-uint64_t ParseU64OrAbort(const std::string& spec, const Param& p) {
-  if (p.value.empty() || p.value[0] == '-' || p.value[0] == '+') {
-    AbortBadParams(spec, p.key + ": bad integer \"" + p.value + "\"");
-  }
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(p.value.c_str(), &end, 10);
-  if (end == p.value.c_str() || *end != '\0' || errno == ERANGE) {
-    AbortBadParams(spec, p.key + ": bad integer \"" + p.value + "\"");
-  }
-  return v;
-}
-
-double ParseDoubleOrAbort(const std::string& spec, const Param& p) {
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(p.value.c_str(), &end);
-  if (end == p.value.c_str() || *end != '\0' || errno == ERANGE) {
-    AbortBadParams(spec, p.key + ": bad number \"" + p.value + "\"");
-  }
-  return v;
+std::vector<Param> ParamsOrAbort(const std::string& spec) {
+  return OrAbort(spec, ParseParams(spec));
 }
 
 /// Exponential interarrival gap in integer microseconds, at least 1 so
@@ -83,7 +46,7 @@ class PoissonArrival : public ArrivalProcess {
  public:
   explicit PoissonArrival(const ArrivalOptions& options)
       : rate_tps_(options.rate_tps) {
-    for (const Param& p : SplitParams(options.params)) {
+    for (const Param& p : ParamsOrAbort(options.params)) {
       AbortBadParams(options.params, "poisson: unknown key \"" + p.key + "\"");
     }
     if (rate_tps_ <= 0) {
@@ -111,13 +74,13 @@ class BurstArrival : public ArrivalProcess {
  public:
   explicit BurstArrival(const ArrivalOptions& options) {
     double on_ms = 200, off_ms = 800, mult = 8;
-    for (const Param& p : SplitParams(options.params)) {
+    for (const Param& p : ParamsOrAbort(options.params)) {
       if (p.key == "on_ms") {
-        on_ms = ParseDoubleOrAbort(options.params, p);
+        on_ms = OrAbort(options.params, ParseDouble(p));
       } else if (p.key == "off_ms") {
-        off_ms = ParseDoubleOrAbort(options.params, p);
+        off_ms = OrAbort(options.params, ParseDouble(p));
       } else if (p.key == "mult") {
-        mult = ParseDoubleOrAbort(options.params, p);
+        mult = OrAbort(options.params, ParseDouble(p));
       } else {
         AbortBadParams(options.params, "burst: unknown key \"" + p.key + "\"");
       }
@@ -169,13 +132,13 @@ class TraceArrival : public ArrivalProcess {
  public:
   explicit TraceArrival(const ArrivalOptions& options) {
     std::string times_spec, file;
-    for (const Param& p : SplitParams(options.params)) {
+    for (const Param& p : ParamsOrAbort(options.params)) {
       if (p.key == "times") {
         times_spec = p.value;
       } else if (p.key == "file") {
         file = p.value;
       } else if (p.key == "loop_us") {
-        loop_us_ = ParseU64OrAbort(options.params, p);
+        loop_us_ = OrAbort(options.params, ParseUint(p));
       } else {
         AbortBadParams(options.params, "trace: unknown key \"" + p.key + "\"");
       }
@@ -189,19 +152,13 @@ class TraceArrival : public ArrivalProcess {
       LoadFile(file, options);
     } else {
       // Inline offsets, ';'-separated, round-robin across streams.
-      size_t start = 0, index = 0;
-      while (start <= times_spec.size()) {
-        size_t semi = times_spec.find(';', start);
-        if (semi == std::string::npos) semi = times_spec.size();
-        if (semi > start) {
-          const Param p{"times", times_spec.substr(start, semi - start)};
-          const SimTime t = ParseU64OrAbort(options.params, p);
-          if (index % options.num_streams == options.stream) {
-            schedule_.push_back(t);
-          }
-          ++index;
+      size_t index = 0;
+      for (const std::string& offset : Split(times_spec, ';')) {
+        const SimTime t =
+            OrAbort(options.params, ParseUint(Param{"times", offset}));
+        if (index++ % options.num_streams == options.stream) {
+          schedule_.push_back(t);
         }
-        start = semi + 1;
       }
     }
     std::sort(schedule_.begin(), schedule_.end());
@@ -258,30 +215,7 @@ class TraceArrival : public ArrivalProcess {
 
 }  // namespace
 
-void ArrivalRegistry::Register(std::string name, Factory factory) {
-  factories_[std::move(name)] = std::move(factory);
-}
-
-std::unique_ptr<ArrivalProcess> ArrivalRegistry::Create(
-    const std::string& name, const ArrivalOptions& options) const {
-  auto it = factories_.find(name);
-  return it == factories_.end() ? nullptr : it->second(options);
-}
-
-bool ArrivalRegistry::Contains(const std::string& name) const {
-  return factories_.count(name) > 0;
-}
-
-std::vector<std::string> ArrivalRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
-
 ArrivalRegistry& ArrivalRegistry::Global() {
-  // Leaked singleton (no destruction-order issues), preloaded with the
-  // built-ins — the WorkloadRegistry idiom.
   static ArrivalRegistry* registry = [] {
     auto* r = new ArrivalRegistry();
     r->Register("poisson", [](const ArrivalOptions& o) {

@@ -5,8 +5,8 @@
 // drawing all randomness from a caller-owned seeded Rng so the same seed
 // always produces the same arrival schedule (determinism_test pins
 // open-loop cluster runs to the same byte-identical bar as closed-loop
-// ones). Processes register by name in ArrivalRegistry, mirroring
-// WorkloadRegistry / PlacementRegistry / StoreRegistry:
+// ones). Processes register by name in ArrivalRegistry
+// (common/registry.h):
 //
 //   "poisson"  memoryless arrivals at the configured mean rate — the
 //              classic open-loop load model.
@@ -31,12 +31,10 @@
 #define THUNDERBOLT_SVC_ARRIVAL_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "common/registry.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -74,31 +72,14 @@ class ArrivalProcess {
   virtual SimTime NextArrival(SimTime now, Rng& rng) = 0;
 };
 
-/// String-keyed factory registry over ArrivalOptions, preloaded with the
-/// built-ins ("poisson", "burst", "trace").
-class ArrivalRegistry {
+/// Name -> factory registry over ArrivalOptions (common/registry.h),
+/// preloaded with the built-ins ("poisson", "burst", "trace"). Factories
+/// abort on malformed params (see ArrivalOptions::params).
+class ArrivalRegistry
+    : public FactoryRegistry<ArrivalProcess, const ArrivalOptions&> {
  public:
-  using Factory =
-      std::function<std::unique_ptr<ArrivalProcess>(const ArrivalOptions&)>;
-
-  /// Registers `factory` under `name`. Overwrites any existing entry.
-  void Register(std::string name, Factory factory);
-
-  /// Instantiates the named process, or nullptr for unknown names.
-  /// Factories abort on malformed params (see ArrivalOptions::params).
-  std::unique_ptr<ArrivalProcess> Create(const std::string& name,
-                                         const ArrivalOptions& options) const;
-
-  bool Contains(const std::string& name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
   /// The process-wide registry, preloaded with the built-ins.
   static ArrivalRegistry& Global();
-
- private:
-  std::map<std::string, Factory> factories_;
 };
 
 }  // namespace thunderbolt::svc

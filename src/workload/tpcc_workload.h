@@ -94,8 +94,6 @@ class TpccLiteWorkload final : public Workload {
   /// district ytd == sum of all customer ytd_payment.
   Status CheckInvariant(const storage::KVStore& store) const override;
 
-  uint64_t num_customers() const { return num_customers_; }
-
  protected:
   void RebuildShardBuckets() override;
 

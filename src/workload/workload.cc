@@ -1,9 +1,10 @@
 #include "workload/workload.h"
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
+#include <limits>
+#include <type_traits>
 
+#include "common/params.h"
 #include "common/result.h"
 #include "workload/smallbank_workload.h"
 #include "workload/tpcc_workload.h"
@@ -13,69 +14,23 @@ namespace thunderbolt::workload {
 
 namespace {
 
-/// One "key=value" assignment from a param spec.
-struct Param {
-  std::string key;
-  std::string value;
-};
-
-Result<std::vector<Param>> SplitParams(const std::string& spec) {
-  std::vector<Param> params;
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    if (comma > start) {
-      std::string item = spec.substr(start, comma - start);
-      size_t eq = item.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == item.size()) {
-        return Status::InvalidArgument("workload param \"" + item +
-                                       "\" is not key=value");
-      }
-      params.push_back(Param{item.substr(0, eq), item.substr(eq + 1)});
-    }
-    start = comma + 1;
-  }
-  return params;
+Status Prefixed(const Status& error) {
+  return Status::InvalidArgument("workload param " + error.message());
 }
 
-Status ParseDouble(const Param& p, double* out) {
-  char* end = nullptr;
-  double v = std::strtod(p.value.c_str(), &end);
-  if (end == p.value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("workload param " + p.key +
-                                   ": bad number \"" + p.value + "\"");
+/// Parses `p` into `*out` by the field's type; a 32-bit field rejects
+/// larger values.
+template <typename T>
+Status Set(const Param& p, T* out) {
+  if constexpr (std::is_floating_point_v<T>) {
+    const Result<double> v = ParseDouble(p);
+    if (!v.ok()) return Prefixed(v.status());
+    *out = *v;
+  } else {
+    const Result<uint64_t> v = ParseUint(p, std::numeric_limits<T>::max());
+    if (!v.ok()) return Prefixed(v.status());
+    *out = static_cast<T>(*v);
   }
-  *out = v;
-  return Status::OK();
-}
-
-Status ParseU64(const Param& p, uint64_t* out) {
-  // strtoull silently wraps negative input ("-1" -> 2^64-1), which would
-  // turn a typo into an absurd population size; reject any sign up front.
-  if (p.value[0] == '-' || p.value[0] == '+') {
-    return Status::InvalidArgument("workload param " + p.key +
-                                   ": bad integer \"" + p.value + "\"");
-  }
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(p.value.c_str(), &end, 10);
-  if (end == p.value.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("workload param " + p.key +
-                                   ": bad integer \"" + p.value + "\"");
-  }
-  *out = v;
-  return Status::OK();
-}
-
-Status ParseU32(const Param& p, uint32_t* out) {
-  uint64_t v = 0;
-  THUNDERBOLT_RETURN_NOT_OK(ParseU64(p, &v));
-  if (v > UINT32_MAX) {
-    return Status::InvalidArgument("workload param " + p.key + ": \"" +
-                                   p.value + "\" exceeds 32 bits");
-  }
-  *out = static_cast<uint32_t>(v);
   return Status::OK();
 }
 
@@ -102,20 +57,21 @@ std::shared_ptr<placement::PlacementPolicy> InstallPlacement(
 }
 
 Status ApplyWorkloadParams(const std::string& spec, WorkloadOptions* options) {
-  THUNDERBOLT_ASSIGN_OR_RETURN(std::vector<Param> params, SplitParams(spec));
-  for (const Param& p : params) {
+  const Result<std::vector<Param>> params = ParseParams(spec);
+  if (!params.ok()) return Prefixed(params.status());
+  for (const Param& p : *params) {
     if (p.key == "num_records" || p.key == "num_accounts") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseU64(p, &options->num_records));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->num_records));
     } else if (p.key == "theta") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseDouble(p, &options->theta));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->theta));
     } else if (p.key == "read_ratio") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseDouble(p, &options->read_ratio));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->read_ratio));
     } else if (p.key == "cross_shard_ratio") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseDouble(p, &options->cross_shard_ratio));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->cross_shard_ratio));
     } else if (p.key == "num_shards") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseU32(p, &options->num_shards));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->num_shards));
     } else if (p.key == "seed") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseU64(p, &options->seed));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->seed));
     } else if (p.key == "distribution") {
       // Validate eagerly: YcsbWorkload would silently fall back to
       // zipfian on a typo.
@@ -127,23 +83,21 @@ Status ApplyWorkloadParams(const std::string& spec, WorkloadOptions* options) {
       }
       options->distribution = p.value;
     } else if (p.key == "update_ratio") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseDouble(p, &options->update_ratio));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->update_ratio));
     } else if (p.key == "hotspot_op_fraction") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseDouble(p, &options->hotspot_op_fraction));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->hotspot_op_fraction));
     } else if (p.key == "hotspot_set_fraction") {
-      THUNDERBOLT_RETURN_NOT_OK(
-          ParseDouble(p, &options->hotspot_set_fraction));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->hotspot_set_fraction));
     } else if (p.key == "num_warehouses") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseU32(p, &options->num_warehouses));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->num_warehouses));
     } else if (p.key == "districts_per_warehouse") {
-      THUNDERBOLT_RETURN_NOT_OK(
-          ParseU32(p, &options->districts_per_warehouse));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->districts_per_warehouse));
     } else if (p.key == "customers_per_district") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseU32(p, &options->customers_per_district));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->customers_per_district));
     } else if (p.key == "num_items") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseU32(p, &options->num_items));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->num_items));
     } else if (p.key == "payment_ratio") {
-      THUNDERBOLT_RETURN_NOT_OK(ParseDouble(p, &options->payment_ratio));
+      THUNDERBOLT_RETURN_NOT_OK(Set(p, &options->payment_ratio));
     } else {
       return Status::InvalidArgument("unknown workload param \"" + p.key +
                                      "\"");
@@ -167,30 +121,7 @@ std::vector<txn::Transaction> Workload::MakeShardBatch(ShardId shard,
   return batch;
 }
 
-void WorkloadRegistry::Register(std::string name, Factory factory) {
-  factories_[std::move(name)] = std::move(factory);
-}
-
-std::unique_ptr<Workload> WorkloadRegistry::Create(
-    const std::string& name, const WorkloadOptions& options) const {
-  auto it = factories_.find(name);
-  return it == factories_.end() ? nullptr : it->second(options);
-}
-
-bool WorkloadRegistry::Contains(const std::string& name) const {
-  return factories_.find(name) != factories_.end();
-}
-
-std::vector<std::string> WorkloadRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
-
 WorkloadRegistry& WorkloadRegistry::Global() {
-  // Built-ins register here (not via static initializers, which static
-  // libraries would dead-strip).
   static WorkloadRegistry* registry = [] {
     auto* r = new WorkloadRegistry();
     r->Register("smallbank", [](const WorkloadOptions& options) {

@@ -18,12 +18,11 @@
 #define THUNDERBOLT_WORKLOAD_WORKLOAD_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/registry.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "placement/placement.h"
@@ -166,30 +165,14 @@ std::shared_ptr<placement::PlacementPolicy> InstallPlacement(
 /// values; an empty spec is a no-op.
 Status ApplyWorkloadParams(const std::string& spec, WorkloadOptions* options);
 
-/// Name -> factory registry. `Global()` is preloaded with the built-in
-/// workloads; additional workloads can register at startup.
-class WorkloadRegistry {
+/// Name -> factory registry (common/registry.h). `Global()` is preloaded
+/// with the built-in workloads; additional workloads can register at
+/// startup.
+class WorkloadRegistry
+    : public FactoryRegistry<Workload, const WorkloadOptions&> {
  public:
-  using Factory =
-      std::function<std::unique_ptr<Workload>(const WorkloadOptions&)>;
-
-  /// Registers `factory` under `name`. Overwrites any existing entry.
-  void Register(std::string name, Factory factory);
-
-  /// Instantiates the named workload, or nullptr for unknown names.
-  std::unique_ptr<Workload> Create(const std::string& name,
-                                   const WorkloadOptions& options) const;
-
-  bool Contains(const std::string& name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
   /// The process-wide registry, preloaded with the built-ins.
   static WorkloadRegistry& Global();
-
- private:
-  std::map<std::string, Factory> factories_;
 };
 
 }  // namespace thunderbolt::workload

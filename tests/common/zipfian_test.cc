@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/histogram.h"
@@ -99,6 +101,61 @@ TEST(HistogramTest, Percentiles) {
   EXPECT_NEAR(h.Percentile(99), 99.01, 0.1);
   EXPECT_EQ(h.Min(), 1);
   EXPECT_EQ(h.Max(), 100);
+}
+
+// The percentile a fully sorted copy gives: linear interpolation between
+// the two nearest ranks (the definition Histogram::Percentile implements by
+// selection).
+double SortedPercentile(const std::vector<double>& sorted, double p) {
+  if (p <= 0) return sorted.front();
+  if (p >= 100) return sorted.back();
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(std::floor(rank));
+  const size_t hi = static_cast<size_t>(std::ceil(rank));
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+void ExpectMatchesSortedReference(const Histogram& h) {
+  std::vector<double> sorted = h.samples();
+  std::sort(sorted.begin(), sorted.end());
+  for (double p : {0.0, 0.1, 1.0, 37.5, 50.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(h.Percentile(p), SortedPercentile(sorted, p)) << "p" << p;
+  }
+  EXPECT_EQ(h.Median(), SortedPercentile(sorted, 50.0));
+  EXPECT_EQ(h.Min(), sorted.front());
+  EXPECT_EQ(h.Max(), sorted.back());
+}
+
+// Shuffled input with ties: selection must return exactly the doubles a
+// full sort returns, also after Merge, and Clear must empty the histogram.
+TEST(HistogramTest, SelectionMatchesSortedReference) {
+  Rng rng(20261018);
+  Histogram a, b;
+  for (int i = 0; i < 1001; ++i) {
+    // Half the samples repeat from a small integer range.
+    const double v = i % 2 == 0 ? rng.NextDouble() * 1e4
+                                : static_cast<double>(rng.NextBounded(50));
+    a.Add(v);
+  }
+  for (int i = 0; i < 333; ++i) b.Add(rng.NextDouble() * 2e4 - 5e3);
+  const std::vector<double> insertion_order = a.samples();
+  ExpectMatchesSortedReference(a);
+  ExpectMatchesSortedReference(b);
+  EXPECT_EQ(a.samples(), insertion_order);  // Queries never reorder.
+
+  a.Merge(b);
+  ASSERT_EQ(a.Count(), 1334u);
+  ExpectMatchesSortedReference(a);
+
+  a.Clear();
+  EXPECT_EQ(a.Count(), 0u);
+  EXPECT_EQ(a.Sum(), 0.0);
+  EXPECT_EQ(a.Percentile(50), 0.0);
+  EXPECT_EQ(a.Min(), 0.0);
+  EXPECT_EQ(a.Max(), 0.0);
+  a.Add(3.0);
+  ExpectMatchesSortedReference(a);
 }
 
 TEST(HistogramTest, EmptyIsZero) {

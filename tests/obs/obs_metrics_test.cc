@@ -157,7 +157,7 @@ TEST(LabeledMetricsTest, LabelSetsResolveToDistinctStableEntries) {
 }
 
 // The registry snapshots histograms through const references; these
-// queries must be genuinely const: they sort a cache, never samples_.
+// queries must be genuinely const: they select on a copy, never samples_.
 TEST(HistogramConstQueryTest, QueriesDoNotReorderSamples) {
   Histogram h;
   h.Add(3.0);
@@ -173,7 +173,7 @@ TEST(HistogramConstQueryTest, QueriesDoNotReorderSamples) {
   EXPECT_DOUBLE_EQ(view.samples()[0], 3.0);
   EXPECT_DOUBLE_EQ(view.samples()[1], 1.0);
   EXPECT_DOUBLE_EQ(view.samples()[2], 2.0);
-  // The cache invalidates on mutation: new samples show up in queries.
+  // New samples show up in later queries.
   h.Add(0.5);
   EXPECT_DOUBLE_EQ(view.Min(), 0.5);
   EXPECT_DOUBLE_EQ(view.samples().back(), 0.5);

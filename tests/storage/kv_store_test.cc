@@ -222,6 +222,23 @@ TEST(StoreRegistryTest, SpecSyntaxResolvesBaseNameAndParams) {
   EXPECT_EQ(registry.Create("wal:fsycn=1"), nullptr);
 }
 
+TEST(StoreRegistryTest, MalformedParamValuesAreRejected) {
+  StoreRegistry& registry = StoreRegistry::Global();
+  // A malformed value must not fall back to a silent default (capacity 1,
+  // checkpoints off, group commit 1, or fsync off, a durability setting).
+  for (const char* spec :
+       {"cached:capacity=abc", "wal:checkpoint_every=x", "wal:group_commit=x",
+        "wal:fsync=yes", "cached:capacity=-1", "wal:group_commit=4x",
+        "wal:fsync=", "wal:fsync"}) {
+    EXPECT_EQ(registry.Create(spec), nullptr) << spec;
+  }
+  for (const char* spec : {"cached:capacity=0", "wal:checkpoint_every=0",
+                           "wal:fsync=0", "wal:fsync=false",
+                           "wal:group_commit=2,fsync=true"}) {
+    EXPECT_NE(registry.Create(spec), nullptr) << spec;
+  }
+}
+
 TEST(StoreRegistryTest, ParseStoreParamsSplitsPairsAndNestsInner) {
   auto params = ParseStoreParams("capacity=16,inner=wal:group_commit=2");
   ASSERT_EQ(params.size(), 2u);
