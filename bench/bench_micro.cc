@@ -4,13 +4,15 @@
 // (not the simulated system) — useful for tracking regressions.
 //
 // This file replaces the global operator new/delete with a counting
-// malloc/free pair, so BM_CcBatch, BM_Validation and BM_CrossShardExecute
-// can report heap allocations per transaction (the allocs_per_txn counter).
+// malloc/free pair, so BM_CcBatch, BM_Validation, BM_CrossShardExecute and
+// BM_PendingCrossIndex can report heap allocations per transaction (the
+// allocs_per_txn counter).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "baselines/serial_executor.h"
 #include "ce/concurrency_controller.h"
@@ -18,6 +20,8 @@
 #include "common/sha256_kernels.h"
 #include "contract/contract.h"
 #include "core/cross_shard_executor.h"
+#include "core/payload.h"
+#include "core/pending_cross_index.h"
 #include "core/validator.h"
 #include "crypto/signature.h"
 #include "obs/metrics.h"
@@ -507,6 +511,60 @@ void BM_CrossShardExecute(benchmark::State& state) {
                           batch_size);
 }
 BENCHMARK(BM_CrossShardExecute)->Arg(500);
+
+void BM_PendingCrossIndex(benchmark::State& state) {
+  // Real-time cost of the rule-P4 index on the OE path: 8 replicas'
+  // indexes over one AccountIdTable, each receiving a run of 150-transaction
+  // cross-shard SmallBank payloads and then committing them. The payloads'
+  // account ids are interned before the count and the timed loop, as the
+  // first replica to receive a block does for the rest. allocs_per_txn is
+  // per transaction per replica, counted over one run after a first run
+  // has grown the indexes.
+  constexpr int kReplicas = 8;
+  constexpr int kPayloads = 16;
+  constexpr uint32_t kTxnsPerPayload = 150;
+  workload::SmallBankConfig wc;
+  wc.num_accounts = 1000;
+  wc.theta = 0.85;
+  wc.cross_shard_ratio = 1.0;
+  wc.num_shards = 4;
+  wc.seed = 7;
+  workload::SmallBankWorkload w(wc);
+  core::AccountIdTable accounts;
+  std::vector<core::ThunderboltPayload> payloads(kPayloads);
+  for (core::ThunderboltPayload& payload : payloads) {
+    for (uint32_t i = 0; i < kTxnsPerPayload; ++i) {
+      payload.cross_shard.push_back(w.NextForShard(i % wc.num_shards));
+    }
+    payload.CrossAccountIds(&accounts);
+  }
+  std::vector<core::PendingCrossIndex> replicas(
+      kReplicas, core::PendingCrossIndex(&accounts));
+  auto run = [&] {
+    for (core::PendingCrossIndex& index : replicas) {
+      for (const core::ThunderboltPayload& payload : payloads) {
+        index.Add(payload);
+      }
+      for (const core::ThunderboltPayload& payload : payloads) {
+        index.Release(payload);
+      }
+    }
+  };
+  run();
+  const uint64_t txn_events =
+      static_cast<uint64_t>(kReplicas) * kPayloads * kTxnsPerPayload;
+  const uint64_t allocs = CountAllocations(run);
+  state.counters["allocs_per_txn"] =
+      static_cast<double>(allocs) / static_cast<double>(txn_events);
+  for (auto _ : state) {
+    run();
+    benchmark::DoNotOptimize(replicas.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(txn_events));
+}
+BENCHMARK(BM_PendingCrossIndex);
 
 }  // namespace
 }  // namespace thunderbolt

@@ -451,9 +451,11 @@ inline constexpr const char* kPlacementFlags =
 
 /// Shared `--placement <name>` / `--placement-params <k=v,...>` handling
 /// for every bench binary: validates the policy name against
-/// placement::PlacementRegistry::Global() and exits with code 2 on a typo
-/// (mirroring the workload flag — a typo must not silently bench the
-/// default placement).
+/// placement::PlacementRegistry::Global() and the params against that
+/// policy (placement::CheckPlacementParams; the shard count is not known
+/// here), and exits with code 2 on either error (mirroring the workload
+/// flag — a typo must not silently bench the default placement or abort
+/// the driver in the policy factory).
 inline PlacementSelection PlacementFromFlags(int argc, char** argv) {
   PlacementSelection selection;
   std::string name = FlagValue(argc, argv, "placement");
@@ -465,6 +467,18 @@ inline PlacementSelection PlacementFromFlags(int argc, char** argv) {
     selection.policy = name;
   }
   selection.params = FlagValue(argc, argv, "placement-params");
+  placement::PlacementOptions options;
+  options.num_shards = 0;
+  options.params = selection.params;
+  const Status valid =
+      placement::CheckPlacementParams(selection.policy, options);
+  if (!valid.ok()) {
+    std::fprintf(stderr,
+                 "bad --placement-params \"%s\" for placement %s: %s\n",
+                 selection.params.c_str(), selection.policy.c_str(),
+                 valid.message().c_str());
+    std::exit(2);
+  }
   return selection;
 }
 
@@ -561,9 +575,11 @@ inline constexpr const char* kServiceFlags =
 /// remaining knobs refine it. Optional extras: `--limiter-rate <tps>` /
 /// `--limiter-burst <tokens>` (token bucket ahead of the queues) and
 /// `--codel-target-us <us>`. Validates the arrival name against
-/// svc::ArrivalRegistry and the policy against ParseAdmissionPolicy,
+/// svc::ArrivalRegistry, the arrival params against that process
+/// (svc::CheckArrivalParams) and the policy against ParseAdmissionPolicy,
 /// exiting with code 2 on a typo (mirroring --workload/--placement — a
-/// typo must not silently bench the closed loop).
+/// typo must not silently bench the closed loop or abort the driver in the
+/// arrival factory).
 inline ServiceSelection ServiceFromFlags(int argc, char** argv) {
   ServiceSelection selection;
   const std::string arrival = FlagValue(argc, argv, "arrival");
@@ -578,6 +594,17 @@ inline ServiceSelection ServiceFromFlags(int argc, char** argv) {
   selection.config.arrival_params = FlagValue(argc, argv, "arrival-params");
   if (!rate.empty()) {
     selection.config.rate_tps = PositiveFlag<double>("rate", rate);
+  }
+  svc::ArrivalOptions arrival_options;
+  arrival_options.rate_tps = selection.config.rate_tps;
+  arrival_options.params = selection.config.arrival_params;
+  const Status valid =
+      svc::CheckArrivalParams(selection.config.arrival, arrival_options);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "bad --arrival-params \"%s\" for arrival %s: %s\n",
+                 selection.config.arrival_params.c_str(),
+                 selection.config.arrival.c_str(), valid.message().c_str());
+    std::exit(2);
   }
   const std::string admission = FlagValue(argc, argv, "admission");
   if (!admission.empty()) {

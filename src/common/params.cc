@@ -29,6 +29,14 @@ Result<std::vector<Param>> ParseParams(const std::string& spec) {
   return params;
 }
 
+Status CheckNoParams(const std::string& owner, const std::string& spec) {
+  THUNDERBOLT_ASSIGN_OR_RETURN(const std::vector<Param> params,
+                               ParseParams(spec));
+  if (params.empty()) return Status::OK();
+  return Status::InvalidArgument(owner + ": unknown key \"" +
+                                 params.front().key + "\"");
+}
+
 Result<uint64_t> ParseUint(const Param& param, uint64_t max) {
   const std::string& text = param.value;
   // strtoull would skip blanks and wrap a '-' ("-1" -> 2^64-1), turning a

@@ -29,6 +29,10 @@ std::vector<std::string> Split(const std::string& text, char sep);
 /// "k=v=w" assigns "v=w".
 Result<std::vector<Param>> ParseParams(const std::string& spec);
 
+/// OK when `spec` parses and assigns nothing, for an `owner` that takes no
+/// params; otherwise the parse error or "<owner>: unknown key "<key>"".
+Status CheckNoParams(const std::string& owner, const std::string& spec);
+
 /// `param.value` as a decimal integer in [0, max]. It must start with a
 /// digit (no sign, no blank) and have no trailing characters.
 Result<uint64_t> ParseUint(const Param& param, uint64_t max = UINT64_MAX);

@@ -127,6 +127,11 @@ class Cluster {
   /// The placement policy every node maps accounts through (mutated only
   /// at reconfiguration boundaries by hot-key migration).
   const placement::PlacementPolicy& placement() const { return *placement_; }
+  /// The current epoch's remote-access counters. Recorded only when the
+  /// placement policy consumes them (directory); empty under any other.
+  const placement::AccessTracker& access_tracker() const {
+    return shared_->access_tracker;
+  }
   /// Hot-key migrations applied since construction, in order.
   const std::vector<placement::MigrationEvent>& migration_events() const {
     return shared_->migration_events;

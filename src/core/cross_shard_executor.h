@@ -18,10 +18,17 @@
 // Execution runs by pointer: ExecuteInPlace runs each transaction where it
 // lies (the commit path passes the committed blocks' own transactions)
 // through baselines::ExecuteSerialOne, which builds no TxnRecord, since
-// nothing here reads one.
+// nothing here reads one. The account queues are keyed by dense account
+// id: the commit path passes the ids its payloads already cache for the P4
+// index (ThunderboltPayload::CrossAccountIds), and the queues live in a
+// flat array kept across calls, of which each call resets only the entries
+// it touched. Remote accesses are recorded into an AccessTracker only when
+// the caller passes one, which the commit path does only for placement
+// policies whose Rebalance reads it (directory).
 #ifndef THUNDERBOLT_CORE_CROSS_SHARD_EXECUTOR_H_
 #define THUNDERBOLT_CORE_CROSS_SHARD_EXECUTOR_H_
 
+#include <limits>
 #include <vector>
 
 #include "common/types.h"
@@ -61,29 +68,47 @@ class CrossShardExecutor {
 
   /// Executes the transactions `txs` points at (already in consensus commit
   /// order) against `store`, mutating it exactly as serial commit-order
-  /// execution would.
+  /// execution would. `account_ids` holds dense ids for their accounts,
+  /// flattened in order: the ids of txs[t] follow those of txs[0..t-1], one
+  /// per entry of its `accounts` (the layout of
+  /// ThunderboltPayload::CrossAccountIds). Equal ids must mean equal
+  /// accounts; the ids only key the queues.
   ///
   /// With a mapper configured and `home_shards` given (one entry per
   /// transaction: the shard the transaction is anchored at), every account
-  /// an execution reaches outside its home shard is counted into `tracker`
-  /// — the per-shard access counters PlacementPolicy::Rebalance consults
-  /// at the next reconfiguration boundary.
+  /// an execution reaches outside its home shard is counted in
+  /// `remote_accesses`, and into `tracker` when given — the per-shard
+  /// access counters PlacementPolicy::Rebalance consults at the next
+  /// reconfiguration boundary.
+  ///
+  /// Reuses queue storage across calls, so one executor must not run two
+  /// batches at once.
   CrossShardResult ExecuteInPlace(
-      const std::vector<const txn::Transaction*>& txs, storage::KVStore* store,
+      const std::vector<const txn::Transaction*>& txs,
+      const std::vector<uint32_t>& account_ids, storage::KVStore* store,
       const std::vector<ShardId>* home_shards = nullptr,
       placement::AccessTracker* tracker = nullptr) const;
 
-  /// ExecuteInPlace over a batch held by value.
+  /// ExecuteInPlace over a batch held by value, with account ids interned
+  /// for this batch alone.
   CrossShardResult Execute(const std::vector<txn::Transaction>& txs,
                            storage::KVStore* store,
                            const std::vector<ShardId>* home_shards = nullptr,
                            placement::AccessTracker* tracker = nullptr) const;
 
  private:
+  /// A queue no transaction of the current batch has reached yet.
+  static constexpr SimTime kIdle = std::numeric_limits<SimTime>::max();
+
   const contract::Registry* registry_;
   SimTime op_cost_;
   uint32_t num_workers_;
   const txn::ShardMapper* mapper_;
+  /// Finish time of each account's queue, by account id; kIdle between
+  /// calls. Grows to the largest id seen and is never refilled whole.
+  mutable std::vector<SimTime> queue_;
+  /// The ids the current call took out of kIdle, reset when it returns.
+  mutable std::vector<uint32_t> touched_;
 };
 
 }  // namespace thunderbolt::core

@@ -435,7 +435,6 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
 
   const Hash256 leader_digest = sub_dag.leader->Digest();
 
-  std::vector<const txn::Transaction*> crosses;
   std::vector<std::pair<const ThunderboltPayload*, const dag::BlockPtr*>>
       ordered;
   for (const dag::BlockPtr& block : sub_dag.blocks) {
@@ -535,15 +534,14 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
 
   // Pass 2: cross-shard transactions (and Tusk raw transactions), in
   // sub-DAG order, after all single-shard sections (rule P2).
+  size_t num_crosses = 0;
   for (auto& [payload, block_ptr] : ordered) {
     (void)block_ptr;
-    for (const txn::Transaction& tx : payload->cross_shard) {
-      crosses.push_back(&tx);
-    }
+    num_crosses += payload->cross_shard.size();
     pending_cross_.Release(*payload);
   }
 
-  if (!crosses.empty()) {
+  if (num_crosses > 0) {
     SharedClusterState::CrossOutcome cross_outcome;
     auto memo = shared_->cross_outcomes.find(leader_digest);
     if (memo != shared_->cross_outcomes.end()) {
@@ -551,6 +549,14 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
     } else {
       // Both paths execute the committed blocks' own transactions, in
       // place, and build no records.
+      std::vector<const txn::Transaction*> crosses;
+      crosses.reserve(num_crosses);
+      for (auto& [payload, block_ptr] : ordered) {
+        (void)block_ptr;
+        for (const txn::Transaction& tx : payload->cross_shard) {
+          crosses.push_back(&tx);
+        }
+      }
       if (config_.mode == ExecutionMode::kTusk) {
         // Serial post-consensus execution.
         uint64_t ops = 0;
@@ -561,17 +567,26 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
         cross_outcome.executed = crosses.size();
         cross_outcome.duration = ops * config_.exec_costs.op_cost;
       } else {
-        // Home shards anchor the remote-access counters hot-key migration
-        // ranks on: an account pulled in by a transaction homed elsewhere
-        // is remote traffic its placement could have avoided.
+        // The account queues key on the ids the payloads cached for the
+        // P4 index. Home shards anchor the remote-access counters hot-key
+        // migration ranks on: an account pulled in by a transaction homed
+        // elsewhere is remote traffic its placement could have avoided.
+        std::vector<uint32_t> account_ids;
+        for (auto& [payload, block_ptr] : ordered) {
+          (void)block_ptr;
+          const std::vector<uint32_t>& ids =
+              payload->CrossAccountIds(&shared_->account_ids);
+          account_ids.insert(account_ids.end(), ids.begin(), ids.end());
+        }
         std::vector<ShardId> homes;
         homes.reserve(crosses.size());
         for (const txn::Transaction* tx : crosses) {
           homes.push_back(workload_->HomeShard(*tx));
         }
         CrossShardResult r = cross_executor_.ExecuteInPlace(
-            crosses, shared_->canonical.get(), &homes,
-            &shared_->access_tracker);
+            crosses, account_ids, shared_->canonical.get(), &homes,
+            placement_->ConsumesAccessTracker() ? &shared_->access_tracker
+                                                : nullptr);
         cross_outcome.executed = r.executed;
         cross_outcome.remote_accesses = r.remote_accesses;
         cross_outcome.duration = r.duration;
@@ -595,28 +610,31 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
         // (= txn id) and a flow-event chain (start -> step... -> end), so
         // Perfetto draws the cross-shard commit as arrows between the
         // participant shards' tracks.
-        for (const txn::Transaction* tx : crosses) {
-          const std::vector<ShardId> participants =
-              workload_->mapper().ShardsOf(*tx);
-          for (size_t i = 0; i < participants.size(); ++i) {
-            obs::TraceEvent hold;
-            hold.kind = obs::EventKind::kCrossHoldSpan;
-            hold.pid = participants[i];
-            hold.ts_us = start + cost;
-            hold.dur_us = cross_outcome.duration;
-            hold.txn = tx->id;
-            hold.a = i;
-            hold.b = participants.size();
-            hold.trace_id = tx->id;
-            hold.span_id = i + 1;
-            hold.parent_id = i == 0 ? 0 : 1;
-            if (participants.size() > 1) {
-              hold.flow = i == 0 ? obs::FlowPhase::kStart
-                          : i + 1 == participants.size()
-                              ? obs::FlowPhase::kEnd
-                              : obs::FlowPhase::kStep;
+        for (auto& [payload, block_ptr] : ordered) {
+          (void)block_ptr;
+          for (const txn::Transaction& tx : payload->cross_shard) {
+            const std::vector<ShardId> participants =
+                workload_->mapper().ShardsOf(tx);
+            for (size_t i = 0; i < participants.size(); ++i) {
+              obs::TraceEvent hold;
+              hold.kind = obs::EventKind::kCrossHoldSpan;
+              hold.pid = participants[i];
+              hold.ts_us = start + cost;
+              hold.dur_us = cross_outcome.duration;
+              hold.txn = tx.id;
+              hold.a = i;
+              hold.b = participants.size();
+              hold.trace_id = tx.id;
+              hold.span_id = i + 1;
+              hold.parent_id = i == 0 ? 0 : 1;
+              if (participants.size() > 1) {
+                hold.flow = i == 0 ? obs::FlowPhase::kStart
+                            : i + 1 == participants.size()
+                                ? obs::FlowPhase::kEnd
+                                : obs::FlowPhase::kStep;
+              }
+              tracer.Record(hold);
             }
-            tracer.Record(hold);
           }
         }
       }

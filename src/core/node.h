@@ -115,7 +115,9 @@ struct SharedClusterState {
   AccountIdTable account_ids;
   /// Remote-access counters for the current epoch, recorded by the first
   /// replica to execute each committed cross-shard batch and consumed by
-  /// PlacementPolicy::Rebalance at the next reconfiguration boundary.
+  /// PlacementPolicy::Rebalance at the next reconfiguration boundary. Only
+  /// a policy that reads them (PlacementPolicy::ConsumesAccessTracker,
+  /// i.e. directory) gets them recorded; under any other it stays empty.
   placement::AccessTracker access_tracker;
   /// Epochs whose boundary rebalance already ran (the first replica to
   /// enter an epoch performs the deterministic migration; peers share the
@@ -261,10 +263,14 @@ class ThunderboltNode {
   // only kThunderbolt maintains it. An id is enough: TxnIds are unique (one
   // shared Workload counter), and a replica receives every block before it
   // commits it, so OnCommit releases the committed transaction's own
-  // accounts. Reconfigure clears it with the old DAG. The counts are kept
-  // by dense account id (shared_->account_ids), read from each payload's
-  // shared id cache; the events that move them are this replica's own, so
-  // P4 decides exactly as with per-replica account strings.
+  // accounts. Reconfigure clears it with the old DAG. The pending TxnIds
+  // sit in a flat open-addressing table (TxnIdSet) that keeps its capacity,
+  // so receiving and committing allocate nothing per transaction. The
+  // counts are kept by dense account id (shared_->account_ids), read from
+  // each payload's shared id cache, which the cross-shard executor's
+  // account queues key on too; the events that move them are this
+  // replica's own, so P4 decides exactly as with per-replica account
+  // strings.
   PendingCrossIndex pending_cross_;
 
   // Preplay overlay: own-shard speculative writes from in-flight blocks.

@@ -27,8 +27,8 @@ T OrAbort(const std::string& spec, Result<T> parsed) {
   return std::move(parsed).value();
 }
 
-std::vector<Param> ParamsOrAbort(const std::string& spec) {
-  return OrAbort(spec, ParseParams(spec));
+void OrAbort(const std::string& spec, const Status& status) {
+  if (!status.ok()) AbortBadParams(spec, status.message());
 }
 
 uint32_t ParseShardCount(uint32_t num_shards) {
@@ -254,15 +254,25 @@ Result<std::unique_ptr<DirectoryPlacement>> DirectoryPlacement::Deserialize(
   if (eol == std::string::npos) {
     return Status::InvalidArgument("directory: missing header line");
   }
-  uint32_t num_shards = 0, top_k = 0, max_entries = kDefaultMaxEntries;
-  // The third header field (max_entries) arrived with dictionary
-  // bounding; two-field headers from older serializations still parse.
-  int fields = std::sscanf(data.substr(0, eol).c_str(), "directory %u %u %u",
-                           &num_shards, &top_k, &max_entries);
-  if (fields < 2 || num_shards == 0) {
-    return Status::InvalidArgument("directory: bad header \"" +
-                                   data.substr(0, eol) + "\"");
+  // "directory <num_shards> <top_k> <max_entries>". The third number
+  // (max_entries) arrived with dictionary bounding; two-number headers from
+  // older serializations still parse.
+  const std::string header = data.substr(0, eol);
+  const Status bad_header =
+      Status::InvalidArgument("directory: bad header \"" + header + "\"");
+  const std::vector<std::string> fields = Split(header, ' ');
+  if (fields.size() < 3 || fields.size() > 4 || fields[0] != "directory") {
+    return bad_header;
   }
+  uint32_t numbers[3] = {0, 0, kDefaultMaxEntries};
+  for (size_t i = 1; i < fields.size(); ++i) {
+    Result<uint64_t> n = ParseUint(Param{"header", fields[i]}, UINT32_MAX);
+    if (!n.ok()) return bad_header;
+    numbers[i - 1] = static_cast<uint32_t>(n.value());
+  }
+  const uint32_t num_shards = numbers[0], top_k = numbers[1],
+                 max_entries = numbers[2];
+  if (num_shards == 0) return bad_header;
   auto policy =
       std::make_unique<DirectoryPlacement>(num_shards, top_k, max_entries);
   size_t start = eol + 1;
@@ -279,16 +289,16 @@ Result<std::unique_ptr<DirectoryPlacement>> DirectoryPlacement::Deserialize(
         return Status::InvalidArgument("directory: bad entry \"" + line +
                                        "\"");
       }
-      char* endp = nullptr;
-      unsigned long shard = std::strtoul(line.c_str() + colon + 1, &endp, 10);
-      if (*endp != '\0' || shard >= num_shards) {
+      const Result<uint64_t> shard =
+          ParseUint(Param{"shard", line.substr(colon + 1)}, num_shards - 1);
+      if (!shard.ok()) {
         return Status::InvalidArgument("directory: bad shard in \"" + line +
                                        "\"");
       }
       // Entries are serialized oldest-first, so re-stamping in read order
       // reconstructs the original eviction order.
       policy->directory_[line.substr(0, colon)] =
-          Pin{static_cast<ShardId>(shard), ++policy->touch_counter_};
+          Pin{static_cast<ShardId>(shard.value()), ++policy->touch_counter_};
     }
     start = end + 1;
   }
@@ -324,89 +334,132 @@ uint64_t LocalityPlacement::Fingerprint() const {
   return h.Finalize().Prefix64();
 }
 
+// --- Params ----------------------------------------------------------------
+
+namespace {
+
+struct RangeParams {
+  bool have_splits = false;
+  std::vector<std::string> splits;
+};
+
+/// "range" params; the split count is checked when `num_shards` > 0.
+Result<RangeParams> ParseRangeParams(const std::string& params,
+                                     uint32_t num_shards) {
+  THUNDERBOLT_ASSIGN_OR_RETURN(const std::vector<Param> parsed,
+                               ParseParams(params));
+  RangeParams out;
+  for (const Param& p : parsed) {
+    if (p.key != "splits") {
+      return Status::InvalidArgument("range: unknown key \"" + p.key + "\"");
+    }
+    out.splits = Split(p.value, ';');
+    out.have_splits = true;
+    if (!std::is_sorted(out.splits.begin(), out.splits.end())) {
+      return Status::InvalidArgument("splits must be sorted");
+    }
+    if (num_shards > 0 && out.splits.size() > num_shards - 1) {
+      return Status::InvalidArgument("more splits than shard boundaries");
+    }
+  }
+  return out;
+}
+
+struct DirectoryParams {
+  uint32_t top_k = DirectoryPlacement::kDefaultTopK;
+  uint32_t max_entries = DirectoryPlacement::kDefaultMaxEntries;
+  std::vector<std::pair<std::string, ShardId>> assignments;
+};
+
+/// "directory" params; assign shards are bounded when `num_shards` > 0.
+Result<DirectoryParams> ParseDirectoryParams(const std::string& params,
+                                             uint32_t num_shards) {
+  THUNDERBOLT_ASSIGN_OR_RETURN(const std::vector<Param> parsed,
+                               ParseParams(params));
+  DirectoryParams out;
+  for (const Param& p : parsed) {
+    if (p.key == "top_k") {
+      THUNDERBOLT_ASSIGN_OR_RETURN(const uint64_t top_k,
+                                   ParseUint(p, UINT32_MAX));
+      out.top_k = static_cast<uint32_t>(top_k);
+    } else if (p.key == "max_entries") {
+      THUNDERBOLT_ASSIGN_OR_RETURN(const uint64_t max_entries,
+                                   ParseUint(p, UINT32_MAX));
+      out.max_entries = static_cast<uint32_t>(max_entries);
+    } else if (p.key == "assign") {
+      for (const std::string& entry : Split(p.value, ';')) {
+        size_t colon = entry.rfind(':');
+        if (colon == std::string::npos || colon == 0 ||
+            colon + 1 == entry.size()) {
+          return Status::InvalidArgument("assign entry \"" + entry +
+                                         "\" is not account:shard");
+        }
+        const Param shard_param{"assign entry \"" + entry + "\" shard",
+                                entry.substr(colon + 1)};
+        THUNDERBOLT_ASSIGN_OR_RETURN(
+            const uint64_t shard,
+            ParseUint(shard_param, num_shards > 0 ? num_shards - 1
+                                                  : UINT32_MAX));
+        out.assignments.emplace_back(entry.substr(0, colon),
+                                     static_cast<ShardId>(shard));
+      }
+    } else {
+      return Status::InvalidArgument("directory: unknown key \"" + p.key +
+                                     "\"");
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+Status CheckPlacementParams(const std::string& name,
+                            const PlacementOptions& options) {
+  if (name == "hash" || name == "locality") {
+    return CheckNoParams(name, options.params);
+  }
+  if (name == "range") {
+    return ParseRangeParams(options.params, options.num_shards).status();
+  }
+  if (name == "directory") {
+    return ParseDirectoryParams(options.params, options.num_shards).status();
+  }
+  return Status::OK();
+}
+
 // --- PlacementRegistry ------------------------------------------------------
 
 PlacementRegistry& PlacementRegistry::Global() {
   static PlacementRegistry* registry = [] {
     auto* r = new PlacementRegistry();
     r->Register("hash", [](const PlacementOptions& options) {
-      for (const Param& p : ParamsOrAbort(options.params)) {
-        AbortBadParams(options.params, "hash: unknown key \"" + p.key + "\"");
-      }
+      OrAbort(options.params, CheckNoParams("hash", options.params));
       return std::unique_ptr<PlacementPolicy>(
           new HashPlacement(options.num_shards));
     });
     r->Register("range", [](const PlacementOptions& options) {
-      std::vector<std::string> splits;
-      bool have_splits = false;
-      for (const Param& p : ParamsOrAbort(options.params)) {
-        if (p.key == "splits") {
-          splits = Split(p.value, ';');
-          have_splits = true;
-          if (!std::is_sorted(splits.begin(), splits.end())) {
-            AbortBadParams(options.params, "splits must be sorted");
-          }
-          if (options.num_shards > 0 &&
-              splits.size() > options.num_shards - 1) {
-            AbortBadParams(options.params,
-                           "more splits than shard boundaries");
-          }
-        } else {
-          AbortBadParams(options.params,
-                         "range: unknown key \"" + p.key + "\"");
-        }
-      }
-      if (!have_splits) {
-        splits = RangePlacement::DefaultSplits(options.num_shards);
+      RangeParams range = OrAbort(
+          options.params, ParseRangeParams(options.params, options.num_shards));
+      if (!range.have_splits) {
+        range.splits = RangePlacement::DefaultSplits(options.num_shards);
       }
       return std::unique_ptr<PlacementPolicy>(
-          new RangePlacement(options.num_shards, std::move(splits)));
+          new RangePlacement(options.num_shards, std::move(range.splits)));
     });
     r->Register("directory", [](const PlacementOptions& options) {
-      const uint32_t num_shards = ParseShardCount(options.num_shards);
-      uint32_t top_k = DirectoryPlacement::kDefaultTopK;
-      uint32_t max_entries = DirectoryPlacement::kDefaultMaxEntries;
-      std::vector<std::pair<std::string, ShardId>> assignments;
-      for (const Param& p : ParamsOrAbort(options.params)) {
-        if (p.key == "top_k") {
-          top_k = static_cast<uint32_t>(
-              OrAbort(options.params, ParseUint(p, UINT32_MAX)));
-        } else if (p.key == "max_entries") {
-          max_entries = static_cast<uint32_t>(
-              OrAbort(options.params, ParseUint(p, UINT32_MAX)));
-        } else if (p.key == "assign") {
-          for (const std::string& entry : Split(p.value, ';')) {
-            size_t colon = entry.rfind(':');
-            if (colon == std::string::npos || colon == 0 ||
-                colon + 1 == entry.size()) {
-              AbortBadParams(options.params,
-                             "assign entry \"" + entry + "\" is not "
-                             "account:shard");
-            }
-            const Param shard_param{"assign entry \"" + entry + "\" shard",
-                                    entry.substr(colon + 1)};
-            const uint64_t shard = OrAbort(
-                options.params, ParseUint(shard_param, num_shards - 1));
-            assignments.emplace_back(entry.substr(0, colon),
-                                     static_cast<ShardId>(shard));
-          }
-        } else {
-          AbortBadParams(options.params,
-                         "directory: unknown key \"" + p.key + "\"");
-        }
-      }
-      auto policy = std::make_unique<DirectoryPlacement>(options.num_shards,
-                                                         top_k, max_entries);
-      for (const auto& [account, shard] : assignments) {
+      const DirectoryParams directory =
+          OrAbort(options.params,
+                  ParseDirectoryParams(options.params,
+                                       ParseShardCount(options.num_shards)));
+      auto policy = std::make_unique<DirectoryPlacement>(
+          options.num_shards, directory.top_k, directory.max_entries);
+      for (const auto& [account, shard] : directory.assignments) {
         policy->Assign(account, shard);
       }
       return std::unique_ptr<PlacementPolicy>(std::move(policy));
     });
     r->Register("locality", [](const PlacementOptions& options) {
-      for (const Param& p : ParamsOrAbort(options.params)) {
-        AbortBadParams(options.params,
-                       "locality: unknown key \"" + p.key + "\"");
-      }
+      OrAbort(options.params, CheckNoParams("locality", options.params));
       return std::unique_ptr<PlacementPolicy>(
           new LocalityPlacement(options.num_shards, options.hint));
     });

@@ -140,6 +140,11 @@ class PlacementPolicy {
     return {};
   }
 
+  /// True when Rebalance reads the AccessTracker it is given. The cluster
+  /// records remote accesses only for such a policy: for any other, the
+  /// counters would be a map nothing reads.
+  virtual bool ConsumesAccessTracker() const { return false; }
+
   /// Deterministic digest of the policy's full mapping state. Two replicas
   /// with equal fingerprints agree on every account's shard; changes after
   /// every Rebalance that moved an account.
@@ -228,6 +233,7 @@ class DirectoryPlacement final : public PlacementPolicy {
   /// id). Accounts already living in their hottest accessor's shard are
   /// left in place and do not consume a migration slot.
   std::vector<MigrationEvent> Rebalance(const AccessTracker& stats) override;
+  bool ConsumesAccessTracker() const override { return true; }
 
   uint64_t Fingerprint() const override;
 
@@ -289,13 +295,23 @@ class LocalityPlacement final : public PlacementPolicy {
 
 /// Name -> factory registry (common/registry.h). `Global()` is preloaded
 /// with the four built-ins. Malformed `options.params` abort in Create
-/// (configuration error).
+/// (configuration error); CheckPlacementParams finds them without aborting.
 class PlacementRegistry
     : public FactoryRegistry<PlacementPolicy, const PlacementOptions&> {
  public:
   /// The process-wide registry, preloaded with the built-ins.
   static PlacementRegistry& Global();
 };
+
+/// Checks `options.params` for the built-in policy `name` without building
+/// it: OK, or InvalidArgument with the reason. The built-in factories parse
+/// by the same rules and abort where this returns an error. With
+/// `options.num_shards` 0 (not known yet, as in a driver that sweeps it)
+/// the bounds that depend on the shard count, range's split count and
+/// directory's assign shards, are left to the factory. Any other name
+/// passes: its own factory checks.
+Status CheckPlacementParams(const std::string& name,
+                            const PlacementOptions& options);
 
 }  // namespace thunderbolt::placement
 

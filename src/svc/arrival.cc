@@ -28,8 +28,103 @@ T OrAbort(const std::string& spec, Result<T> parsed) {
   return std::move(parsed).value();
 }
 
-std::vector<Param> ParamsOrAbort(const std::string& spec) {
-  return OrAbort(spec, ParseParams(spec));
+struct BurstShape {
+  double on_ms = 200;
+  double off_ms = 800;
+  double mult = 8;
+};
+
+Result<BurstShape> ParseBurstParams(const ArrivalOptions& options) {
+  THUNDERBOLT_ASSIGN_OR_RETURN(const std::vector<Param> parsed,
+                               ParseParams(options.params));
+  BurstShape shape;
+  for (const Param& p : parsed) {
+    double* field = p.key == "on_ms"    ? &shape.on_ms
+                    : p.key == "off_ms" ? &shape.off_ms
+                    : p.key == "mult"   ? &shape.mult
+                                        : nullptr;
+    if (field == nullptr) {
+      return Status::InvalidArgument("burst: unknown key \"" + p.key + "\"");
+    }
+    THUNDERBOLT_ASSIGN_OR_RETURN(*field, ParseDouble(p));
+  }
+  if (shape.on_ms <= 0 || shape.off_ms < 0 || shape.mult < 1 ||
+      options.rate_tps <= 0) {
+    return Status::InvalidArgument(
+        "burst: need on_ms > 0, off_ms >= 0, mult >= 1 and a positive rate");
+  }
+  return shape;
+}
+
+/// A trace's arrival offsets for one stream, sorted, and its period.
+struct TraceSchedule {
+  std::vector<SimTime> offsets;
+  SimTime loop_us = 0;  // 0 = play once.
+};
+
+/// The "<t_us> [stream]" lines of `path` that belong to `options.stream`.
+Status LoadTraceFile(const std::string& path, const ArrivalOptions& options,
+                     std::vector<SimTime>* offsets) {
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) {
+    return Status::InvalidArgument("trace: file \"" + path +
+                                   "\" not readable");
+  }
+  char line[256];
+  size_t index = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    unsigned long long t = 0, stream = 0;
+    const int fields = std::sscanf(line, "%llu %llu", &t, &stream);
+    if (fields < 1) continue;  // Blank/comment line.
+    const uint64_t target = fields >= 2 ? stream % options.num_streams
+                                        : index % options.num_streams;
+    if (target == options.stream) offsets->push_back(t);
+    ++index;
+  }
+  std::fclose(f);
+  return Status::OK();
+}
+
+Result<TraceSchedule> ParseTraceParams(const ArrivalOptions& options) {
+  THUNDERBOLT_ASSIGN_OR_RETURN(const std::vector<Param> parsed,
+                               ParseParams(options.params));
+  TraceSchedule trace;
+  std::string times_spec, file;
+  for (const Param& p : parsed) {
+    if (p.key == "times") {
+      times_spec = p.value;
+    } else if (p.key == "file") {
+      file = p.value;
+    } else if (p.key == "loop_us") {
+      THUNDERBOLT_ASSIGN_OR_RETURN(trace.loop_us, ParseUint(p));
+    } else {
+      return Status::InvalidArgument("trace: unknown key \"" + p.key + "\"");
+    }
+  }
+  if (times_spec.empty() == file.empty()) {
+    return Status::InvalidArgument(
+        "trace: exactly one of times=t1;t2;... or file=<path> is required");
+  }
+  if (!file.empty()) {
+    THUNDERBOLT_RETURN_NOT_OK(LoadTraceFile(file, options, &trace.offsets));
+  } else {
+    // Inline offsets, ';'-separated, round-robin across streams.
+    size_t index = 0;
+    for (const std::string& offset : Split(times_spec, ';')) {
+      THUNDERBOLT_ASSIGN_OR_RETURN(const SimTime t,
+                                   ParseUint(Param{"times", offset}));
+      if (index++ % options.num_streams == options.stream) {
+        trace.offsets.push_back(t);
+      }
+    }
+  }
+  std::sort(trace.offsets.begin(), trace.offsets.end());
+  if (trace.loop_us > 0 && !trace.offsets.empty() &&
+      trace.offsets.back() >= trace.loop_us) {
+    return Status::InvalidArgument(
+        "trace: every arrival offset must lie below loop_us");
+  }
+  return trace;
 }
 
 /// Exponential interarrival gap in integer microseconds, at least 1 so
@@ -46,9 +141,8 @@ class PoissonArrival : public ArrivalProcess {
  public:
   explicit PoissonArrival(const ArrivalOptions& options)
       : rate_tps_(options.rate_tps) {
-    for (const Param& p : ParamsOrAbort(options.params)) {
-      AbortBadParams(options.params, "poisson: unknown key \"" + p.key + "\"");
-    }
+    const Status params = CheckNoParams("poisson", options.params);
+    if (!params.ok()) AbortBadParams(options.params, params.message());
     if (rate_tps_ <= 0) {
       std::fprintf(stderr, "arrival: poisson rate must be > 0 (got %f)\n",
                    rate_tps_);
@@ -73,32 +167,18 @@ class PoissonArrival : public ArrivalProcess {
 class BurstArrival : public ArrivalProcess {
  public:
   explicit BurstArrival(const ArrivalOptions& options) {
-    double on_ms = 200, off_ms = 800, mult = 8;
-    for (const Param& p : ParamsOrAbort(options.params)) {
-      if (p.key == "on_ms") {
-        on_ms = OrAbort(options.params, ParseDouble(p));
-      } else if (p.key == "off_ms") {
-        off_ms = OrAbort(options.params, ParseDouble(p));
-      } else if (p.key == "mult") {
-        mult = OrAbort(options.params, ParseDouble(p));
-      } else {
-        AbortBadParams(options.params, "burst: unknown key \"" + p.key + "\"");
-      }
-    }
-    if (on_ms <= 0 || off_ms < 0 || mult < 1 || options.rate_tps <= 0) {
-      AbortBadParams(options.params,
-                     "burst: need on_ms > 0, off_ms >= 0, mult >= 1 and a "
-                     "positive rate");
-    }
-    on_us_ = static_cast<SimTime>(on_ms * 1000);
-    period_us_ = on_us_ + static_cast<SimTime>(off_ms * 1000);
+    const BurstShape shape =
+        OrAbort(options.params, ParseBurstParams(options));
+    on_us_ = static_cast<SimTime>(shape.on_ms * 1000);
+    period_us_ = on_us_ + static_cast<SimTime>(shape.off_ms * 1000);
     // Pin the long-run average to the configured rate: with duty cycle d,
     // rate = d*mult*base + (1-d)*base.
     const double duty =
         static_cast<double>(on_us_) / static_cast<double>(period_us_);
-    const double base = options.rate_tps / (duty * mult + (1.0 - duty));
+    const double base =
+        options.rate_tps / (duty * shape.mult + (1.0 - duty));
     off_rate_tps_ = base;
-    on_rate_tps_ = base * mult;
+    on_rate_tps_ = base * shape.mult;
   }
 
   std::string name() const override { return "burst"; }
@@ -131,41 +211,9 @@ class BurstArrival : public ArrivalProcess {
 class TraceArrival : public ArrivalProcess {
  public:
   explicit TraceArrival(const ArrivalOptions& options) {
-    std::string times_spec, file;
-    for (const Param& p : ParamsOrAbort(options.params)) {
-      if (p.key == "times") {
-        times_spec = p.value;
-      } else if (p.key == "file") {
-        file = p.value;
-      } else if (p.key == "loop_us") {
-        loop_us_ = OrAbort(options.params, ParseUint(p));
-      } else {
-        AbortBadParams(options.params, "trace: unknown key \"" + p.key + "\"");
-      }
-    }
-    if (times_spec.empty() == file.empty()) {
-      AbortBadParams(options.params,
-                     "trace: exactly one of times=t1;t2;... or file=<path> "
-                     "is required");
-    }
-    if (!file.empty()) {
-      LoadFile(file, options);
-    } else {
-      // Inline offsets, ';'-separated, round-robin across streams.
-      size_t index = 0;
-      for (const std::string& offset : Split(times_spec, ';')) {
-        const SimTime t =
-            OrAbort(options.params, ParseUint(Param{"times", offset}));
-        if (index++ % options.num_streams == options.stream) {
-          schedule_.push_back(t);
-        }
-      }
-    }
-    std::sort(schedule_.begin(), schedule_.end());
-    if (loop_us_ > 0 && !schedule_.empty() && schedule_.back() >= loop_us_) {
-      AbortBadParams(options.params,
-                     "trace: every arrival offset must lie below loop_us");
-    }
+    TraceSchedule trace = OrAbort(options.params, ParseTraceParams(options));
+    schedule_ = std::move(trace.offsets);
+    loop_us_ = trace.loop_us;
   }
 
   std::string name() const override { return "trace"; }
@@ -187,33 +235,19 @@ class TraceArrival : public ArrivalProcess {
   }
 
  private:
-  void LoadFile(const std::string& path, const ArrivalOptions& options) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) {
-      std::fprintf(stderr, "arrival: trace file \"%s\" not readable\n",
-                   path.c_str());
-      std::abort();
-    }
-    char line[256];
-    size_t index = 0;
-    while (std::fgets(line, sizeof(line), f) != nullptr) {
-      unsigned long long t = 0, stream = 0;
-      const int fields = std::sscanf(line, "%llu %llu", &t, &stream);
-      if (fields < 1) continue;  // Blank/comment line.
-      const uint64_t target = fields >= 2
-                                  ? stream % options.num_streams
-                                  : index % options.num_streams;
-      if (target == options.stream) schedule_.push_back(t);
-      ++index;
-    }
-    std::fclose(f);
-  }
-
   std::vector<SimTime> schedule_;
   SimTime loop_us_ = 0;  // 0 = play once.
 };
 
 }  // namespace
+
+Status CheckArrivalParams(const std::string& name,
+                          const ArrivalOptions& options) {
+  if (name == "poisson") return CheckNoParams("poisson", options.params);
+  if (name == "burst") return ParseBurstParams(options).status();
+  if (name == "trace") return ParseTraceParams(options).status();
+  return Status::OK();
+}
 
 ArrivalRegistry& ArrivalRegistry::Global() {
   static ArrivalRegistry* registry = [] {

@@ -36,6 +36,7 @@
 
 #include "common/registry.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/types.h"
 
 namespace thunderbolt::svc {
@@ -74,13 +75,22 @@ class ArrivalProcess {
 
 /// Name -> factory registry over ArrivalOptions (common/registry.h),
 /// preloaded with the built-ins ("poisson", "burst", "trace"). Factories
-/// abort on malformed params (see ArrivalOptions::params).
+/// abort on malformed params (see ArrivalOptions::params);
+/// CheckArrivalParams finds them without aborting.
 class ArrivalRegistry
     : public FactoryRegistry<ArrivalProcess, const ArrivalOptions&> {
  public:
   /// The process-wide registry, preloaded with the built-ins.
   static ArrivalRegistry& Global();
 };
+
+/// Checks `options.params` for the built-in process `name` without
+/// building it: OK, or InvalidArgument with the reason. The built-in
+/// factories parse by the same rules and abort where this returns an error
+/// (a trace file is read to check it). Any other name passes: its own
+/// factory checks.
+Status CheckArrivalParams(const std::string& name,
+                          const ArrivalOptions& options);
 
 }  // namespace thunderbolt::svc
 

@@ -1,6 +1,7 @@
-// The shared "key=value,..." grammar and its number parsers. Placement and
-// arrival abort on these errors, so this suite is where their rules are
-// pinned; workload_registry_test covers them through ApplyWorkloadParams.
+// The shared "key=value,..." grammar and its number parsers.
+// workload_registry_test covers them through ApplyWorkloadParams,
+// placement_policy_property_test through CheckPlacementParams and
+// arrival_params_test through CheckArrivalParams.
 #include "common/params.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,15 @@ TEST(ParamsTest, SplitDropsEmptyItems) {
   EXPECT_EQ(Split("a,b", ';'), (std::vector<std::string>{"a,b"}));
   EXPECT_TRUE(Split("", ',').empty());
   EXPECT_TRUE(Split(",,", ',').empty());
+}
+
+TEST(ParamsTest, CheckNoParamsNamesTheFirstKey) {
+  EXPECT_TRUE(CheckNoParams("hash", "").ok());
+  EXPECT_TRUE(CheckNoParams("hash", ",,").ok());
+  const Status status = CheckNoParams("hash", "a=1,b=2");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "hash: unknown key \"a\"");
+  EXPECT_FALSE(CheckNoParams("hash", "a").ok());
 }
 
 TEST(ParamsTest, ParseParamsSkipsEmptyItems) {

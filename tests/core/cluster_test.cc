@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "ce/engine_registry.h"
 #include "testutil/always_abort_engine.h"
@@ -59,6 +60,25 @@ TEST(ClusterTest, CrossShardTransactionsCommit) {
   EXPECT_GT(r.committed_single, 50u);
   EXPECT_TRUE(cluster.CheckInvariant().ok())
       << cluster.CheckInvariant().ToString();
+}
+
+// Remote accesses are recorded only for a placement policy whose
+// Rebalance reads them: under hash the shared tracker stays empty after
+// cross-shard commits, while directory (the contrast) still fills it.
+TEST(ClusterTest, AccessTrackerFedOnlyWhenPlacementConsumesIt) {
+  for (const char* policy : {"hash", "directory"}) {
+    SCOPED_TRACE(policy);
+    ThunderboltConfig cfg = SmallConfig();
+    cfg.placement = policy;
+    auto wc = SmallWorkload();
+    wc.cross_shard_ratio = 0.5;
+    Cluster cluster(cfg, "smallbank", wc);
+    ClusterResult r = cluster.Run(Seconds(1));
+    ASSERT_GT(r.committed_cross, 0u);
+    const bool consumes = cluster.placement().ConsumesAccessTracker();
+    EXPECT_EQ(consumes, std::string(policy) == "directory");
+    EXPECT_EQ(cluster.access_tracker().empty(), !consumes);
+  }
 }
 
 TEST(ClusterTest, AllCrossShard) {

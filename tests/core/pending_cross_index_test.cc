@@ -6,9 +6,11 @@
 // payload objects, as replicas of a cluster do, but apply their own
 // events. The sequences repeat a TxnId in a second block (what an
 // equivocating proposer can do), commit blocks never received, and query
-// accounts that no block ever named.
+// accounts that no block ever named. The flat TxnId set under the index is
+// checked on its own against std::unordered_set.
 #include "core/pending_cross_index.h"
 
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -211,6 +213,53 @@ TEST(PendingCrossIndexTest, RepeatedTxnIdCountsOnce) {
   EXPECT_FALSE(index.Conflicts(TxWith(0, {"unseen"})));
   index.Clear();
   EXPECT_FALSE(index.Conflicts(TxWith(0, {"c"})));
+}
+
+// Seeded insert, erase and clear sequences against std::unordered_set. The
+// ids come from a small pool per seed, so most operations hit ids already
+// seen: random 64-bit values (whose homes collide and whose probe runs
+// wrap past the table's end), a run of consecutive ids (what the workload
+// counter issues), and 0, UINT64_MAX - 1 and UINT64_MAX (the last is the
+// value that marks a free slot). Inserting up to the whole pool grows the
+// table from 16 slots to 128, and clear keeps that capacity. After every
+// step the return values, empty() and the membership of every pooled id
+// must match the reference.
+TEST(TxnIdSetPropertyTest, MatchesUnorderedSetReference) {
+  constexpr TxnId kMax = std::numeric_limits<TxnId>::max();
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<TxnId> pool = {0, kMax - 1, kMax};
+    const TxnId first = rng() % 1000;
+    for (TxnId id = first; id < first + 12; ++id) pool.push_back(id);
+    const size_t pool_size = 8 + rng() % 50;
+    while (pool.size() < pool_size) pool.push_back(rng());
+
+    TxnIdSet set;
+    std::unordered_set<TxnId> reference;
+    // Phases that favour inserts, then erases, so the load swings through
+    // every growth threshold and back down to empty.
+    for (int step = 0; step < 600; ++step) {
+      const bool filling = (step / 100) % 2 == 0;
+      const TxnId id = pool[rng() % pool.size()];
+      const uint64_t event = rng() % 100;
+      if (event < (filling ? 70u : 30u)) {
+        ASSERT_EQ(set.insert(id), reference.insert(id).second)
+            << "seed " << seed << " step " << step << " insert " << id;
+      } else if (event < 99) {
+        ASSERT_EQ(set.erase(id), reference.erase(id) > 0)
+            << "seed " << seed << " step " << step << " erase " << id;
+      } else {
+        set.clear();
+        reference.clear();
+      }
+      ASSERT_EQ(set.empty(), reference.empty())
+          << "seed " << seed << " step " << step;
+      for (TxnId each : pool) {
+        ASSERT_EQ(set.contains(each), reference.count(each) > 0)
+            << "seed " << seed << " step " << step << " id " << each;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -178,6 +178,69 @@ TEST_F(PlacementPolicyPropertyTest, DirectoryRoundTripsSerialization) {
       DirectoryPlacement::Deserialize("directory 4 2\nacct1:9\n").ok());
 }
 
+// Header numbers and entry shards parse with the shared ParseUint, so a
+// sign or a leading blank is rejected instead of wrapping or being skipped.
+TEST_F(PlacementPolicyPropertyTest, DirectoryDeserializeRejectsSignedNumbers) {
+  for (const char* data :
+       {"directory 4 -1 8\n", "directory 4 2 -5\n",
+        "directory 4 2\nacct1:+1\n", "directory 4 2\nacct1: 2\n"}) {
+    EXPECT_FALSE(DirectoryPlacement::Deserialize(data).ok()) << data;
+  }
+  auto plain = DirectoryPlacement::Deserialize("directory 4 1 8\nacct1:2\n");
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ((*plain)->top_k(), 1u);
+  EXPECT_EQ((*plain)->max_entries(), 8u);
+  EXPECT_EQ((*plain)->ShardOfAccount("acct1"), 2u);
+}
+
+// CheckPlacementParams reports what the built-in factories abort on, and
+// every spec it accepts builds. With num_shards 0 the shard-count bounds
+// are left to the factory.
+TEST_F(PlacementPolicyPropertyTest, CheckPlacementParamsMatchesFactoryRules) {
+  struct Case {
+    const char* policy;
+    const char* params;
+    uint32_t num_shards;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"hash", "", 4, true},
+      {"hash", "top_k=1", 4, false},
+      {"locality", "", 4, true},
+      {"locality", "group=w", 4, false},
+      {"range", "splits=g;p", 4, true},
+      {"range", "splits=p;g", 4, false},
+      {"range", "splits=a;b;c;d", 4, false},
+      {"range", "splits=a;b;c;d", 0, true},
+      {"range", "bounds=g", 4, false},
+      {"directory", "top_k=4,max_entries=16,assign=a:3;b:0", 4, true},
+      {"directory", "top_k=abc", 4, false},
+      {"directory", "top_k=-1", 4, false},
+      {"directory", "max_entries=4294967296", 4, false},
+      {"directory", "assign=a:4", 4, false},
+      {"directory", "assign=a:4", 0, true},
+      {"directory", "assign=a: 1", 0, false},
+      {"directory", "assign=a", 4, false},
+      {"directory", "top_k=", 4, false},
+      {"directory", "bogus=1", 4, false},
+      {"unregistered", "anything=1", 4, true},
+  };
+  for (const Case& c : cases) {
+    PlacementOptions options;
+    options.num_shards = c.num_shards;
+    options.params = c.params;
+    const Status status = CheckPlacementParams(c.policy, options);
+    EXPECT_EQ(status.ok(), c.ok) << c.policy << " \"" << c.params << "\" "
+                                 << c.num_shards << ": " << status.ToString();
+    if (c.ok && c.num_shards > 0 &&
+        PlacementRegistry::Global().Contains(c.policy)) {
+      EXPECT_NE(PlacementRegistry::Global().Create(c.policy, options),
+                nullptr)
+          << c.policy << " \"" << c.params << "\"";
+    }
+  }
+}
+
 TEST_F(PlacementPolicyPropertyTest, DirectoryRebalanceIsDeterministic) {
   // Identical access stats applied to identically configured replicas must
   // produce identical migrations and identical post-migration mappings.
