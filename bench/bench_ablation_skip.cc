@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
+  constexpr uint32_t kReplicas = 8;  // And so shards.
   const bench::CostFooter cost_footer(argv[0]);
   bench::AcceptOnlyFlags(argc, argv,
                          {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
   const std::string workload_name = bench::ClusterWorkloadFromFlags(
       argc, argv, &options, /*seed=*/312, {"cross_shard_ratio"});
   const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv);
+      bench::PlacementFromFlags(argc, argv, {kReplicas});
   const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
   bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
   bench::Banner(
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
   for (bool use_skip : {false, true}) {
     for (double pct : {0.04, 0.2, 0.6}) {
       core::ThunderboltConfig cfg;
-      cfg.n = 8;
+      cfg.n = kReplicas;
       cfg.batch_size = 500;
       cfg.use_skip_blocks = use_skip;
       cfg.seed = 311;

@@ -57,8 +57,9 @@ int main(int argc, char** argv) {
   workload::WorkloadOptions options;
   const std::string workload_name =
       bench::ClusterWorkloadFromFlags(argc, argv, &options, /*seed=*/78);
+  const std::vector<uint32_t> replica_counts = {8, 16, 32, 64};
   const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv);
+      bench::PlacementFromFlags(argc, argv, replica_counts);
   const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
   bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
   bench::Banner(
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
     bench::Table table(
         {"system", "replicas", "tput(tps)", "latency(s)"});
     for (const bench::ClusterSystem& system : systems) {
-      for (uint32_t n : {8u, 16u, 32u, 64u}) {
+      for (uint32_t n : replica_counts) {
         // Large simulations are costly in real time; shrink the virtual
         // measurement window with scale (steady state is reached after
         // the warm-up window, which is excluded from the measurement).

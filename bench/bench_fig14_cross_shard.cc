@@ -12,6 +12,9 @@
 namespace thunderbolt {
 namespace {
 
+/// Replicas, and so shards, in every cell.
+constexpr uint32_t kReplicas = 16;
+
 void RunSweep(const bench::ClusterSystem& system,
               const std::string& workload_name,
               workload::WorkloadOptions options,
@@ -20,7 +23,7 @@ void RunSweep(const bench::ClusterSystem& system,
               SimTime duration, bench::Table& table) {
   for (double pct : {0.0, 0.04, 0.08, 0.20, 0.60, 1.0}) {
     core::ThunderboltConfig cfg;
-    cfg.n = 16;
+    cfg.n = kReplicas;
     system.ApplyTo(&cfg);
     cfg.batch_size = 500;
     cfg.seed = 90;
@@ -61,7 +64,7 @@ int main(int argc, char** argv) {
   const std::string workload_name = bench::ClusterWorkloadFromFlags(
       argc, argv, &options, /*seed=*/91, {"cross_shard_ratio"});
   const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv);
+      bench::PlacementFromFlags(argc, argv, {kReplicas});
   const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
   bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
   bench::Banner(

@@ -9,6 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
+  constexpr uint32_t kReplicas = 8;  // And so shards.
   const bench::CostFooter cost_footer(argv[0]);
   bench::AcceptOnlyFlags(argc, argv,
                          {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
   const std::string workload_name =
       bench::ClusterWorkloadFromFlags(argc, argv, &options, /*seed=*/56);
   const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv);
+      bench::PlacementFromFlags(argc, argv, {kReplicas});
   const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
   bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
   bench::Banner(
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> migration_rows;
   for (Round k_prime : {10ull, 100ull, 500ull, 1000ull, 5000ull}) {
     core::ThunderboltConfig cfg;
-    cfg.n = 8;
+    cfg.n = kReplicas;
     cfg.batch_size = 500;
     cfg.reconfig_period_k_prime = k_prime;
     cfg.seed = 55;

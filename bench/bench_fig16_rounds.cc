@@ -7,6 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
+  constexpr uint32_t kReplicas = 8;  // And so shards.
   const bench::CostFooter cost_footer(argv[0]);
   bench::AcceptOnlyFlags(argc, argv,
                          {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
@@ -18,7 +19,7 @@ int main(int argc, char** argv) {
   const std::string workload_name =
       bench::ClusterWorkloadFromFlags(argc, argv, &options, /*seed=*/66);
   const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv);
+      bench::PlacementFromFlags(argc, argv, {kReplicas});
   const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
   bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
   bench::Banner(
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
               store.name.c_str());
 
   core::ThunderboltConfig cfg;
-  cfg.n = 8;
+  cfg.n = kReplicas;
   cfg.batch_size = 500;
   cfg.reconfig_period_k_prime = 300;
   cfg.seed = 65;

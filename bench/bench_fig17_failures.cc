@@ -8,6 +8,9 @@
 namespace thunderbolt {
 namespace {
 
+/// Replicas, and so shards, in every cell.
+constexpr uint32_t kReplicas = 16;
+
 void RunSweep(const bench::ClusterSystem& system, uint32_t failures,
               const std::string& workload_name,
               workload::WorkloadOptions options,
@@ -18,7 +21,7 @@ void RunSweep(const bench::ClusterSystem& system, uint32_t failures,
               obs::LatencyBreakdown* phases) {
   for (double pct : {0.0, 0.04, 0.08, 0.20, 0.60, 1.0}) {
     core::ThunderboltConfig cfg;
-    cfg.n = 16;
+    cfg.n = kReplicas;
     system.ApplyTo(&cfg);
     cfg.batch_size = 500;
     cfg.seed = 101;
@@ -31,7 +34,7 @@ void RunSweep(const bench::ClusterSystem& system, uint32_t failures,
     // Crash the highest-numbered replicas shortly after startup (the
     // observer, replica 0, must stay alive).
     for (uint32_t i = 0; i < failures; ++i) {
-      cluster.CrashReplicaAt(15 - i, Millis(400));
+      cluster.CrashReplicaAt(kReplicas - 1 - i, Millis(400));
     }
     core::ClusterResult r = cluster.Run(duration);
     phases->Merge(r.phase_latency);
@@ -60,7 +63,7 @@ int main(int argc, char** argv) {
   const std::string workload_name = bench::ClusterWorkloadFromFlags(
       argc, argv, &options, /*seed=*/102, {"cross_shard_ratio"});
   const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv);
+      bench::PlacementFromFlags(argc, argv, {kReplicas});
   const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
   // --arrival/--rate run the failure sweep open-loop: throughput under
   // crashes is then capped by offered load, and latency is arrival->commit.

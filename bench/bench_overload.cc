@@ -45,13 +45,16 @@
 namespace thunderbolt {
 namespace {
 
+/// Replicas, and so shards, in every cell.
+constexpr uint32_t kReplicas = 4;
+
 /// `engine` is "tusk" (serial execution after consensus) or the
 /// ce::EngineRegistry name of the preplay engine.
 core::ThunderboltConfig BaseConfig(const std::string& engine,
                                    const bench::PlacementSelection& placement,
                                    const bench::StoreSelection& store) {
   core::ThunderboltConfig cfg;
-  cfg.n = 4;
+  cfg.n = kReplicas;
   if (engine == "tusk") {
     cfg.mode = core::ExecutionMode::kTusk;
   } else {
@@ -104,7 +107,7 @@ int main(int argc, char** argv) {
   const std::string workload_name =
       bench::ClusterWorkloadFromFlags(argc, argv, &options, /*seed=*/77);
   const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv);
+      bench::PlacementFromFlags(argc, argv, {kReplicas});
   const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
   bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
 

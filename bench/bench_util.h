@@ -452,11 +452,13 @@ inline constexpr const char* kPlacementFlags =
 /// Shared `--placement <name>` / `--placement-params <k=v,...>` handling
 /// for every bench binary: validates the policy name against
 /// placement::PlacementRegistry::Global() and the params against that
-/// policy (placement::CheckPlacementParams; the shard count is not known
-/// here), and exits with code 2 on either error (mirroring the workload
-/// flag — a typo must not silently bench the default placement or abort
-/// the driver in the policy factory).
-inline PlacementSelection PlacementFromFlags(int argc, char** argv) {
+/// policy at each shard count in `shard_counts`, the ones the driver will
+/// run (placement::CheckPlacementParams), and exits with code 2 on either
+/// error (mirroring the workload flag — a typo or an out-of-range shard
+/// must not silently bench the default placement or abort the driver in
+/// the policy factory).
+inline PlacementSelection PlacementFromFlags(
+    int argc, char** argv, const std::vector<uint32_t>& shard_counts) {
   PlacementSelection selection;
   std::string name = FlagValue(argc, argv, "placement");
   if (!name.empty()) {
@@ -468,16 +470,19 @@ inline PlacementSelection PlacementFromFlags(int argc, char** argv) {
   }
   selection.params = FlagValue(argc, argv, "placement-params");
   placement::PlacementOptions options;
-  options.num_shards = 0;
   options.params = selection.params;
-  const Status valid =
-      placement::CheckPlacementParams(selection.policy, options);
-  if (!valid.ok()) {
-    std::fprintf(stderr,
-                 "bad --placement-params \"%s\" for placement %s: %s\n",
-                 selection.params.c_str(), selection.policy.c_str(),
-                 valid.message().c_str());
-    std::exit(2);
+  for (uint32_t num_shards : shard_counts) {
+    options.num_shards = num_shards;
+    const Status valid =
+        placement::CheckPlacementParams(selection.policy, options);
+    if (!valid.ok()) {
+      std::fprintf(stderr,
+                   "bad --placement-params \"%s\" for placement %s at %u "
+                   "shards: %s\n",
+                   selection.params.c_str(), selection.policy.c_str(),
+                   num_shards, valid.message().c_str());
+      std::exit(2);
+    }
   }
   return selection;
 }

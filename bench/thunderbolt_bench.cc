@@ -479,7 +479,7 @@ DriverConfig ParseFlags(int argc, char** argv) {
   if (!shards.empty()) {
     config.shards = bench::PositiveFlag<uint32_t>("shards", shards);
   }
-  config.placement = bench::PlacementFromFlags(argc, argv);
+  config.placement = bench::PlacementFromFlags(argc, argv, {config.shards});
   config.store = bench::StoreFromFlags(argc, argv);
   config.obs = bench::ObsFromFlags(argc, argv);
   config.service = bench::ServiceFromFlags(argc, argv);

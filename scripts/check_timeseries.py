@@ -17,6 +17,15 @@ Validates the invariants the TimeSeriesRecorder promises:
       shed + dequeued <= admitted          (the rest is still queued)
       commits <= dequeued                  (the pipeline can only commit
                                             work it was handed)
+  * when the run was a cluster's (cluster.* counters present), the per-shard
+    counters partition their totals, an absent counter reading as 0:
+      sum cluster.shard.commits{*}        == cluster.commits_single
+      sum cluster.shard.commits_cross{*}  == cluster.commits_cross
+      sum cluster.shard.invalid_blocks{*} == cluster.invalid_blocks
+      sum cluster.shard.migrations_in{*}  == sum ..._out{*} == cluster.migrations
+      sum cluster.shard.preplay_aborts{*} == sum pool.*.restarts
+                                             (== cluster.preplay_aborts, if
+                                             an artifact carries that counter)
 
 Usage: check_timeseries.py <timeseries.json>
 Exits 0 when the artifact is well-formed, 1 with a diagnostic otherwise.
@@ -29,6 +38,37 @@ import sys
 def fail(msg):
     print(f"check_timeseries: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def labeled_sum(totals, name):
+    """Sums every labeled series name{...} in totals."""
+    return sum(v for k, v in totals.items() if k.startswith(name + "{"))
+
+
+def check_shard_partitions(totals):
+    partitions = [
+        ("cluster.shard.commits", "cluster.commits_single"),
+        ("cluster.shard.commits_cross", "cluster.commits_cross"),
+        ("cluster.shard.invalid_blocks", "cluster.invalid_blocks"),
+        ("cluster.shard.migrations_in", "cluster.migrations"),
+        ("cluster.shard.migrations_out", "cluster.migrations"),
+    ]
+    for shard_name, total_name in partitions:
+        by_shard = labeled_sum(totals, shard_name)
+        if by_shard != totals.get(total_name, 0):
+            fail(f"{shard_name}{{*}} sums to {by_shard} but {total_name} is "
+                 f"{totals.get(total_name, 0)}")
+    aborts = labeled_sum(totals, "cluster.shard.preplay_aborts")
+    restarts = sum(v for k, v in totals.items()
+                   if k.startswith("pool.") and k.endswith(".restarts"))
+    if aborts != restarts:
+        fail(f"cluster.shard.preplay_aborts{{*}} sums to {aborts} but "
+             f"pool.*.restarts to {restarts}")
+    if totals.get("cluster.preplay_aborts", aborts) != aborts:
+        fail(f"cluster.preplay_aborts is {totals['cluster.preplay_aborts']} "
+             f"but cluster.shard.preplay_aborts{{*}} sums to {aborts}")
+    print(f"check_timeseries: per-shard partitions OK (preplay aborts "
+          f"{aborts})")
 
 
 def main():
@@ -101,6 +141,9 @@ def main():
         print(f"check_timeseries: svc conservation OK (offered {offered}, "
               f"admitted {admitted}, rejected {rejected}, shed {shed}, "
               f"dequeued {dequeued}, commits {commits})")
+
+    if any(name.startswith("cluster.") for name in totals):
+        check_shard_partitions(totals)
 
     print(f"check_timeseries: OK ({len(doc['windows'])} windows, "
           f"{len(doc['totals'])} counters)")

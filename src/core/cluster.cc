@@ -137,8 +137,8 @@ ClusterResult Cluster::Run(SimTime duration) {
   // close (idempotent for windows the sampler chain already closed).
   obs_->SampleWindow(end);
 
-  // The observer counted every outcome into the registry when it happened;
-  // a transaction counts once its pipeline completion lies in the window.
+  // Every outcome was counted once into the registry when it happened; a
+  // transaction counts once its pipeline completion lies in the window.
   ClusterResult result;
   result.duration = duration;
   result.committed_single = CounterDelta("cluster.commits_single");
@@ -148,7 +148,7 @@ ClusterResult Cluster::Run(SimTime duration) {
   result.shift_blocks = CounterDelta("cluster.shift_blocks");
   result.conversions = CounterDelta("cluster.conversions");
   result.reconfigurations = CounterDelta("cluster.reconfigurations");
-  result.preplay_aborts = CounterDelta("cluster.preplay_aborts");
+  result.preplay_aborts = CounterDelta("pool." + config_.pool + ".restarts");
   result.migrations = CounterDelta("cluster.migrations");
   // The pools break restarts down by cause into registry counters named
   // pool.<pool>.restart_reason.<reason>.

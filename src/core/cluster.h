@@ -31,6 +31,7 @@ struct ClusterResult {
   uint64_t shift_blocks = 0;
   uint64_t conversions = 0;
   uint64_t reconfigurations = 0;
+  /// Preplay re-executions in every replica's pool (pool.<pool>.restarts).
   uint64_t preplay_aborts = 0;
   /// Hot-key migrations applied at reconfiguration boundaries in this
   /// window (directory placement; 0 for policies without migration).

@@ -111,7 +111,6 @@ ThunderboltNode::Outcomes::Outcomes(obs::MetricsRegistry& m, bool open_loop)
       shift_blocks(m.GetCounter("cluster.shift_blocks")),
       conversions(m.GetCounter("cluster.conversions")),
       reconfigurations(m.GetCounter("cluster.reconfigurations")),
-      preplay_aborts(m.GetCounter("cluster.preplay_aborts")),
       migrations(m.GetCounter("cluster.migrations")),
       commit_latency(m.GetHistogram("cluster.commit_latency_us")),
       admit_latency(open_loop ? &m.GetHistogram("cluster.admit_latency_us")
@@ -259,7 +258,7 @@ void ThunderboltNode::BuildProposal(Round round) {
     if (!pending_cross_.Conflicts(tx)) {
       singles.push_back(std::move(tx));
     } else if (now - since > config_.leader_timeout) {
-      if (is_observer_) outcomes_.conversions.Inc();
+      outcomes_.conversions.Inc();
       crosses.push_back(std::move(tx));
     } else {
       still_deferred.emplace_back(std::move(tx), since);
@@ -270,7 +269,7 @@ void ThunderboltNode::BuildProposal(Round round) {
   if (leader_timed_out) {
     // Rule P6: the leader is silent; convert this round's single-shard
     // transactions to cross-shard and submit them directly.
-    if (is_observer_) outcomes_.conversions.Inc(singles.size());
+    outcomes_.conversions.Inc(singles.size());
     crosses.reserve(crosses.size() + singles.size());
     for (txn::Transaction& tx : singles) crosses.push_back(std::move(tx));
     singles.clear();
@@ -288,7 +287,7 @@ void ThunderboltNode::BuildProposal(Round round) {
       } else if (config_.use_skip_blocks) {
         deferred_singles_.emplace_back(std::move(tx), now);
       } else {
-        if (is_observer_) outcomes_.conversions.Inc();
+        outcomes_.conversions.Inc();
         crosses.push_back(std::move(tx));
       }
     }
@@ -339,10 +338,9 @@ void ThunderboltNode::StartPreplay(Round round,
       std::abort();
     }
     duration = result->duration;
-    if (is_observer_) outcomes_.preplay_aborts.Inc(result->total_aborts);
     // Per-shard abort attribution: each shard is preplayed by exactly one
-    // proposer per epoch, so every replica reporting its own shard yields
-    // a complete breakdown with no double counting.
+    // proposer per epoch, so every replica reporting its own shard
+    // partitions the pool's restarts counter.
     if (result->total_aborts > 0) {
       obs_->metrics()
           .GetCounter("cluster.shard.preplay_aborts",
@@ -371,17 +369,7 @@ void ThunderboltNode::StartPreplay(Round round,
         if (!building_ || building_round_ != round) return;
         // Track in-flight writes in the speculative overlay so the next
         // batch preplays against this block's results.
-        InFlightBlock inflight;
-        inflight.digest = payload->ContentDigest();
-        for (const PreplayedTxn& p : payload->preplayed) {
-          for (const txn::Operation& w : p.rw_set.writes) {
-            inflight.writes.emplace_back(w.key, w.value);
-            overlay_[w.key] = w.value;
-          }
-        }
-        if (!inflight.writes.empty()) {
-          in_flight_.push_back(std::move(inflight));
-        }
+        if (OverlayWrites(*payload)) in_flight_.push_back(payload);
         FinishProposal(round, payload, config_.proposal_prep_cost);
       });
 }
@@ -393,8 +381,6 @@ void ThunderboltNode::FinishProposal(Round round,
   simulator_->ScheduleAfter(prep_cost, [this, round, p, epoch_at_start]() {
     if (stopped_ || epoch_ != epoch_at_start) return;
     if (!building_ || building_round_ != round) return;
-    // Fill in the in-flight digest now that the block digest is known via
-    // proposal (content digest suffices for matching on commit).
     Status s = dag_->Propose(round, p);
     if (s.ok()) {
       ++proposals_made_;
@@ -433,19 +419,13 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
   SimTime start = std::max(now, commit_pipeline_free_);
   SimTime cost = 0;
 
-  const Hash256 leader_digest = sub_dag.leader->Digest();
-
-  std::vector<std::pair<const ThunderboltPayload*, const dag::BlockPtr*>>
-      ordered;
+  // Pass 1 (G1/P2): single-shard preplayed sections, in sub-DAG order.
+  std::vector<const ThunderboltPayload*> payloads;
+  payloads.reserve(sub_dag.blocks.size());
   for (const dag::BlockPtr& block : sub_dag.blocks) {
     const ThunderboltPayload* payload = PayloadOf(block);
     if (payload == nullptr) continue;
-    ordered.emplace_back(payload, &block);
-  }
-
-  // Pass 1 (G1/P2): single-shard preplayed sections, in sub-DAG order.
-  for (auto& [payload, block_ptr] : ordered) {
-    const dag::BlockPtr& block = *block_ptr;
+    payloads.push_back(payload);
     if (payload->kind == PayloadKind::kShift) {
       shift_committed_.insert(block->proposer);
       if (is_observer_) outcomes_.shift_blocks.Inc();
@@ -456,35 +436,26 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
     }
     if (payload->preplayed.empty()) continue;
 
-    Hash256 content_digest = payload->ContentDigest();
-    SharedClusterState::BlockOutcome outcome;
-    auto memo = shared_->block_outcomes.find(content_digest);
-    if (memo != shared_->block_outcomes.end()) {
-      outcome = memo->second;
-    } else {
-      // First replica to reach this block validates it for real against
-      // the canonical committed store and applies the writes.
+    if (!payload->validation) {
+      // First replica to commit this block validates it for real against
+      // the canonical committed store and applies the writes. Virtual
+      // validation time: replay work divided across validators, bounded
+      // below by the dependency graph's critical path.
       ValidationResult vr =
           ValidatePreplay(*registry_, payload->preplayed, *shared_->canonical);
-      outcome.valid = vr.valid;
-      outcome.ops = vr.ops;
-      outcome.critical_path = ValidationCriticalPath(payload->preplayed);
-      outcome.txs = payload->preplayed.size();
       if (vr.valid) {
         shared_->canonical->Write(vr.writes);
       }
-      shared_->block_outcomes.emplace(content_digest, outcome);
+      const uint64_t per_txn_ops =
+          std::max<uint64_t>(1, vr.ops / payload->preplayed.size());
+      const uint64_t parallel_ops = std::max<uint64_t>(
+          vr.ops / std::max(1u, config_.num_validators),
+          static_cast<uint64_t>(ValidationCriticalPath(payload->preplayed)) *
+              per_txn_ops);
+      payload->validation = ThunderboltPayload::Validation{
+          vr.valid, parallel_ops * kValidationOpCost};
     }
-
-    // Virtual validation time: replay work divided across validators,
-    // bounded below by the dependency graph's critical path.
-    uint64_t per_txn_ops =
-        outcome.txs > 0 ? std::max<uint64_t>(1, outcome.ops / outcome.txs)
-                        : 1;
-    uint64_t parallel_ops = std::max<uint64_t>(
-        outcome.ops / std::max(1u, config_.num_validators),
-        static_cast<uint64_t>(outcome.critical_path) * per_txn_ops);
-    const SimTime validate_cost = parallel_ops * kValidationOpCost;
+    const auto [valid, validate_cost] = *payload->validation;
     if (is_observer_) {
       obs::Tracer& tracer = *obs_->tracer();
       if (tracer.enabled()) {
@@ -494,14 +465,14 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
         ev.ts_us = start + cost;
         ev.dur_us = validate_cost;
         ev.a = validate_seq_;
-        ev.b = outcome.txs;
+        ev.b = payload->preplayed.size();
         tracer.Record(ev);
       }
       ++validate_seq_;
     }
     cost += validate_cost;
 
-    if (!outcome.valid) {
+    if (!valid) {
       if (is_observer_) {
         outcomes_.invalid_blocks.Inc();
         obs_->metrics()
@@ -511,7 +482,7 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
       }
       continue;
     }
-    if (is_observer_ && !payload->preplayed.empty()) {
+    if (is_observer_) {
       // Phase decomposition: every transaction in a valid block waits out
       // the whole block's validation replay before its commit applies.
       obs::HistogramMetric& validate =
@@ -522,12 +493,12 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
     }
     // Retire this block from our speculative overlay if it is ours.
     if (block->proposer == id_) {
-      for (auto it = in_flight_.begin(); it != in_flight_.end(); ++it) {
-        if (it->digest == content_digest) {
-          in_flight_.erase(it);
-          RebuildOverlay();
-          break;
-        }
+      auto it = std::find_if(
+          in_flight_.begin(), in_flight_.end(),
+          [payload](const auto& own) { return own.get() == payload; });
+      if (it != in_flight_.end()) {
+        in_flight_.erase(it);
+        RebuildOverlay();
       }
     }
   }
@@ -535,24 +506,21 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
   // Pass 2: cross-shard transactions (and Tusk raw transactions), in
   // sub-DAG order, after all single-shard sections (rule P2).
   size_t num_crosses = 0;
-  for (auto& [payload, block_ptr] : ordered) {
-    (void)block_ptr;
+  for (const ThunderboltPayload* payload : payloads) {
     num_crosses += payload->cross_shard.size();
     pending_cross_.Release(*payload);
   }
 
   if (num_crosses > 0) {
-    SharedClusterState::CrossOutcome cross_outcome;
-    auto memo = shared_->cross_outcomes.find(leader_digest);
-    if (memo != shared_->cross_outcomes.end()) {
-      cross_outcome = memo->second;
-    } else {
-      // Both paths execute the committed blocks' own transactions, in
-      // place, and build no records.
+    const ThunderboltPayload* leader = PayloadOf(sub_dag.leader);
+    assert(leader != nullptr);
+    if (!leader->cross_execution) {
+      // The first replica to commit this leader executes; both paths run
+      // the committed blocks' own transactions, in place, and build no
+      // records.
       std::vector<const txn::Transaction*> crosses;
       crosses.reserve(num_crosses);
-      for (auto& [payload, block_ptr] : ordered) {
-        (void)block_ptr;
+      for (const ThunderboltPayload* payload : payloads) {
         for (const txn::Transaction& tx : payload->cross_shard) {
           crosses.push_back(&tx);
         }
@@ -564,16 +532,15 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
           ops += baselines::ExecuteSerialOne(*registry_, *tx,
                                              shared_->canonical.get());
         }
-        cross_outcome.executed = crosses.size();
-        cross_outcome.duration = ops * config_.exec_costs.op_cost;
+        leader->cross_execution = ThunderboltPayload::CrossExecution{
+            ops * config_.exec_costs.op_cost, 0};
       } else {
         // The account queues key on the ids the payloads cached for the
         // P4 index. Home shards anchor the remote-access counters hot-key
         // migration ranks on: an account pulled in by a transaction homed
         // elsewhere is remote traffic its placement could have avoided.
         std::vector<uint32_t> account_ids;
-        for (auto& [payload, block_ptr] : ordered) {
-          (void)block_ptr;
+        for (const ThunderboltPayload* payload : payloads) {
           const std::vector<uint32_t>& ids =
               payload->CrossAccountIds(&shared_->account_ids);
           account_ids.insert(account_ids.end(), ids.begin(), ids.end());
@@ -587,12 +554,11 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
             crosses, account_ids, shared_->canonical.get(), &homes,
             placement_->ConsumesAccessTracker() ? &shared_->access_tracker
                                                 : nullptr);
-        cross_outcome.executed = r.executed;
-        cross_outcome.remote_accesses = r.remote_accesses;
-        cross_outcome.duration = r.duration;
+        leader->cross_execution =
+            ThunderboltPayload::CrossExecution{r.duration, r.remote_accesses};
       }
-      shared_->cross_outcomes.emplace(leader_digest, cross_outcome);
     }
+    const auto [duration, remote_accesses] = *leader->cross_execution;
     if (is_observer_) {
       obs::Tracer& tracer = *obs_->tracer();
       if (tracer.enabled()) {
@@ -600,9 +566,9 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
         ev.kind = obs::EventKind::kCrossShardSpan;
         ev.pid = id_;
         ev.ts_us = start + cost;
-        ev.dur_us = cross_outcome.duration;
-        ev.a = cross_outcome.executed;
-        ev.b = cross_outcome.remote_accesses;
+        ev.dur_us = duration;
+        ev.a = num_crosses;
+        ev.b = remote_accesses;
         tracer.Record(ev);
 
         // Causality: one hold span per participant shard of each
@@ -610,8 +576,7 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
         // (= txn id) and a flow-event chain (start -> step... -> end), so
         // Perfetto draws the cross-shard commit as arrows between the
         // participant shards' tracks.
-        for (auto& [payload, block_ptr] : ordered) {
-          (void)block_ptr;
+        for (const ThunderboltPayload* payload : payloads) {
           for (const txn::Transaction& tx : payload->cross_shard) {
             const std::vector<ShardId> participants =
                 workload_->mapper().ShardsOf(tx);
@@ -620,7 +585,7 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
               hold.kind = obs::EventKind::kCrossHoldSpan;
               hold.pid = participants[i];
               hold.ts_us = start + cost;
-              hold.dur_us = cross_outcome.duration;
+              hold.dur_us = duration;
               hold.txn = tx.id;
               hold.a = i;
               hold.b = participants.size();
@@ -639,7 +604,7 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
         }
       }
     }
-    cost += cross_outcome.duration;
+    cost += duration;
   }
 
   commit_pipeline_free_ = start + cost;
@@ -669,12 +634,8 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
       }
       commit_apply.Observe(static_cast<double>(commit_pipeline_free_ - start));
     };
-    for (auto& [payload, block_ptr] : ordered) {
-      (void)block_ptr;
-      Hash256 content_digest = payload->ContentDigest();
-      auto memo = shared_->block_outcomes.find(content_digest);
-      bool valid = memo == shared_->block_outcomes.end() || memo->second.valid;
-      if (valid) {
+    for (const ThunderboltPayload* payload : payloads) {
+      if (!payload->validation || payload->validation->valid) {
         for (const PreplayedTxn& p : payload->preplayed) {
           finish(payload->shard, p.tx, /*cross=*/false);
         }
@@ -736,13 +697,20 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
   }
 }
 
-void ThunderboltNode::RebuildOverlay() {
-  overlay_.clear();
-  for (const InFlightBlock& b : in_flight_) {
-    for (const auto& [key, value] : b.writes) {
-      overlay_[key] = value;
+bool ThunderboltNode::OverlayWrites(const ThunderboltPayload& payload) {
+  bool wrote = false;
+  for (const PreplayedTxn& p : payload.preplayed) {
+    for (const txn::Operation& w : p.rw_set.writes) {
+      overlay_[w.key] = w.value;
+      wrote = true;
     }
   }
+  return wrote;
+}
+
+void ThunderboltNode::RebuildOverlay() {
+  overlay_.clear();
+  for (const auto& payload : in_flight_) OverlayWrites(*payload);
 }
 
 void ThunderboltNode::Reconfigure(Round ending_round) {
@@ -767,8 +735,10 @@ void ThunderboltNode::Reconfigure(Round ending_round) {
   // first replica to cross into the new epoch applies the deterministic
   // rebalance — peers share the policy object in this simulation, exactly
   // as every real replica would compute the identical migration from the
-  // identical committed access counters.
-  if (shared_->rebalanced_epochs.insert(epoch_).second) {
+  // identical committed access counters. Each replica enters epochs in
+  // order, so the first one into this epoch finds the marker below it.
+  if (shared_->rebalanced_epoch < epoch_) {
+    shared_->rebalanced_epoch = epoch_;
     std::vector<placement::MigrationEvent> events =
         placement_->Rebalance(shared_->access_tracker);
     shared_->access_tracker.Clear();
@@ -776,8 +746,8 @@ void ThunderboltNode::Reconfigure(Round ending_round) {
       // Re-homed accounts change the workload's per-shard buckets.
       workload_->SetPlacementPolicy(placement_);
       if (tracer.enabled()) {
-        // Recorded by whichever replica performed the rebalance (deduped
-        // by rebalanced_epochs), so the migration appears exactly once.
+        // Recorded by whichever replica performed the rebalance, so the
+        // migration appears exactly once.
         obs::TraceEvent ev;
         ev.kind = obs::EventKind::kMigration;
         ev.pid = id_;

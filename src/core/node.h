@@ -29,23 +29,23 @@
 // rotated round-robin, without ever pausing DAG construction.
 //
 // Simulation-level state dedup: all honest replicas apply the identical
-// committed sequence, so the cluster keeps one canonical committed store
-// and memoizes per-commit outcomes; the first replica to process a commit
-// computes validation/execution for real and the rest reuse the verdict
-// while still being charged the virtual-time cost. Per-block host work is
-// shared the same way: replicas receive one payload object per block, and
-// its cached digest, size and cross-shard account ids (interned in the
-// cluster's one AccountIdTable) are computed by the first replica to ask.
-// Each replica still applies its own receive, commit and reconfiguration
-// events to its own P4 index, so sharing the ids changes no decision.
+// committed sequence, so the cluster keeps one canonical committed store,
+// and replicas receive one payload object per block, which holds what the
+// block's host work yields. Its digest, size and cross-shard account ids
+// (interned in the cluster's one AccountIdTable) are cached by the first
+// replica to ask. Its commit results, the validation verdict and, on a
+// leader, the sub-DAG's cross-shard execution, are filled by the first
+// replica to commit it; the rest reuse them while still being charged the
+// virtual-time cost. Each replica still applies its own receive, commit
+// and reconfiguration events to its own P4 index, so sharing the ids
+// changes no decision.
 // What a run retains: each replica collects its DAG below kDagGcDepth
 // rounds under each committed leader, and a block's payload (preplayed
-// transactions with their read/write sets, or raw transactions) is freed
-// once the last replica collects it, so the retained blocks stay within a
-// few rounds per replica however long the run. Retained for the whole run:
-// the memo maps block_outcomes and cross_outcomes (about 100 B per block;
-// pruning them is unsafe until every live replica has committed the
-// block), every Histogram sample, and the observer's commit_times.
+// transactions with their read/write sets, or raw transactions, and its
+// commit results) is freed once the last replica collects it, so the
+// retained blocks stay within a few rounds per replica however long the
+// run. Retained for the whole run: every Histogram sample and the
+// observer's commit_times.
 #ifndef THUNDERBOLT_CORE_NODE_H_
 #define THUNDERBOLT_CORE_NODE_H_
 
@@ -54,7 +54,6 @@
 #include <memory>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ce/executor_pool.h"
@@ -92,24 +91,12 @@ namespace thunderbolt::core {
 inline constexpr Round kDagGcDepth = 8;
 
 /// State shared across all nodes of a simulated cluster: the canonical
-/// committed store and the per-commit computation memo (see file header).
+/// committed store and the cluster-wide tables every replica reads. Per-
+/// block results live on the block's payload instead (see file header).
 struct SharedClusterState {
   /// Created by the Cluster from storage::StoreRegistry per
   /// ThunderboltConfig::store; always non-null while nodes run.
   std::unique_ptr<storage::KVStore> canonical;
-  struct BlockOutcome {
-    bool valid = true;
-    uint64_t ops = 0;
-    uint32_t critical_path = 0;
-    uint64_t txs = 0;
-  };
-  std::unordered_map<Hash256, BlockOutcome> block_outcomes;
-  struct CrossOutcome {
-    uint64_t executed = 0;
-    uint64_t remote_accesses = 0;
-    SimTime duration = 0;
-  };
-  std::unordered_map<Hash256, CrossOutcome> cross_outcomes;  // By leader.
   /// Dense ids for the accounts of cross-shard transactions, shared by
   /// every replica's P4 index (PendingCrossIndex).
   AccountIdTable account_ids;
@@ -119,10 +106,10 @@ struct SharedClusterState {
   /// a policy that reads them (PlacementPolicy::ConsumesAccessTracker,
   /// i.e. directory) gets them recorded; under any other it stays empty.
   placement::AccessTracker access_tracker;
-  /// Epochs whose boundary rebalance already ran (the first replica to
+  /// The last epoch whose boundary rebalance ran (the first replica to
   /// enter an epoch performs the deterministic migration; peers share the
   /// policy object in this simulation).
-  std::unordered_set<EpochId> rebalanced_epochs;
+  EpochId rebalanced_epoch = 0;
   /// Hot-key migrations applied at reconfiguration boundaries, in order,
   /// appended by whichever replica performed that epoch's rebalance
   /// (directory placement; empty for policies without migration).
@@ -191,6 +178,9 @@ class ThunderboltNode {
   void Reconfigure(Round ending_round);
 
   // --- Speculative state (own shard) ---------------------------------------
+  /// Applies `payload`'s preplayed writes to the overlay; returns whether
+  /// it had any.
+  bool OverlayWrites(const ThunderboltPayload& payload);
   /// Rebuilds the preplay overlay from in-flight (proposed, uncommitted)
   /// blocks' writes.
   void RebuildOverlay();
@@ -212,10 +202,12 @@ class ThunderboltNode {
   const bool is_observer_;
 
   /// The cluster.* outcome metrics, resolved once at construction so an
-  /// outcome that never happens still reads as zero. The observer records
-  /// each outcome at the virtual time it happens — except migrations,
-  /// which the replica performing an epoch's rebalance counts — so every
-  /// outcome is counted exactly once (Cluster::Run reads window deltas).
+  /// outcome that never happens still reads as zero. Each outcome is
+  /// counted exactly once, at the virtual time it happens (Cluster::Run
+  /// reads window deltas): a proposer counts its own conversions, the
+  /// replica performing an epoch's rebalance its migrations, and the
+  /// observer every commit-path outcome. Preplay aborts are the pools'
+  /// pool.<pool>.restarts.
   struct Outcomes {
     Outcomes(obs::MetricsRegistry& m, bool open_loop);
     obs::Counter& invalid_blocks;    // Preplayed blocks discarded.
@@ -223,7 +215,6 @@ class ThunderboltNode {
     obs::Counter& shift_blocks;      // Committed shift blocks.
     obs::Counter& conversions;       // Single->cross conversions (P4/P6).
     obs::Counter& reconfigurations;  // DAG switches.
-    obs::Counter& preplay_aborts;    // CE re-executions (across batches).
     obs::Counter& migrations;        // Hot-key migrations applied.
     /// Submit->completion latency per committed transaction.
     obs::HistogramMetric& commit_latency;
@@ -273,12 +264,11 @@ class ThunderboltNode {
   // strings.
   PendingCrossIndex pending_cross_;
 
-  // Preplay overlay: own-shard speculative writes from in-flight blocks.
-  struct InFlightBlock {
-    Hash256 digest;
-    std::vector<std::pair<storage::Key, storage::Value>> writes;
-  };
-  std::vector<InFlightBlock> in_flight_;
+  // Preplay overlay: own-shard speculative writes from in-flight blocks,
+  // the ones with writes, in proposal order. A block leaves when it
+  // commits valid; shared ownership keeps its write sets readable after
+  // DAG garbage collection.
+  std::vector<std::shared_ptr<const ThunderboltPayload>> in_flight_;
   std::unordered_map<storage::Key, storage::Value> overlay_;
 
   // Reconfiguration state (per epoch).

@@ -10,6 +10,7 @@
 #ifndef THUNDERBOLT_CORE_PAYLOAD_H_
 #define THUNDERBOLT_CORE_PAYLOAD_H_
 
+#include <optional>
 #include <vector>
 
 #include "common/hash.h"
@@ -38,8 +39,8 @@ class AccountIdTable;
 class ThunderboltPayload final : public dag::BlockContent {
  public:
   ThunderboltPayload() = default;
-  /// Copies drop the caches (digest, size, account ids) so a mutated copy
-  /// recomputes them.
+  /// Copies drop the caches (digest, size, account ids) and the commit
+  /// results, so a mutated copy recomputes them.
   ThunderboltPayload(const ThunderboltPayload& other)
       : kind(other.kind),
         shard(other.shard),
@@ -55,6 +56,8 @@ class ThunderboltPayload final : public dag::BlockContent {
       size_cache_ = 0;
       cross_ids_.clear();
       cross_ids_table_ = nullptr;
+      validation.reset();
+      cross_execution.reset();
     }
     return *this;
   }
@@ -66,6 +69,24 @@ class ThunderboltPayload final : public dag::BlockContent {
   std::vector<PreplayedTxn> preplayed;
   /// OE section: cross-shard transactions awaiting total ordering.
   std::vector<txn::Transaction> cross_shard;
+
+  /// Commit results. Every replica commits the identical sequence and
+  /// receives this one payload object, so the first replica to commit the
+  /// block fills them and the others read them (simulator thread only).
+  /// They live as long as some replica still holds the block.
+  struct Validation {
+    bool valid = true;
+    SimTime cost = 0;  // Virtual validation time.
+  };
+  /// Set once a block with a preplayed section commits.
+  mutable std::optional<Validation> validation;
+  struct CrossExecution {
+    SimTime duration = 0;  // Virtual execution time.
+    uint64_t remote_accesses = 0;
+  };
+  /// Set on a committed leader whose sub-DAG carried cross-shard
+  /// transactions: the execution of all of them, in commit order.
+  mutable std::optional<CrossExecution> cross_execution;
 
   /// Cached after the first call; payloads are immutable once proposed.
   Hash256 ContentDigest() const override;

@@ -15,7 +15,8 @@
 // backend leg asserting mem and cow converge to the same committed state.
 // A second suite holds the other execution pipelines (OCC and 2PL-No-Wait
 // preplay, Tusk's serial execution, CE preplay with Skip-block deferral) to
-// the same bar.
+// the same bar, and a CE run with a replica crashed mid-run, where the
+// replicas commit at different times.
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
@@ -58,20 +59,25 @@ struct DeterminismParam {
 /// The execution pipeline: the preplay engine by ce::EngineRegistry name,
 /// the mode (kTusk executes serially after consensus instead), and whether
 /// P4 defers conflicting singles behind Skip blocks (section 5.4) rather
-/// than converting them.
+/// than converting them. A nonzero crashed_replica crashes that replica
+/// at 500 ms (the observer, replica 0, must stay alive).
 struct PipelineParam {
   const char* engine = "ce";
   ExecutionMode mode = ExecutionMode::kThunderbolt;
   bool use_skip_blocks = false;
+  ReplicaId crashed_replica = 0;
 };
 
 /// Prints the fields, so the listed test names carry no pointer bytes.
-/// use_skip_blocks appears only when set, which keeps the names of the
-/// entries that predate it.
+/// use_skip_blocks and crashed_replica appear only when set, which keeps
+/// the names of the entries that predate them.
 void PrintTo(const PipelineParam& param, std::ostream* os) {
   *os << "engine=" << param.engine << " mode="
       << (param.mode == ExecutionMode::kTusk ? "tusk" : "thunderbolt");
   if (param.use_skip_blocks) *os << " use_skip_blocks=1";
+  if (param.crashed_replica != 0) {
+    *os << " crashed_replica=" << param.crashed_replica;
+  }
 }
 
 RunOutput RunClusterOnce(const DeterminismParam& param, uint64_t seed,
@@ -112,6 +118,9 @@ RunOutput RunClusterOnce(const DeterminismParam& param, uint64_t seed,
   wc.num_items = 50;
 
   Cluster cluster(cfg, param.workload, wc);
+  if (pipeline.crashed_replica != 0) {
+    cluster.CrashReplicaAt(pipeline.crashed_replica, Millis(500));
+  }
   ClusterResult r = cluster.Run(Seconds(2));
   // DAG garbage collection drops no proposal, vote, certificate or block
   // response below its watermark and stops no history walk there. Block
@@ -233,7 +242,9 @@ INSTANTIATE_TEST_SUITE_P(
 // OCC and 2PL-No-Wait schedules, Tusk's post-consensus serial execution and
 // the CE with P4's Skip-block deferral (where deferred singles re-enter
 // through the pending cross-shard index) must replay byte-identically per
-// seed too.
+// seed too. So must the CE with cross-shard traffic and replica 2 crashed
+// at 500 ms: its silence triggers a reconfiguration, and each block's
+// commit results come from whichever live replica commits it first.
 class PipelineDeterminismTest
     : public ::testing::TestWithParam<PipelineParam> {};
 
@@ -256,11 +267,15 @@ INSTANTIATE_TEST_SUITE_P(
                       PipelineParam{"2pl", ExecutionMode::kThunderbolt},
                       PipelineParam{"ce", ExecutionMode::kTusk},
                       PipelineParam{"ce", ExecutionMode::kThunderbolt,
-                                    /*use_skip_blocks=*/true}),
+                                    /*use_skip_blocks=*/true},
+                      PipelineParam{"ce", ExecutionMode::kThunderbolt,
+                                    /*use_skip_blocks=*/false,
+                                    /*crashed_replica=*/2}),
     [](const auto& info) {
       if (info.param.mode == ExecutionMode::kTusk) return std::string("tusk");
       std::string name = info.param.engine;
       if (info.param.use_skip_blocks) name += "_skip";
+      if (info.param.crashed_replica != 0) name += "_crash";
       return name;
     });
 

@@ -109,6 +109,24 @@ TEST(PayloadTest, CopiesRecomputeTheCachedSize) {
   EXPECT_EQ(c.SizeBytes(), b.SizeBytes());
 }
 
+TEST(PayloadTest, CopiesDropTheCommitResults) {
+  ThunderboltPayload a = MakePayload();
+  a.validation = ThunderboltPayload::Validation{false, 10};
+  a.cross_execution = ThunderboltPayload::CrossExecution{20, 3};
+  ThunderboltPayload b = a;
+  EXPECT_FALSE(b.validation.has_value());
+  EXPECT_FALSE(b.cross_execution.has_value());
+  ThunderboltPayload c;
+  c.validation = ThunderboltPayload::Validation{};
+  c.cross_execution = ThunderboltPayload::CrossExecution{};
+  c = a;  // Assignment drops them too.
+  EXPECT_FALSE(c.validation.has_value());
+  EXPECT_FALSE(c.cross_execution.has_value());
+  ASSERT_TRUE(a.validation.has_value());  // The source keeps its own.
+  EXPECT_FALSE(a.validation->valid);
+  EXPECT_EQ(a.cross_execution->remote_accesses, 3u);
+}
+
 TEST(PayloadTest, CrossAccountIdsFlattenTheCrossSection) {
   AccountIdTable table;
   ThunderboltPayload p = MakePayload();

@@ -1,5 +1,7 @@
 // Behavioural tests for the proposal rules P1-P6 (paper section 5.1),
 // observed through cluster runs.
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
@@ -50,6 +52,42 @@ TEST(ProposalRulesTest, P6LeaderTimeoutConverts) {
   EXPECT_GT(r.committed_cross, 0u);
   // The system keeps processing despite the dead leader.
   EXPECT_GT(r.committed_single, 200u);
+}
+
+/// The P6 cell above: no cross-shard traffic, and replica 1, a round
+/// leader, crashed early.
+std::unique_ptr<Cluster> LeaderCrashCluster() {
+  auto cfg = BaseConfig();
+  cfg.silence_rounds_k = 1000000;  // No reconfiguration.
+  auto cluster =
+      std::make_unique<Cluster>(cfg, "smallbank", BaseWorkload(0.0));
+  cluster->CrashReplicaAt(1, Millis(100));
+  return cluster;
+}
+
+// Every proposer counts its own conversions. With no cross-shard traffic
+// generated, each committed cross-shard transaction is one that some
+// proposer converted in this run.
+TEST(ProposalRulesTest, ConversionsCountEveryProposer) {
+  std::unique_ptr<Cluster> cluster = LeaderCrashCluster();
+  ClusterResult r = cluster->Run(Seconds(5));
+  EXPECT_GT(r.committed_cross, 0u);
+  EXPECT_GE(r.conversions, r.committed_cross);
+}
+
+// Each proposer attributes its preplay aborts to the shard it preplays,
+// so the per-shard counters partition the cluster's total.
+TEST(ProposalRulesTest, ShardPreplayAbortsSumToTotal) {
+  std::unique_ptr<Cluster> cluster = LeaderCrashCluster();
+  ClusterResult r = cluster->Run(Seconds(5));
+  uint64_t by_shard = 0;
+  for (uint32_t shard = 0; shard < 4; ++shard) {
+    const obs::Counter* aborts = cluster->obs().metrics().FindCounter(
+        "cluster.shard.preplay_aborts", {{"shard", shard}});
+    if (aborts != nullptr) by_shard += aborts->value();
+  }
+  EXPECT_GT(r.preplay_aborts, 0u);
+  EXPECT_EQ(by_shard, r.preplay_aborts);
 }
 
 // P4 / section 5.4: single-shard transactions whose accounts overlap

@@ -147,12 +147,11 @@ TEST(ObsClusterIntegrationTest, TracedClusterEmitsCommitPathEvents) {
 
   // ClusterResult's abort-reason breakdown matches the trace's restart
   // events (the sim pool records one kTxnRestart per counted abort). The
-  // breakdown spans every replica's pool, so it at least covers the
-  // observer-only preplay_aborts counter.
+  // breakdown spans every replica's pool, as preplay_aborts does.
   uint64_t reason_total = 0;
   for (uint64_t count : r.abort_reasons) reason_total += count;
   EXPECT_GT(reason_total, 0u);
-  EXPECT_GE(reason_total, r.preplay_aborts);
+  EXPECT_EQ(reason_total, r.preplay_aborts);
   EXPECT_EQ(CountKind(events, obs::EventKind::kTxnRestart), reason_total);
 
   // p999 is wired and ordered with the other percentiles.
@@ -293,7 +292,7 @@ TEST(ObsClusterIntegrationTest, SplitRunCountsOutcomesInTheirOwnWindows) {
   for (const obs::TimeSeriesWindow& w : windows) {
     if (w.end_us > Millis(500)) continue;
     warm_conversions += w.Delta("cluster.conversions");
-    warm_aborts += w.Delta("cluster.preplay_aborts");
+    warm_aborts += w.Delta("pool.sim.restarts");
     if (w.end_us == Millis(500)) latency_at_warm_end = latency_count(w);
   }
   EXPECT_EQ(warm_conversions, warm.conversions);
