@@ -28,6 +28,7 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "workload/smallbank_workload.h"
+#include "workload/workload.h"
 
 namespace {
 
@@ -384,30 +385,21 @@ void BM_TimeSeriesWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_TimeSeriesWindow)->Arg(8)->Arg(64);
 
-void BM_CcBatch(benchmark::State& state) {
-  // Real-time cost of executing one SmallBank batch through the CC with
-  // the simulated pool (the dominant cost of cluster simulations).
-  uint32_t batch_size = static_cast<uint32_t>(state.range(0));
-  workload::SmallBankConfig wc;
-  wc.num_accounts = 1000;
-  wc.theta = 0.85;
-  wc.seed = 3;
-  workload::SmallBankWorkload w(wc);
-  storage::MemKVStore store;
-  w.InitStore(&store);
+/// Times batches of `state.range(0)` transactions from `w` (whose store
+/// `store` holds) through the CC with the simulated pool, and reports the
+/// allocations per transaction of `first_batch`, the batch the timed loop
+/// starts with, generated from a copy of the workload.
+void TimeCcBatches(benchmark::State& state, workload::Workload& w,
+                   storage::MemKVStore& store,
+                   const std::vector<txn::Transaction>& first_batch) {
+  const uint32_t batch_size = static_cast<uint32_t>(state.range(0));
   auto registry = contract::Registry::CreateDefault();
   ce::SimExecutorPool pool(16, ce::ExecutionCostModel{});
-  {
-    // Allocations of the CC and pool over the first batch (generated from
-    // a copy of the workload, so the timed loop still starts there).
-    const auto batch = workload::SmallBankWorkload(wc).MakeBatch(batch_size);
-    const uint64_t allocs = CountAllocations([&] {
-      ce::ConcurrencyController cc(&store, batch_size);
-      benchmark::DoNotOptimize(pool.Run(cc, *registry, batch).ok());
-    });
-    state.counters["allocs_per_txn"] =
-        static_cast<double>(allocs) / batch_size;
-  }
+  const uint64_t allocs = CountAllocations([&] {
+    ce::ConcurrencyController cc(&store, batch_size);
+    benchmark::DoNotOptimize(pool.Run(cc, *registry, first_batch).ok());
+  });
+  state.counters["allocs_per_txn"] = static_cast<double>(allocs) / batch_size;
   for (auto _ : state) {
     auto batch = w.MakeBatch(batch_size);
     ce::ConcurrencyController cc(&store, batch_size);
@@ -417,7 +409,38 @@ void BM_CcBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           batch_size);
 }
+
+void BM_CcBatch(benchmark::State& state) {
+  // Real-time cost of executing one SmallBank batch through the CC with
+  // the simulated pool (the dominant cost of cluster simulations).
+  workload::SmallBankConfig wc;
+  wc.num_accounts = 1000;
+  wc.theta = 0.85;
+  wc.seed = 3;
+  workload::SmallBankWorkload w(wc);
+  storage::MemKVStore store;
+  w.InitStore(&store);
+  TimeCcBatches(state, w, store,
+                workload::SmallBankWorkload(wc).MakeBatch(
+                    static_cast<uint32_t>(state.range(0))));
+}
 BENCHMARK(BM_CcBatch)->Arg(100)->Arg(500)->Arg(2000);
+
+void BM_CcBatchTpcc(benchmark::State& state) {
+  // The same on TPC-C-lite, whose TBVM contracts make the most engine
+  // operations per transaction (13 for a NewOrder of 3 items).
+  workload::WorkloadOptions options;
+  options.seed = 3;
+  auto make = [&] {
+    return workload::WorkloadRegistry::Global().Create("tpcc_lite", options);
+  };
+  auto w = make();
+  storage::MemKVStore store;
+  w->InitStore(&store);
+  TimeCcBatches(state, *w, store,
+                make()->MakeBatch(static_cast<uint32_t>(state.range(0))));
+}
+BENCHMARK(BM_CcBatchTpcc)->Arg(500);
 
 void BM_SerialBatch(benchmark::State& state) {
   uint32_t batch_size = static_cast<uint32_t>(state.range(0));

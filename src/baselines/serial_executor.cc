@@ -15,7 +15,7 @@ class SerialContext final : public contract::ContractContext {
   SerialContext(const storage::KVStore* store, ce::TxnRecord* record)
       : store_(store), record_(record) {}
 
-  Result<Value> Read(const Key& key) override {
+  Result<Value> DoRead(const Key& key) override {
     ++ops;
     auto wit = writes.find(key);
     const Value v = wit != writes.end() ? wit->second
@@ -27,7 +27,7 @@ class SerialContext final : public contract::ContractContext {
     return v;
   }
 
-  Status Write(const Key& key, Value value) override {
+  Status DoWrite(const Key& key, Value value) override {
     ++ops;
     writes[key] = value;
     return Status::OK();

@@ -102,6 +102,52 @@ struct PoolObsContext {
   uint32_t pid = 0;
 };
 
+/// The contract context both pools run an attempt in. Each Read and Write
+/// goes to the engine under the attempt's slot and incarnation; emitted
+/// results are buffered and reach the engine only when the attempt
+/// completes (Finish). The sim pool resumes the run one operation per
+/// step; the thread pool runs it straight through.
+class EngineContext final : public contract::ContractContext {
+ public:
+  /// Begins an attempt of `slot` on `engine` (BatchEngine::Begin) and
+  /// drops the previous attempt's emits.
+  void Begin(BatchEngine& engine, TxnSlot slot) {
+    engine_ = &engine;
+    slot_ = slot;
+    incarnation_ = engine_->Begin(slot);
+    emits_.clear();
+  }
+
+  /// Ends the attempt whose run ended with `run`: a completed run (OK)
+  /// first hands its emits to the engine, a failed one (bad arguments,
+  /// unknown contract) only finalizes the operations it made. Returns the
+  /// engine's Finish status.
+  Status Finish(const Status& run) {
+    if (run.ok()) {
+      for (Value v : emits_) engine_->Emit(slot_, incarnation_, v);
+    }
+    return engine_->Finish(slot_, incarnation_);
+  }
+
+  uint32_t incarnation() const { return incarnation_; }
+
+  void EmitResult(Value value) override { emits_.push_back(value); }
+
+ protected:
+  Result<Value> DoRead(const Key& key) override {
+    return engine_->Read(slot_, incarnation_, key);
+  }
+  Status DoWrite(const Key& key, Value value) override {
+    return engine_->Write(slot_, incarnation_, key, value);
+  }
+
+ private:
+  BatchEngine* engine_ = nullptr;
+  TxnSlot slot_ = 0;
+  uint32_t incarnation_ = 0;
+  std::vector<Value> emits_;
+};
+
 /// A pool of E executors (virtual or physical) that drives one batch at a
 /// time through any BatchEngine. Run is not itself thread-safe: one batch
 /// per pool at a time, from one caller thread.

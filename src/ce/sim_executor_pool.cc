@@ -10,89 +10,13 @@ namespace thunderbolt::ce {
 
 namespace {
 
-/// One logged operation result from a previous partial run.
-struct LoggedOp {
-  bool is_read;
-  Key key;
-  Value value;  // Read result, or value written.
-};
-
-/// Status code used internally to unwind contract execution after the
-/// single new operation of a step has been performed.
-constexpr StatusCode kPauseCode = StatusCode::kUnavailable;
-
-bool IsPause(const Status& s) { return s.code() == kPauseCode; }
-
-/// Contract context that replays `log` and then performs exactly one new
-/// engine operation before pausing (see file header of
-/// sim_executor_pool.h).
-class SteppingContext final : public contract::ContractContext {
- public:
-  SteppingContext(BatchEngine* engine, TxnSlot slot, uint32_t incarnation,
-                  std::vector<LoggedOp>* log)
-      : engine_(engine), slot_(slot), incarnation_(incarnation), log_(log) {}
-
-  Result<Value> Read(const Key& key) override {
-    if (pos_ < log_->size()) {
-      const LoggedOp& op = (*log_)[pos_++];
-      // Determinism check: the contract must re-issue the same op sequence.
-      if (!op.is_read || op.key != key) {
-        return Status::Internal("nondeterministic contract replay (read)");
-      }
-      return op.value;
-    }
-    if (did_new_op_) {
-      // Should not happen: we pause immediately after the new op.
-      return Status(kPauseCode, "step boundary");
-    }
-    did_new_op_ = true;
-    Result<Value> r = engine_->Read(slot_, incarnation_, key);
-    if (!r.ok()) return r.status();
-    log_->push_back(LoggedOp{true, key, *r});
-    return Status(kPauseCode, "step boundary");
-  }
-
-  Status Write(const Key& key, Value value) override {
-    if (pos_ < log_->size()) {
-      const LoggedOp& op = (*log_)[pos_++];
-      if (op.is_read || op.key != key || op.value != value) {
-        return Status::Internal("nondeterministic contract replay (write)");
-      }
-      return Status::OK();
-    }
-    if (did_new_op_) {
-      return Status(kPauseCode, "step boundary");
-    }
-    did_new_op_ = true;
-    Status s = engine_->Write(slot_, incarnation_, key, value);
-    if (!s.ok()) return s;
-    log_->push_back(LoggedOp{false, key, value});
-    return Status(kPauseCode, "step boundary");
-  }
-
-  void EmitResult(Value value) override {
-    // Buffer locally; only the final completing run forwards emits, so
-    // replays do not duplicate them.
-    emits_.push_back(value);
-  }
-
-  bool did_new_op() const { return did_new_op_; }
-  const std::vector<Value>& emits() const { return emits_; }
-
- private:
-  BatchEngine* engine_;
-  TxnSlot slot_;
-  uint32_t incarnation_;
-  std::vector<LoggedOp>* log_;
-  size_t pos_ = 0;
-  bool did_new_op_ = false;
-  std::vector<Value> emits_;
-};
-
 /// Per-transaction execution state.
 struct TxnRun {
-  std::vector<LoggedOp> log;
-  uint32_t incarnation = 0;
+  EngineContext ctx;
+  /// The current attempt's contract run, suspended between steps; empty
+  /// between attempts.
+  contract::ContractTask task;
+  /// Cleared by the abort callback: the next step begins a new attempt.
   bool started = false;
   /// Set by the first Begin; restarts keep first_started_at.
   bool ever_started = false;
@@ -173,7 +97,10 @@ Result<BatchExecutionResult> SimExecutorPool::Run(
   const uint64_t max_restarts_per_txn = kMaxRestartsPerTxn * n;
   TxnSlot livelocked_slot = kRootSlot;
   engine.SetAbortCallback([&](TxnSlot slot, obs::AbortReason reason) {
-    runs[slot].log.clear();
+    // The victim's run may be the one on the stack (an engine operation
+    // that aborts its own slot), so it is not destroyed here: the next
+    // step of the slot begins a new attempt and drops the old run, which
+    // has suspended by then.
     runs[slot].started = false;
     ++consecutive_restarts[slot];
     needs_backoff[slot] = true;
@@ -197,8 +124,8 @@ Result<BatchExecutionResult> SimExecutorPool::Run(
       queued[slot] = true;
       ready.emplace_back(slot, abort_event_time);
     }
-    // Pinned slots restart in place on their executor: the cleared log and
-    // bumped incarnation make the next step Begin() afresh.
+    // Pinned slots restart in place on their executor: the cleared flag
+    // makes the next step Begin() afresh.
   });
 
   std::priority_queue<BusyExecutor, std::vector<BusyExecutor>, std::greater<>>
@@ -250,13 +177,15 @@ Result<BatchExecutionResult> SimExecutorPool::Run(
     }
   };
 
-  // Advance `slot` by one step at virtual time `now`. Returns the outcome
-  // and the consumed virtual cost via `cost`.
+  // Advance `slot` by one step at virtual time `now`: resume its contract
+  // run until the run's next engine operation has been made (or the run
+  // ends). Returns the outcome and the consumed virtual cost via `cost`.
   auto step = [&](TxnSlot slot, SimTime now, SimTime* cost) -> StepOutcome {
     TxnRun& run = runs[slot];
     *cost = 0;
     if (!run.started) {
-      run.incarnation = engine.Begin(slot);
+      run.ctx.Begin(engine, slot);
+      run.task = registry.Start(batch[slot], run.ctx);
       run.started = true;
       if (!run.ever_started) {
         run.ever_started = true;
@@ -264,19 +193,23 @@ Result<BatchExecutionResult> SimExecutorPool::Run(
       }
       *cost += costs_.start_cost;
     }
-    SteppingContext ctx(&engine, slot, run.incarnation, &run.log);
-    Status s = registry.Execute(batch[slot], ctx);
-    if (ctx.did_new_op()) *cost += costs_.op_cost;
+    const bool ended = run.task.Resume();
+    // Every operation suspends the run, failed ones included, so the step
+    // made one unless the body returned.
+    if (!run.task.done()) *cost += costs_.op_cost;
+    if (!ended) return StepOutcome::kPaused;
 
-    if (IsPause(s)) return StepOutcome::kPaused;
-    if (s.IsAborted()) return StepOutcome::kAborted;
-    if (!s.ok()) return StepOutcome::kFailed;
-
-    // Contract completed: forward emitted results and finalize.
-    for (Value v : ctx.emits()) engine.Emit(slot, run.incarnation, v);
-    Status fin = engine.Finish(slot, run.incarnation);
-    if (fin.IsAborted()) return StepOutcome::kAborted;
-    return StepOutcome::kFinished;
+    // A completed run hands its emits to the engine; a failed one
+    // (contract-level error: bad arguments etc.) still finalizes the
+    // operations performed so far to keep the batch deterministic across
+    // replicas.
+    const Status& body = run.task.status();
+    StepOutcome outcome = StepOutcome::kAborted;
+    if (!body.IsAborted() && !run.ctx.Finish(body).IsAborted()) {
+      outcome = body.ok() ? StepOutcome::kFinished : StepOutcome::kFailed;
+    }
+    run.task = {};
+    return outcome;
   };
 
   // The per-txn consecutive-restart bound tripped: surface it as its own
@@ -363,29 +296,15 @@ Result<BatchExecutionResult> SimExecutorPool::Run(
         // Restart in place on the same executor (the abort callback
         // already cleared the run state and flagged backoff; defensively
         // clear again for engines that self-abort without the callback).
-        runs[slot].log.clear();
         runs[slot].started = false;
         done += costs_.restart_cost;
         backoff_us[slot] += costs_.restart_cost;
         busy.push(BusyExecutor{done, ex.id, slot});
         break;
-      case StepOutcome::kFailed: {
-        // Contract-level error (bad arguments etc.); the engine still
-        // finalizes the operations performed so far to keep the batch
-        // deterministic across replicas.
-        Status fin = engine.Finish(slot, runs[slot].incarnation);
-        if (fin.IsAborted()) {
-          runs[slot].log.clear();
-          runs[slot].started = false;
-          done += costs_.restart_cost;
-          backoff_us[slot] += costs_.restart_cost;
-          busy.push(BusyExecutor{done, ex.id, slot});
-          break;
-        }
+      case StepOutcome::kFailed:
         pinned[slot] = false;
         idle.push(IdleExecutor{done, ex.id});
         break;
-      }
       case StepOutcome::kFinished:
         consecutive_restarts[slot] = 0;
         pinned[slot] = false;
@@ -406,7 +325,7 @@ Result<BatchExecutionResult> SimExecutorPool::Run(
         ev.tid = ex.id;
         ev.ts_us = done;
         ev.txn = batch[committed_slot].id;
-        ev.a = runs[committed_slot].incarnation;
+        ev.a = runs[committed_slot].ctx.incarnation();
         ev.b = last_committed;
         tracer.Record(ev);
       }

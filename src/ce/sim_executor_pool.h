@@ -10,25 +10,26 @@
 // parallelism see ThreadExecutorPool (thread_executor_pool.h); both
 // implement the common ExecutorPool interface (executor_pool.h).
 //
-// Interleaving model. Contracts are ordinary C++ functions that call
-// ContractContext synchronously, so they cannot be suspended mid-body.
-// The pool instead advances a transaction one *operation* at a time by
-// deterministic re-execution: each step re-runs the contract from the top
-// with a context that replays the previously observed operation results
-// from a log and performs exactly one new engine operation before pausing.
-// Because contracts are deterministic given their read values, the replay
-// is exact; engine state is only touched by the single new operation, at
-// the correct virtual time. The replay cost is quadratic in a contract's
-// operation count and not negligible: on the perfbench cluster-smallbank
-// workload (seeds 1 and 13) a transaction attempt runs its contract 3.9
-// times, and each engine operation costs 2.05 more context calls replayed
-// from the log, each run rebuilding the contract's key strings.
+// Interleaving model. A contract is a C++20 coroutine
+// (contract/contract.h) that suspends after each engine operation; the
+// pool runs it in an EngineContext (executor_pool.h), keeps one suspended
+// run per running slot and resumes it at the slot's next step, so a step
+// makes at most one engine operation, at the step's virtual time, and each
+// attempt runs its contract body once. A run that ends (the body
+// returned, or an operation failed) ends the attempt: a completed run
+// hands its emitted results to the engine and calls Finish. An abort,
+// including one reported for the slot whose operation is on the stack,
+// only marks the slot; its next step drops the suspended run and begins a
+// new attempt, so no run is destroyed from inside the abort callback.
 //
 // Timing model per operation:
 //   start   = max(executor_free, engine_serial_free)
 //   engine_serial_free = start + costs.engine_serial_cost   (shared latch /
 //                        lock-manager / central-verifier critical section)
 //   executor_free      = start + costs.engine_serial_cost + costs.op_cost
+// A step that makes an operation pays op_cost whether or not the operation
+// succeeds; the step that only resumes a run to its end pays neither cost
+// (start_cost still applies to the step that begins an attempt).
 // Restarted transactions pay costs.restart_cost before re-running.
 #ifndef THUNDERBOLT_CE_SIM_EXECUTOR_POOL_H_
 #define THUNDERBOLT_CE_SIM_EXECUTOR_POOL_H_

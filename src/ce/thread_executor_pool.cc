@@ -7,40 +7,6 @@
 
 namespace thunderbolt::ce {
 
-namespace {
-
-/// Forwards every contract operation to the engine directly. Unlike the
-/// sim pool's SteppingContext there is no replay log: the attempt runs the
-/// contract straight through on this worker's thread.
-class DirectContext final : public contract::ContractContext {
- public:
-  DirectContext(BatchEngine* engine, TxnSlot slot, uint32_t incarnation)
-      : engine_(engine), slot_(slot), incarnation_(incarnation) {}
-
-  Result<Value> Read(const Key& key) override {
-    return engine_->Read(slot_, incarnation_, key);
-  }
-
-  Status Write(const Key& key, Value value) override {
-    return engine_->Write(slot_, incarnation_, key, value);
-  }
-
-  void EmitResult(Value value) override {
-    // Buffered; only a successfully completing attempt forwards emits.
-    emits_.push_back(value);
-  }
-
-  const std::vector<Value>& emits() const { return emits_; }
-
- private:
-  BatchEngine* engine_;
-  TxnSlot slot_;
-  uint32_t incarnation_;
-  std::vector<Value> emits_;
-};
-
-}  // namespace
-
 ThreadExecutorPool::ThreadExecutorPool(uint32_t num_executors,
                                        ExecutionCostModel costs)
     : num_executors_(num_executors), costs_(costs) {
@@ -61,21 +27,15 @@ ThreadExecutorPool::~ThreadExecutorPool() {
 
 ThreadExecutorPool::Outcome ThreadExecutorPool::Attempt(Job& job,
                                                         TxnSlot slot) {
-  BatchEngine& engine = *job.engine;
-  const uint32_t incarnation = engine.Begin(slot);
-  DirectContext ctx(&engine, slot, incarnation);
-  Status s = job.registry->Execute((*job.batch)[slot], ctx);
-  if (s.ok()) {
-    for (Value v : ctx.emits()) engine.Emit(slot, incarnation, v);
-    Status fin = engine.Finish(slot, incarnation);
-    return fin.IsAborted() ? Outcome::kAborted : Outcome::kFinished;
-  }
+  EngineContext ctx;
+  ctx.Begin(*job.engine, slot);
+  const Status s = job.registry->Execute((*job.batch)[slot], ctx);
   if (s.IsAborted()) return Outcome::kAborted;
-  // Contract-level failure (bad arguments, unknown contract). The engine
-  // still finalizes the operations performed so far — same policy as the
-  // sim pool — so the batch outcome stays well-defined.
-  Status fin = engine.Finish(slot, incarnation);
-  return fin.IsAborted() ? Outcome::kAborted : Outcome::kFinished;
+  // A completed attempt hands its emits to the engine. A contract-level
+  // failure (bad arguments, unknown contract) still finalizes the
+  // operations performed so far — same policy as the sim pool — so the
+  // batch outcome stays well-defined.
+  return ctx.Finish(s).IsAborted() ? Outcome::kAborted : Outcome::kFinished;
 }
 
 void ThreadExecutorPool::WorkerLoop() {

@@ -25,11 +25,12 @@
 // pool mutex (lock order: engine lock, then pool lock — never the
 // reverse).
 //
-// Unlike the sim pool there is no step/replay machinery: each attempt runs
-// the contract straight through, with every ContractContext operation
-// forwarded to the engine directly. Contract logic, key construction and
-// base-store reads run in parallel on the workers; only the engine's
-// internal critical sections serialize.
+// Unlike the sim pool, which resumes a contract one engine operation per
+// step, a worker runs each attempt's contract straight through in an
+// EngineContext (executor_pool.h), the context the sim pool also uses:
+// every operation goes to the engine directly. Contract logic,
+// key construction and base-store reads run in parallel on the workers;
+// only the engine's internal critical sections serialize.
 //
 // Determinism caveat: wall-clock timings, abort counts and (for engines
 // whose serialization order is interleaving-dependent) the commit order

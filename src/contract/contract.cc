@@ -7,6 +7,24 @@
 
 namespace thunderbolt::contract {
 
+namespace {
+
+/// A run that ends with `status` without touching state.
+ContractTask Fail(Status status) { co_return status; }
+
+}  // namespace
+
+Status RequireArgs(const txn::Transaction& tx, size_t accounts,
+                   size_t params) {
+  if (tx.accounts.size() < accounts) {
+    return Status::InvalidArgument(tx.contract + ": missing account args");
+  }
+  if (tx.params.size() < params) {
+    return Status::InvalidArgument(tx.contract + ": missing params");
+  }
+  return Status::OK();
+}
+
 void Registry::Register(std::string name, std::unique_ptr<Contract> contract) {
   contracts_[std::move(name)] = std::move(contract);
 }
@@ -16,11 +34,11 @@ const Contract* Registry::Lookup(const std::string& name) const {
   return it == contracts_.end() ? nullptr : it->second.get();
 }
 
-Status Registry::Execute(const txn::Transaction& tx,
-                         ContractContext& ctx) const {
+ContractTask Registry::Start(const txn::Transaction& tx,
+                             ContractContext& ctx) const {
   const Contract* c = Lookup(tx.contract);
   if (c == nullptr) {
-    return Status::NotFound("unknown contract: " + tx.contract);
+    return Fail(Status::NotFound("unknown contract: " + tx.contract));
   }
   return c->Execute(tx, ctx);
 }

@@ -8,72 +8,66 @@ namespace {
 
 using txn::Transaction;
 
-Status RequireArgs(const Transaction& tx, size_t accounts, size_t params) {
-  if (tx.accounts.size() < accounts) {
-    return Status::InvalidArgument(tx.contract + ": missing account args");
-  }
-  if (tx.params.size() < params) {
-    return Status::InvalidArgument(tx.contract + ": missing params");
-  }
-  return Status::OK();
-}
-
 class KvReadContract final : public Contract {
  public:
-  Status Execute(const Transaction& tx, ContractContext& ctx) const override {
-    THUNDERBOLT_RETURN_NOT_OK(RequireArgs(tx, 1, 0));
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value value,
-                                 ctx.Read(KvValueKey(tx.accounts[0])));
+  ContractTask Execute(const Transaction& tx,
+                       ContractContext& ctx) const override {
+    if (Status s = RequireArgs(tx, 1, 0); !s.ok()) co_return s;
+    const Key key = KvValueKey(tx.accounts[0]);
+    const Value value = co_await ctx.Read(key);
     ctx.EmitResult(value);
-    return Status::OK();
+    co_return Status::OK();
   }
 };
 
 class KvUpdateContract final : public Contract {
  public:
-  Status Execute(const Transaction& tx, ContractContext& ctx) const override {
-    THUNDERBOLT_RETURN_NOT_OK(RequireArgs(tx, 1, 1));
-    THUNDERBOLT_RETURN_NOT_OK(
-        ctx.Write(KvValueKey(tx.accounts[0]), tx.params[0]));
+  ContractTask Execute(const Transaction& tx,
+                       ContractContext& ctx) const override {
+    if (Status s = RequireArgs(tx, 1, 1); !s.ok()) co_return s;
+    const Key key = KvValueKey(tx.accounts[0]);
+    co_await ctx.Write(key, tx.params[0]);
     ctx.EmitResult(tx.params[0]);
-    return Status::OK();
+    co_return Status::OK();
   }
 };
 
 class KvRmwContract final : public Contract {
  public:
-  Status Execute(const Transaction& tx, ContractContext& ctx) const override {
-    THUNDERBOLT_RETURN_NOT_OK(RequireArgs(tx, 1, 1));
+  ContractTask Execute(const Transaction& tx,
+                       ContractContext& ctx) const override {
+    if (Status s = RequireArgs(tx, 1, 1); !s.ok()) co_return s;
     const Key key = KvValueKey(tx.accounts[0]);
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value value, ctx.Read(key));
-    Value updated = value + tx.params[0];
-    THUNDERBOLT_RETURN_NOT_OK(ctx.Write(key, updated));
+    const Value value = co_await ctx.Read(key);
+    const Value updated = value + tx.params[0];
+    co_await ctx.Write(key, updated);
     ctx.EmitResult(updated);
-    return Status::OK();
+    co_return Status::OK();
   }
 };
 
 class KvTransferContract final : public Contract {
  public:
-  Status Execute(const Transaction& tx, ContractContext& ctx) const override {
-    THUNDERBOLT_RETURN_NOT_OK(RequireArgs(tx, 2, 1));
+  ContractTask Execute(const Transaction& tx,
+                       ContractContext& ctx) const override {
+    if (Status s = RequireArgs(tx, 2, 1); !s.ok()) co_return s;
     const Key src = KvValueKey(tx.accounts[0]);
     const Key dst = KvValueKey(tx.accounts[1]);
     if (src == dst) {
       // Self-transfer is a no-op; falling through would apply both writes
       // to one key and mint `amount` out of thin air.
       ctx.EmitResult(0);
-      return Status::OK();
+      co_return Status::OK();
     }
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value src_value, ctx.Read(src));
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value dst_value, ctx.Read(dst));
+    const Value src_value = co_await ctx.Read(src);
+    const Value dst_value = co_await ctx.Read(dst);
     // Clamp at the source balance so records never go negative.
     Value amount = tx.params[0] < src_value ? tx.params[0] : src_value;
     if (amount < 0) amount = 0;
-    THUNDERBOLT_RETURN_NOT_OK(ctx.Write(src, src_value - amount));
-    THUNDERBOLT_RETURN_NOT_OK(ctx.Write(dst, dst_value + amount));
+    co_await ctx.Write(src, src_value - amount);
+    co_await ctx.Write(dst, dst_value + amount);
     ctx.EmitResult(amount);
-    return Status::OK();
+    co_return Status::OK();
   }
 };
 

@@ -12,40 +12,32 @@ using txn::CheckingKey;
 using txn::SavingsKey;
 using txn::Transaction;
 
-Status RequireArgs(const Transaction& tx, size_t accounts, size_t params) {
-  if (tx.accounts.size() < accounts) {
-    return Status::InvalidArgument(tx.contract + ": missing account args");
-  }
-  if (tx.params.size() < params) {
-    return Status::InvalidArgument(tx.contract + ": missing params");
-  }
-  return Status::OK();
-}
-
 /// GetBalance: returns checking + savings. Read-only.
 class GetBalanceContract final : public Contract {
  public:
-  Status Execute(const Transaction& tx, ContractContext& ctx) const override {
-    THUNDERBOLT_RETURN_NOT_OK(RequireArgs(tx, 1, 0));
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value checking,
-                                 ctx.Read(CheckingKey(tx.accounts[0])));
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value savings,
-                                 ctx.Read(SavingsKey(tx.accounts[0])));
+  ContractTask Execute(const Transaction& tx,
+                       ContractContext& ctx) const override {
+    if (Status s = RequireArgs(tx, 1, 0); !s.ok()) co_return s;
+    const Key checking_key = CheckingKey(tx.accounts[0]);
+    const Key savings_key = SavingsKey(tx.accounts[0]);
+    const Value checking = co_await ctx.Read(checking_key);
+    const Value savings = co_await ctx.Read(savings_key);
     ctx.EmitResult(checking + savings);
-    return Status::OK();
+    co_return Status::OK();
   }
 };
 
 /// DepositChecking: checking += amount.
 class DepositCheckingContract final : public Contract {
  public:
-  Status Execute(const Transaction& tx, ContractContext& ctx) const override {
-    THUNDERBOLT_RETURN_NOT_OK(RequireArgs(tx, 1, 1));
+  ContractTask Execute(const Transaction& tx,
+                       ContractContext& ctx) const override {
+    if (Status s = RequireArgs(tx, 1, 1); !s.ok()) co_return s;
     const Key key = CheckingKey(tx.accounts[0]);
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value checking, ctx.Read(key));
-    THUNDERBOLT_RETURN_NOT_OK(ctx.Write(key, checking + tx.params[0]));
+    const Value checking = co_await ctx.Read(key);
+    co_await ctx.Write(key, checking + tx.params[0]);
     ctx.EmitResult(checking + tx.params[0]);
-    return Status::OK();
+    co_return Status::OK();
   }
 };
 
@@ -53,35 +45,37 @@ class DepositCheckingContract final : public Contract {
 /// non-negative (dynamic write set: no write on the failure path).
 class TransactSavingsContract final : public Contract {
  public:
-  Status Execute(const Transaction& tx, ContractContext& ctx) const override {
-    THUNDERBOLT_RETURN_NOT_OK(RequireArgs(tx, 1, 1));
+  ContractTask Execute(const Transaction& tx,
+                       ContractContext& ctx) const override {
+    if (Status s = RequireArgs(tx, 1, 1); !s.ok()) co_return s;
     const Key key = SavingsKey(tx.accounts[0]);
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value savings, ctx.Read(key));
-    Value updated = savings + tx.params[0];
+    const Value savings = co_await ctx.Read(key);
+    const Value updated = savings + tx.params[0];
     if (updated < 0) {
       ctx.EmitResult(0);  // Declined; balance untouched.
-      return Status::OK();
+      co_return Status::OK();
     }
-    THUNDERBOLT_RETURN_NOT_OK(ctx.Write(key, updated));
+    co_await ctx.Write(key, updated);
     ctx.EmitResult(1);
-    return Status::OK();
+    co_return Status::OK();
   }
 };
 
 /// WriteCheck: debit `amount` from checking; overdrafts incur a $1 penalty.
 class WriteCheckContract final : public Contract {
  public:
-  Status Execute(const Transaction& tx, ContractContext& ctx) const override {
-    THUNDERBOLT_RETURN_NOT_OK(RequireArgs(tx, 1, 1));
+  ContractTask Execute(const Transaction& tx,
+                       ContractContext& ctx) const override {
+    if (Status s = RequireArgs(tx, 1, 1); !s.ok()) co_return s;
     const Key checking_key = CheckingKey(tx.accounts[0]);
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value checking, ctx.Read(checking_key));
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value savings,
-                                 ctx.Read(SavingsKey(tx.accounts[0])));
-    Value amount = tx.params[0];
-    Value debit = (checking + savings < amount) ? amount + 1 : amount;
-    THUNDERBOLT_RETURN_NOT_OK(ctx.Write(checking_key, checking - debit));
+    const Key savings_key = SavingsKey(tx.accounts[0]);
+    const Value checking = co_await ctx.Read(checking_key);
+    const Value savings = co_await ctx.Read(savings_key);
+    const Value amount = tx.params[0];
+    const Value debit = (checking + savings < amount) ? amount + 1 : amount;
+    co_await ctx.Write(checking_key, checking - debit);
     ctx.EmitResult(checking - debit);
-    return Status::OK();
+    co_return Status::OK();
   }
 };
 
@@ -89,40 +83,42 @@ class WriteCheckContract final : public Contract {
 /// suffice; otherwise decline without writing (dynamic write set).
 class SendPaymentContract final : public Contract {
  public:
-  Status Execute(const Transaction& tx, ContractContext& ctx) const override {
-    THUNDERBOLT_RETURN_NOT_OK(RequireArgs(tx, 2, 1));
+  ContractTask Execute(const Transaction& tx,
+                       ContractContext& ctx) const override {
+    if (Status s = RequireArgs(tx, 2, 1); !s.ok()) co_return s;
     const Key src = CheckingKey(tx.accounts[0]);
     const Key dst = CheckingKey(tx.accounts[1]);
-    Value amount = tx.params[0];
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value src_balance, ctx.Read(src));
+    const Value amount = tx.params[0];
+    const Value src_balance = co_await ctx.Read(src);
     if (src_balance < amount) {
       ctx.EmitResult(0);  // Declined.
-      return Status::OK();
+      co_return Status::OK();
     }
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value dst_balance, ctx.Read(dst));
-    THUNDERBOLT_RETURN_NOT_OK(ctx.Write(src, src_balance - amount));
-    THUNDERBOLT_RETURN_NOT_OK(ctx.Write(dst, dst_balance + amount));
+    const Value dst_balance = co_await ctx.Read(dst);
+    co_await ctx.Write(src, src_balance - amount);
+    co_await ctx.Write(dst, dst_balance + amount);
     ctx.EmitResult(1);
-    return Status::OK();
+    co_return Status::OK();
   }
 };
 
 /// Amalgamate: move all of a's funds into b's checking.
 class AmalgamateContract final : public Contract {
  public:
-  Status Execute(const Transaction& tx, ContractContext& ctx) const override {
-    THUNDERBOLT_RETURN_NOT_OK(RequireArgs(tx, 2, 0));
+  ContractTask Execute(const Transaction& tx,
+                       ContractContext& ctx) const override {
+    if (Status s = RequireArgs(tx, 2, 0); !s.ok()) co_return s;
     const Key a_checking = CheckingKey(tx.accounts[0]);
     const Key a_savings = SavingsKey(tx.accounts[0]);
     const Key b_checking = CheckingKey(tx.accounts[1]);
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value ac, ctx.Read(a_checking));
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value as, ctx.Read(a_savings));
-    THUNDERBOLT_ASSIGN_OR_RETURN(Value bc, ctx.Read(b_checking));
-    THUNDERBOLT_RETURN_NOT_OK(ctx.Write(a_checking, 0));
-    THUNDERBOLT_RETURN_NOT_OK(ctx.Write(a_savings, 0));
-    THUNDERBOLT_RETURN_NOT_OK(ctx.Write(b_checking, bc + ac + as));
+    const Value ac = co_await ctx.Read(a_checking);
+    const Value as = co_await ctx.Read(a_savings);
+    const Value bc = co_await ctx.Read(b_checking);
+    co_await ctx.Write(a_checking, 0);
+    co_await ctx.Write(a_savings, 0);
+    co_await ctx.Write(b_checking, bc + ac + as);
     ctx.EmitResult(bc + ac + as);
-    return Status::OK();
+    co_return Status::OK();
   }
 };
 

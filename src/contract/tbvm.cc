@@ -9,8 +9,8 @@ constexpr int kNumValueRegs = 16;
 constexpr int kNumKeyRegs = 8;
 }  // namespace
 
-Status RunTbProgram(const TbProgram& program, const txn::Transaction& tx,
-                    ContractContext& ctx) {
+ContractTask RunTbProgram(const TbProgram& program,
+                          const txn::Transaction& tx, ContractContext& ctx) {
   int64_t r[kNumValueRegs] = {0};
   std::string k[kNumKeyRegs];
 
@@ -24,12 +24,12 @@ Status RunTbProgram(const TbProgram& program, const txn::Transaction& tx,
 
   while (pc < code.size()) {
     if (++steps > program.step_budget) {
-      return Status::OutOfRange("tbvm: step budget exhausted");
+      co_return Status::OutOfRange("tbvm: step budget exhausted");
     }
     const TbInstr& in = code[pc];
     if (in.a >= kNumValueRegs && in.op != TbOp::kMakeKey &&
         in.op != TbOp::kMakeKeyReg && in.op != TbOp::kWrite) {
-      return bad("register index out of range");
+      co_return bad("register index out of range");
     }
     switch (in.op) {
       case TbOp::kLoadImm:
@@ -38,7 +38,7 @@ Status RunTbProgram(const TbProgram& program, const txn::Transaction& tx,
         break;
       case TbOp::kLoadParam: {
         size_t idx = static_cast<size_t>(in.imm);
-        if (idx >= tx.params.size()) return bad("param index out of range");
+        if (idx >= tx.params.size()) co_return bad("param index out of range");
         r[in.a] = tx.params[idx];
         ++pc;
         break;
@@ -60,23 +60,23 @@ Status RunTbProgram(const TbProgram& program, const txn::Transaction& tx,
         ++pc;
         break;
       case TbOp::kDiv:
-        if (r[in.c] == 0) return bad("division by zero");
+        if (r[in.c] == 0) co_return bad("division by zero");
         r[in.a] = r[in.b] / r[in.c];
         ++pc;
         break;
       case TbOp::kMakeKey: {
-        if (in.a >= kNumKeyRegs) return bad("key register out of range");
-        if (in.b >= tx.accounts.size()) return bad("account index");
-        if (in.c >= program.suffixes.size()) return bad("suffix index");
+        if (in.a >= kNumKeyRegs) co_return bad("key register out of range");
+        if (in.b >= tx.accounts.size()) co_return bad("account index");
+        if (in.c >= program.suffixes.size()) co_return bad("suffix index");
         k[in.a] = tx.accounts[in.b] + "/" + program.suffixes[in.c];
         ++pc;
         break;
       }
       case TbOp::kMakeKeyReg: {
-        if (in.a >= kNumKeyRegs) return bad("key register out of range");
-        if (in.b >= kNumValueRegs) return bad("register index");
-        if (tx.accounts.empty()) return bad("no accounts");
-        if (in.c >= program.suffixes.size()) return bad("suffix index");
+        if (in.a >= kNumKeyRegs) co_return bad("key register out of range");
+        if (in.b >= kNumValueRegs) co_return bad("register index");
+        if (tx.accounts.empty()) co_return bad("no accounts");
+        if (in.c >= program.suffixes.size()) co_return bad("suffix index");
         size_t acct = static_cast<size_t>(
             static_cast<uint64_t>(r[in.b]) % tx.accounts.size());
         k[in.a] = tx.accounts[acct] + "/" + program.suffixes[in.c];
@@ -85,37 +85,36 @@ Status RunTbProgram(const TbProgram& program, const txn::Transaction& tx,
       }
       case TbOp::kRead: {
         if (in.b >= kNumKeyRegs || k[in.b].empty()) {
-          return bad("read from unset key register");
+          co_return bad("read from unset key register");
         }
-        THUNDERBOLT_ASSIGN_OR_RETURN(Value v, ctx.Read(k[in.b]));
-        r[in.a] = v;
+        r[in.a] = co_await ctx.Read(k[in.b]);
         ++pc;
         break;
       }
       case TbOp::kWrite: {
         if (in.a >= kNumKeyRegs || k[in.a].empty()) {
-          return bad("write to unset key register");
+          co_return bad("write to unset key register");
         }
-        if (in.b >= kNumValueRegs) return bad("register index");
-        THUNDERBOLT_RETURN_NOT_OK(ctx.Write(k[in.a], r[in.b]));
+        if (in.b >= kNumValueRegs) co_return bad("register index");
+        co_await ctx.Write(k[in.a], r[in.b]);
         ++pc;
         break;
       }
       case TbOp::kJmp: {
         size_t target = static_cast<size_t>(in.imm);
-        if (target > code.size()) return bad("jump target out of range");
+        if (target > code.size()) co_return bad("jump target out of range");
         pc = target;
         break;
       }
       case TbOp::kJz: {
         size_t target = static_cast<size_t>(in.imm);
-        if (target > code.size()) return bad("jump target out of range");
+        if (target > code.size()) co_return bad("jump target out of range");
         pc = (r[in.a] == 0) ? target : pc + 1;
         break;
       }
       case TbOp::kJlt: {
         size_t target = static_cast<size_t>(in.imm);
-        if (target > code.size()) return bad("jump target out of range");
+        if (target > code.size()) co_return bad("jump target out of range");
         pc = (r[in.a] < r[in.b]) ? target : pc + 1;
         break;
       }
@@ -124,12 +123,12 @@ Status RunTbProgram(const TbProgram& program, const txn::Transaction& tx,
         ++pc;
         break;
       case TbOp::kHalt:
-        return Status::OK();
+        co_return Status::OK();
       case TbOp::kFail:
-        return Status::InvalidArgument("tbvm: contract declared failure");
+        co_return Status::InvalidArgument("tbvm: contract declared failure");
     }
   }
-  return Status::OK();  // Fell off the end: treated as halt.
+  co_return Status::OK();  // Fell off the end: treated as halt.
 }
 
 namespace {

@@ -59,19 +59,20 @@ struct TbProgram {
   uint64_t step_budget = 100000;      // Gas limit.
 };
 
-/// Executes `program` for `tx` against `ctx`. Returns the propagated
-/// context status on aborts, InvalidArgument on kFail or malformed
-/// programs, and OutOfRange when the step budget is exhausted.
-Status RunTbProgram(const TbProgram& program, const txn::Transaction& tx,
-                    ContractContext& ctx);
+/// The run of `program` for `tx` against `ctx`, a contract coroutine whose
+/// interpreter loop co_awaits each kRead and kWrite. It ends with the failed
+/// operation's status, InvalidArgument on kFail or malformed programs, or
+/// OutOfRange when the step budget is exhausted.
+ContractTask RunTbProgram(const TbProgram& program,
+                          const txn::Transaction& tx, ContractContext& ctx);
 
 /// A Contract that runs a fixed TBVM program.
 class TbvmContract final : public Contract {
  public:
   explicit TbvmContract(TbProgram program) : program_(std::move(program)) {}
 
-  Status Execute(const txn::Transaction& tx,
-                 ContractContext& ctx) const override {
+  ContractTask Execute(const txn::Transaction& tx,
+                       ContractContext& ctx) const override {
     return RunTbProgram(program_, tx, ctx);
   }
 

@@ -53,7 +53,7 @@ class ValidationContext final : public contract::ContractContext {
     undeclared_writes.clear();
   }
 
-  Result<Value> Read(const Key& key) override {
+  Result<Value> DoRead(const Key& key) override {
     ++ops;
     if (const Value* own = LocalWrite(key)) {
       // Read-your-own-write: served locally; the CC records no read for
@@ -82,7 +82,7 @@ class ValidationContext final : public contract::ContractContext {
     return actual;
   }
 
-  Status Write(const Key& key, Value value) override {
+  Status DoWrite(const Key& key, Value value) override {
     ++ops;
     const size_t i = FirstIndexOf(declared_->writes, key);
     if (i != kNotDeclared) {

@@ -2,12 +2,21 @@
 
 namespace thunderbolt::dag {
 
+Hash256 VoteDigest(EpochId epoch, Round round, ReplicaId proposer,
+                   const Hash256& block_digest) {
+  Sha256 h;
+  h.Update("thunderbolt-vote", 16);
+  h.UpdateInt(epoch);
+  h.UpdateInt(round);
+  h.UpdateInt(proposer);
+  h.Update(block_digest.bytes.data(), block_digest.bytes.size());
+  return h.Finalize();
+}
+
 Status Certificate::Validate(const crypto::KeyDirectory& dir,
                              uint32_t n) const {
-  // No signature covers `proposer`, so a relayed copy of a genuine
-  // certificate can name any replica; one naming none is rejected here.
   if (proposer >= n) return Status::Corruption("unknown proposer");
-  if (qc.digest != block_digest) {
+  if (qc.digest != VoteDigest(epoch, round, proposer, block_digest)) {
     return Status::Corruption("certificate digest mismatch");
   }
   return qc.Validate(dir, n);

@@ -33,7 +33,14 @@ class BlockContent {
 
 using BlockContentPtr = std::shared_ptr<const BlockContent>;
 
-/// A certificate: quorum of 2f+1 signatures over a block digest.
+/// What a vote signs: the block digest bound to its slot (epoch, round,
+/// proposer). A certificate's quorum covers the same digest, so a relayed
+/// certificate cannot be renamed to another slot.
+Hash256 VoteDigest(EpochId epoch, Round round, ReplicaId proposer,
+                   const Hash256& block_digest);
+
+/// A certificate: quorum of 2f+1 signatures over the vote digest of a
+/// block.
 struct Certificate {
   EpochId epoch = 0;
   Round round = 0;
@@ -41,6 +48,8 @@ struct Certificate {
   Hash256 block_digest;
   crypto::QuorumCert qc;
 
+  /// Checks that the quorum signs VoteDigest(epoch, round, proposer,
+  /// block_digest) and is valid for `n` replicas.
   Status Validate(const crypto::KeyDirectory& dir, uint32_t n) const;
 };
 

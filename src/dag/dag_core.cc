@@ -129,10 +129,13 @@ Status DagCore::ValidateBlock(const Block& block) const {
         return Status::Corruption("duplicate parent proposer");
       }
       parent_proposers[cert.proposer] = true;
-      // Quorum certificates are validated once and cached in
-      // StoreCertificate; structural checks suffice here for certs we have
-      // already seen.
-      if (!HasCertificate(cert.round, cert.proposer)) {
+      // Quorum certificates are validated before StoreCertificate keeps
+      // them, so a parent certificate naming the block its slot's stored
+      // certificate names needs only the checks above; any other parent
+      // certificate, a fabricated digest on a certified slot included, is
+      // validated in full.
+      const Certificate* stored = FindCertificate(cert.round, cert.proposer);
+      if (stored == nullptr || stored->block_digest != cert.block_digest) {
         THUNDERBOLT_RETURN_NOT_OK(cert.Validate(*keys_, config_.n));
       }
     }
@@ -172,7 +175,9 @@ void DagCore::HandleProposal(ReplicaId from, const BlockProposalMsg& msg) {
   vote->epoch = block.epoch;
   vote->round = block.round;
   vote->block_digest = block.Digest();
-  vote->signature = keys_->key(config_.id).Sign(vote->block_digest);
+  vote->signature = keys_->key(config_.id).Sign(
+      VoteDigest(block.epoch, block.round, block.proposer,
+                 vote->block_digest));
   network_->Send(config_.id, block.proposer, vote);
 }
 
@@ -182,7 +187,9 @@ void DagCore::HandleVote(ReplicaId from, const BlockVoteMsg& msg) {
   if (cert_formed_[msg.round]) return;
   BlockPtr own = GetBlock(msg.round, config_.id);
   if (!own || own->Digest() != msg.block_digest) return;
-  if (!keys_->Verify(msg.block_digest, msg.signature)) return;
+  const Hash256 signed_digest =
+      VoteDigest(config_.epoch, msg.round, config_.id, msg.block_digest);
+  if (!keys_->Verify(signed_digest, msg.signature)) return;
   if (msg.signature.signer != from) return;
 
   std::vector<crypto::Signature>& votes = vote_collect_[msg.round];
@@ -197,7 +204,7 @@ void DagCore::HandleVote(ReplicaId from, const BlockVoteMsg& msg) {
     cert.round = msg.round;
     cert.proposer = config_.id;
     cert.block_digest = msg.block_digest;
-    cert.qc.digest = msg.block_digest;
+    cert.qc.digest = signed_digest;
     cert.qc.signatures = votes;
     auto out = std::make_shared<CertificateMsg>();
     out->certificate = cert;
@@ -305,9 +312,15 @@ BlockPtr DagCore::GetBlockByDigest(const Hash256& digest) const {
 }
 
 bool DagCore::HasCertificate(Round round, ReplicaId proposer) const {
+  return FindCertificate(round, proposer) != nullptr;
+}
+
+const Certificate* DagCore::FindCertificate(Round round,
+                                            ReplicaId proposer) const {
   auto it = rounds_.find(round);
-  if (it == rounds_.end()) return false;
-  return it->second.certificates.count(proposer) > 0;
+  if (it == rounds_.end()) return nullptr;
+  auto cit = it->second.certificates.find(proposer);
+  return cit == it->second.certificates.end() ? nullptr : &cit->second;
 }
 
 uint32_t DagCore::CertificateCount(Round round) const {

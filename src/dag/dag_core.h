@@ -171,6 +171,8 @@ class DagCore {
   void HandleBlockResponse(ReplicaId from, const BlockResponseMsg& msg);
 
   Status ValidateBlock(const Block& block) const;
+  /// The stored certificate for (round, proposer), or nullptr.
+  const Certificate* FindCertificate(Round round, ReplicaId proposer) const;
   void StoreBlock(const BlockPtr& block);
   void StoreCertificate(const Certificate& cert);
   void MaybeAnnounceRounds();

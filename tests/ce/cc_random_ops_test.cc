@@ -46,27 +46,27 @@ class RandomOpsContract final : public contract::Contract {
   RandomOpsContract(uint32_t num_keys, uint32_t rounds)
       : num_keys_(num_keys), rounds_(rounds) {}
 
-  Status Execute(const txn::Transaction& tx,
-                 ContractContext& ctx) const override {
+  contract::ContractTask Execute(const txn::Transaction& tx,
+                                 ContractContext& ctx) const override {
     uint64_t state = Mix(static_cast<uint64_t>(tx.params.at(0)) + 0x9e37);
     Value acc = 0;
     for (uint32_t i = 0; i < rounds_; ++i) {
       state = Mix(state + static_cast<uint64_t>(acc) * 31 + i);
-      std::string key = "k" + std::to_string(state % num_keys_);
+      const std::string key = "k" + std::to_string(state % num_keys_);
       // Accumulator mixing is hash-like and intentionally wraps; do it in
       // uint64_t so the wraparound is well-defined.
       if ((state >> 8) % 3 == 0) {
         // Write a value derived from everything read so far.
-        THUNDERBOLT_RETURN_NOT_OK(ctx.Write(
-            key, static_cast<Value>(static_cast<uint64_t>(acc) * 7 + i + 1)));
+        co_await ctx.Write(
+            key, static_cast<Value>(static_cast<uint64_t>(acc) * 7 + i + 1));
       } else {
-        THUNDERBOLT_ASSIGN_OR_RETURN(Value v, ctx.Read(key));
+        const Value v = co_await ctx.Read(key);
         acc = static_cast<Value>(static_cast<uint64_t>(acc) * 13 +
                                  static_cast<uint64_t>(v));
       }
     }
     ctx.EmitResult(acc);
-    return Status::OK();
+    co_return Status::OK();
   }
 
  private:
@@ -78,12 +78,12 @@ class RandomOpsContract final : public contract::Contract {
 class SerialCtx final : public ContractContext {
  public:
   explicit SerialCtx(storage::MemKVStore* store) : store_(store) {}
-  Result<Value> Read(const storage::Key& key) override {
+  Result<Value> DoRead(const storage::Key& key) override {
     auto it = writes_.find(key);
     if (it != writes_.end()) return it->second;
     return store_->GetOrDefault(key, 0);
   }
-  Status Write(const storage::Key& key, Value value) override {
+  Status DoWrite(const storage::Key& key, Value value) override {
     writes_[key] = value;
     return Status::OK();
   }

@@ -6,12 +6,15 @@
 #include <vector>
 
 #include "ce/concurrency_controller.h"
+#include "ce/engine_registry.h"
 #include "contract/contract.h"
 #include "contract/kv.h"
 #include "obs/trace.h"
 #include "testutil/always_abort_engine.h"
+#include "testutil/contract_runs.h"
 #include "testutil/testutil.h"
 #include "workload/smallbank_workload.h"
+#include "workload/workload.h"
 
 namespace thunderbolt::ce {
 namespace {
@@ -218,6 +221,182 @@ TEST_F(PoolTest, ReportsReExecutions) {
   auto r = pool.Run(cc, *registry_, batch);
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->total_aborts, 0u);
+}
+
+// --- One contract run per attempt -----------------------------------------
+
+/// Watches what the pool does around an engine's aborts: an abort of the
+/// slot whose Read is on the stack, an abort of a slot suspended
+/// mid-attempt (a cascade from another slot's operation), and any
+/// operation a slot makes after an abort before it begins its next attempt.
+class AbortWatchingEngine final : public testutil::AttemptCountingEngine {
+ public:
+  AbortWatchingEngine(BatchEngine* inner, uint32_t n)
+      : AttemptCountingEngine(inner), ops_(n, 0), aborted_(n, false) {}
+
+  void SetAbortCallback(AbortCallback cb) override {
+    AttemptCountingEngine::SetAbortCallback(
+        [this, cb = std::move(cb)](TxnSlot slot, obs::AbortReason reason) {
+          if (slot == reading_) {
+            ++self_aborts_in_read;
+          } else if (slot != acting_ && ops_[slot] > 0) {
+            ++suspended_aborts;
+          }
+          aborted_[slot] = true;
+          ops_[slot] = 0;
+          cb(slot, reason);
+        });
+  }
+  uint32_t Begin(TxnSlot slot) override {
+    aborted_[slot] = false;
+    return AttemptCountingEngine::Begin(slot);
+  }
+  Result<Value> Read(TxnSlot slot, uint32_t incarnation,
+                     const Key& key) override {
+    Enter(slot);
+    reading_ = slot;
+    Result<Value> r = AttemptCountingEngine::Read(slot, incarnation, key);
+    reading_ = acting_ = kRootSlot;
+    return r;
+  }
+  Status Write(TxnSlot slot, uint32_t incarnation, const Key& key,
+               Value value) override {
+    Enter(slot);
+    Status s = AttemptCountingEngine::Write(slot, incarnation, key, value);
+    acting_ = kRootSlot;
+    return s;
+  }
+  void Emit(TxnSlot slot, uint32_t incarnation, Value value) override {
+    Enter(slot);
+    AttemptCountingEngine::Emit(slot, incarnation, value);
+    acting_ = kRootSlot;
+  }
+  Status Finish(TxnSlot slot, uint32_t incarnation) override {
+    Enter(slot);
+    Status s = AttemptCountingEngine::Finish(slot, incarnation);
+    ops_[slot] = 0;
+    acting_ = kRootSlot;
+    return s;
+  }
+
+  uint64_t self_aborts_in_read = 0;
+  uint64_t suspended_aborts = 0;
+  uint64_t ops_after_abort = 0;
+
+ private:
+  void Enter(TxnSlot slot) {
+    acting_ = slot;
+    ops_after_abort += aborted_[slot] ? 1 : 0;
+    ++ops_[slot];
+  }
+
+  std::vector<uint32_t> ops_;  // In the current attempt, until it ends.
+  std::vector<bool> aborted_;  // Since the slot's last Begin.
+  TxnSlot acting_ = kRootSlot;
+  TxnSlot reading_ = kRootSlot;
+};
+
+/// What one contended batch (small tables, skewed, write-heavy) of
+/// `workload` through `engine` showed.
+struct AttemptRuns {
+  uint64_t txns = 0;
+  uint64_t aborts = 0;
+  uint64_t attempts = 0;
+  uint64_t runs = 0;
+  uint64_t self_aborts_in_read = 0;
+  uint64_t suspended_aborts = 0;
+  uint64_t ops_after_abort = 0;
+};
+
+AttemptRuns RunContendedBatch(const std::string& workload,
+                              const std::string& engine_name) {
+  constexpr uint32_t kBatch = 400;
+  workload::WorkloadOptions options = testutil::WorkloadTestOptions(
+      /*num_records=*/50, /*seed=*/21, /*read_ratio=*/0.3, /*theta=*/0.9);
+  options.num_warehouses = 1;
+  options.customers_per_district = 20;
+  options.num_items = 50;
+  auto w = workload::WorkloadRegistry::Global().Create(workload, options);
+  storage::MemKVStore store;
+  w->InitStore(&store);
+  const auto batch = w->MakeBatch(kBatch);
+  testutil::RunCountingRegistry counting;
+  auto inner = EngineRegistry::Global().Create(engine_name, &store, kBatch);
+  AbortWatchingEngine engine(inner.get(), kBatch);
+  SimExecutorPool pool(16, ExecutionCostModel{});
+  auto r = pool.Run(engine, counting.registry, batch);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  AttemptRuns out;
+  out.txns = kBatch;
+  out.aborts = r.ok() ? r->total_aborts : 0;
+  out.attempts = engine.attempts();
+  out.runs = counting.runs.load();
+  out.self_aborts_in_read = engine.self_aborts_in_read;
+  out.suspended_aborts = engine.suspended_aborts;
+  out.ops_after_abort = engine.ops_after_abort;
+  return out;
+}
+
+class OneRunPerAttemptTest : public ::testing::TestWithParam<const char*> {};
+
+// The pool resumes a suspended contract at each step instead of re-running
+// it, so every attempt (one Begin) starts exactly one contract run, also
+// across restarts, and after an abort a slot's next engine call is the
+// Begin of an attempt that runs its contract from the top.
+TEST_P(OneRunPerAttemptTest, EachAttemptStartsOneRun) {
+  const AttemptRuns r = RunContendedBatch(GetParam(), "ce");
+  EXPECT_GT(r.aborts, 0u);
+  EXPECT_EQ(r.attempts, r.txns + r.aborts);
+  EXPECT_EQ(r.runs, r.attempts);
+  EXPECT_EQ(r.ops_after_abort, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, OneRunPerAttemptTest,
+                         ::testing::Values("smallbank", "ycsb", "tpcc_lite"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+// A slot aborted inside its own Read restarts from the top, and so does a
+// slot aborted while its contract is suspended. The abort callback destroys
+// neither frame: the pool drops a run only after it has suspended, which
+// the ASan leg checks. The CC's self-abort inside Read (no consistent read
+// source) does not occur on these batches, so 2PL-No-Wait's read-lock
+// conflict drives that path; the CC's cascades drive the other.
+TEST(OneRunPerAttemptPaths, SelfAbortInsideRead) {
+  const AttemptRuns r = RunContendedBatch("smallbank", "2pl");
+  EXPECT_GT(r.self_aborts_in_read, 0u);
+  EXPECT_EQ(r.runs, r.attempts);
+  EXPECT_EQ(r.ops_after_abort, 0u);
+}
+
+TEST(OneRunPerAttemptPaths, AbortWhileSuspended) {
+  const AttemptRuns r = RunContendedBatch("smallbank", "ce");
+  EXPECT_GT(r.suspended_aborts, 0u);
+  EXPECT_EQ(r.runs, r.attempts);
+  EXPECT_EQ(r.ops_after_abort, 0u);
+}
+
+// An engine operation that returns Aborted ends the attempt where it is:
+// the pool never resumes the body past the failed read, and each restart
+// runs it from the top.
+TEST_F(PoolTest, AbortedReadEndsTheAttempt) {
+  constexpr uint32_t n = 4;
+  testutil::ReadProbe probe(n);
+  const auto batch = testutil::ReadProbe::Batch(n);
+  testutil::AlwaysAbortSlotZeroEngine engine(
+      n, testutil::AlwaysAbortSlotZeroEngine::AbortAt::kRead);
+  SimExecutorPool pool(2, ExecutionCostModel{});
+  auto r = pool.Run(engine, probe.registry, batch);
+  ASSERT_EQ(r.status().code(), StatusCode::kInternal)
+      << r.status().ToString();
+  EXPECT_GT(probe.started(0), kMaxRestartsPerTxn * n);
+  EXPECT_EQ(probe.started(0), engine.total_aborts());
+  EXPECT_EQ(probe.resumed(0), 0u);
+  for (TxnSlot s = 1; s < n; ++s) {
+    EXPECT_EQ(probe.started(s), 1u) << "slot " << s;
+    EXPECT_EQ(probe.resumed(s), 1u) << "slot " << s;
+  }
 }
 
 }  // namespace

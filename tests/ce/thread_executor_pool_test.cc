@@ -17,6 +17,8 @@
 #include "ce/sim_executor_pool.h"
 #include "contract/contract.h"
 #include "contract/kv.h"
+#include "testutil/always_abort_engine.h"
+#include "testutil/contract_runs.h"
 #include "testutil/testutil.h"
 #include "workload/workload.h"
 
@@ -206,6 +208,58 @@ TEST_F(ThreadPoolTest, PerSlotLivelockBoundTripsBeforeGlobalCap) {
   // backstop (1000 * n) would.
   EXPECT_GT(stub.total_aborts(), kMaxRestartsPerTxn * n);
   EXPECT_LT(stub.total_aborts(), kMaxRestartFactor * n / 2);
+}
+
+// Each attempt runs its contract straight through once: a contract run per
+// Begin, on every workload, with 4 workers on contended batches.
+TEST(ThreadPoolRunsTest, EachAttemptStartsOneRun) {
+  constexpr uint32_t kBatch = 300;
+  for (const char* name : {"smallbank", "ycsb", "tpcc_lite"}) {
+    workload::WorkloadOptions options = testutil::WorkloadTestOptions(
+        /*num_records=*/50, /*seed=*/22, /*read_ratio=*/0.3, /*theta=*/0.9);
+    options.num_warehouses = 1;
+    options.customers_per_district = 20;
+    options.num_items = 50;
+    auto w = workload::WorkloadRegistry::Global().Create(name, options);
+    storage::MemKVStore store;
+    w->InitStore(&store);
+    const auto batch = w->MakeBatch(kBatch);
+    testutil::RunCountingRegistry counting;
+    ConcurrencyController cc(&store, kBatch);
+    testutil::AttemptCountingEngine engine(&cc);
+    ExecutionCostModel costs;
+    costs.restart_cost = Micros(1);
+    ThreadExecutorPool pool(4, costs);
+    auto r = pool.Run(engine, counting.registry, batch);
+    ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+    EXPECT_GE(engine.attempts(), kBatch) << name;
+    EXPECT_EQ(counting.runs.load(), engine.attempts()) << name;
+  }
+}
+
+// An engine operation that returns Aborted ends the attempt where it is:
+// the worker never resumes the body past the failed read, and each
+// re-admission runs it from the top.
+TEST_F(ThreadPoolTest, AbortedReadEndsTheAttempt) {
+  constexpr uint32_t n = 4;
+  testutil::ReadProbe probe(n);
+  const auto batch = testutil::ReadProbe::Batch(n);
+  testutil::AlwaysAbortSlotZeroEngine engine(
+      n, testutil::AlwaysAbortSlotZeroEngine::AbortAt::kRead);
+  ExecutionCostModel costs;
+  costs.restart_cost = Micros(1);
+  costs.restart_backoff_cap = 0;
+  ThreadExecutorPool pool(1, costs);
+  auto r = pool.Run(engine, probe.registry, batch);
+  ASSERT_EQ(r.status().code(), StatusCode::kInternal)
+      << r.status().ToString();
+  EXPECT_GT(probe.started(0), kMaxRestartsPerTxn * n);
+  EXPECT_EQ(probe.started(0), engine.total_aborts());
+  EXPECT_EQ(probe.resumed(0), 0u);
+  for (TxnSlot s = 1; s < n; ++s) {
+    EXPECT_EQ(probe.started(s), 1u) << "slot " << s;
+    EXPECT_EQ(probe.resumed(s), 1u) << "slot " << s;
+  }
 }
 
 // --- threaded-vs-sim agreement -------------------------------------------

@@ -18,10 +18,10 @@ class TestContext final : public ContractContext {
  public:
   explicit TestContext(storage::MemKVStore* store) : store_(store) {}
 
-  Result<Value> Read(const Key& key) override {
+  Result<Value> DoRead(const Key& key) override {
     return store_->GetOrDefault(key, 0);
   }
-  Status Write(const Key& key, Value value) override {
+  Status DoWrite(const Key& key, Value value) override {
     return store_->Put(key, value);
   }
   void EmitResult(Value value) override { results.push_back(value); }

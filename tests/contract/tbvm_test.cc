@@ -18,11 +18,11 @@ using storage::Value;
 class VmContext final : public ContractContext {
  public:
   explicit VmContext(storage::MemKVStore* store) : store_(store) {}
-  Result<Value> Read(const Key& key) override {
+  Result<Value> DoRead(const Key& key) override {
     reads.push_back(key);
     return store_->GetOrDefault(key, 0);
   }
-  Status Write(const Key& key, Value value) override {
+  Status DoWrite(const Key& key, Value value) override {
     writes.push_back(key);
     return store_->Put(key, value);
   }
@@ -55,7 +55,7 @@ TEST(TbvmTest, ArithmeticAndEmit) {
   };
   storage::MemKVStore store;
   VmContext ctx(&store);
-  ASSERT_TRUE(RunTbProgram(p, Tx({}), ctx).ok());
+  ASSERT_TRUE(RunTbProgram(p, Tx({}), ctx).Run().ok());
   ASSERT_EQ(ctx.results.size(), 1u);
   EXPECT_EQ(ctx.results[0], 42);
 }
@@ -76,12 +76,12 @@ TEST(TbvmTest, ConditionalBranching) {
   storage::MemKVStore store;
   {
     VmContext ctx(&store);
-    ASSERT_TRUE(RunTbProgram(p, Tx({}, {3, 9}), ctx).ok());
+    ASSERT_TRUE(RunTbProgram(p, Tx({}, {3, 9}), ctx).Run().ok());
     EXPECT_EQ(ctx.results[0], 1);
   }
   {
     VmContext ctx(&store);
-    ASSERT_TRUE(RunTbProgram(p, Tx({}, {9, 3}), ctx).ok());
+    ASSERT_TRUE(RunTbProgram(p, Tx({}, {9, 3}), ctx).Run().ok());
     EXPECT_EQ(ctx.results[0], 0);
   }
 }
@@ -102,13 +102,13 @@ TEST(TbvmTest, DataDependentAccessPattern) {
   storage::MemKVStore store;
   {
     VmContext ctx(&store);
-    ASSERT_TRUE(RunTbProgram(p, Tx({"a"}), ctx).ok());
+    ASSERT_TRUE(RunTbProgram(p, Tx({"a"}), ctx).Run().ok());
     EXPECT_TRUE(ctx.writes.empty());
   }
   store.Put("a/counter", 5);
   {
     VmContext ctx(&store);
-    ASSERT_TRUE(RunTbProgram(p, Tx({"a"}), ctx).ok());
+    ASSERT_TRUE(RunTbProgram(p, Tx({"a"}), ctx).Run().ok());
     ASSERT_EQ(ctx.writes.size(), 1u);
     EXPECT_EQ(store.GetOrDefault("a/log", 0), 5);
   }
@@ -120,7 +120,7 @@ TEST(TbvmTest, StepBudgetStopsInfiniteLoop) {
   p.code = {{TbOp::kJmp, 0, 0, 0, 0}};  // while(true);
   storage::MemKVStore store;
   VmContext ctx(&store);
-  Status s = RunTbProgram(p, Tx({}), ctx);
+  Status s = RunTbProgram(p, Tx({}), ctx).Run();
   EXPECT_EQ(s.code(), StatusCode::kOutOfRange);
 }
 
@@ -133,7 +133,7 @@ TEST(TbvmTest, DivisionByZeroFails) {
   };
   storage::MemKVStore store;
   VmContext ctx(&store);
-  EXPECT_TRUE(RunTbProgram(p, Tx({}), ctx).IsInvalidArgument());
+  EXPECT_TRUE(RunTbProgram(p, Tx({}), ctx).Run().IsInvalidArgument());
 }
 
 TEST(TbvmTest, MalformedProgramsRejected) {
@@ -142,25 +142,25 @@ TEST(TbvmTest, MalformedProgramsRejected) {
     TbProgram p;  // Param index out of range.
     p.code = {{TbOp::kLoadParam, 0, 0, 0, 3}};
     VmContext ctx(&store);
-    EXPECT_TRUE(RunTbProgram(p, Tx({}, {}), ctx).IsInvalidArgument());
+    EXPECT_TRUE(RunTbProgram(p, Tx({}, {}), ctx).Run().IsInvalidArgument());
   }
   {
     TbProgram p;  // Read from unset key register.
     p.code = {{TbOp::kRead, 0, 2, 0}};
     VmContext ctx(&store);
-    EXPECT_TRUE(RunTbProgram(p, Tx({}), ctx).IsInvalidArgument());
+    EXPECT_TRUE(RunTbProgram(p, Tx({}), ctx).Run().IsInvalidArgument());
   }
   {
     TbProgram p;  // Jump out of range.
     p.code = {{TbOp::kJmp, 0, 0, 0, 99}};
     VmContext ctx(&store);
-    EXPECT_TRUE(RunTbProgram(p, Tx({}), ctx).IsInvalidArgument());
+    EXPECT_TRUE(RunTbProgram(p, Tx({}), ctx).Run().IsInvalidArgument());
   }
   {
     TbProgram p;  // kFail.
     p.code = {{TbOp::kFail, 0, 0, 0}};
     VmContext ctx(&store);
-    EXPECT_TRUE(RunTbProgram(p, Tx({}), ctx).IsInvalidArgument());
+    EXPECT_TRUE(RunTbProgram(p, Tx({}), ctx).Run().IsInvalidArgument());
   }
 }
 

@@ -18,12 +18,12 @@ class StoreContext final : public ContractContext {
  public:
   explicit StoreContext(storage::MemKVStore* store) : store_(store) {}
 
-  Result<Value> Read(const Key& key) override {
+  Result<Value> DoRead(const Key& key) override {
     reads.push_back(key);
     return store_->GetOrDefault(key, 0);
   }
 
-  Status Write(const Key& key, Value value) override {
+  Status DoWrite(const Key& key, Value value) override {
     return store_->Put(key, value);
   }
 

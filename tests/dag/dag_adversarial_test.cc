@@ -3,6 +3,8 @@
 // all of them without compromising safety or liveness.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/simulator.h"
 #include "dag/dag_core.h"
 
@@ -174,6 +176,78 @@ TEST_F(AdversarialTest, CertificateFromUnknownProposerIgnored) {
     EXPECT_EQ(stored, 0u) << "replica " << id;
     EXPECT_GT(core.last_committed_leader_round(), 10u) << "replica " << id;
   }
+}
+
+TEST_F(AdversarialTest, RenamedCertificatesIgnored) {
+  // Replica 3 relays every certificate it receives from another replica to
+  // all replicas, renamed to the next replica (proposer + 1 mod n), a name
+  // that passes every range check. Stored under the wrong slot, such a
+  // certificate shadows that slot's genuine one, and blocks then cite one
+  // digest as two parents.
+  DagCore* relay = cores_[3].get();
+  net_.RegisterHandler(3, [this, relay](ReplicaId from,
+                                        const net::PayloadPtr& p) {
+    auto* msg = dynamic_cast<const CertificateMsg*>(p.get());
+    if (msg != nullptr && from != 3) {
+      auto renamed = std::make_shared<CertificateMsg>(*msg);
+      renamed->certificate.proposer = (msg->certificate.proposer + 1) % kN;
+      net_.Broadcast(3, renamed);
+    }
+    relay->OnMessage(from, p);
+  });
+  StartAll();
+  sim_.RunUntil(Millis(1000));
+  for (ReplicaId id = 0; id < kN; ++id) {
+    const DagCore& core = *cores_[id];
+    uint64_t blocks = 0;
+    uint64_t repeated_parent = 0;   // One digest cited as two parents.
+    uint64_t misnamed_parent = 0;   // Certificate names another proposer.
+    for (Round r = 2; r <= core.highest_ready_round(); ++r) {
+      for (ReplicaId proposer = 0; proposer < kN; ++proposer) {
+        const BlockPtr block = core.GetBlock(r, proposer);
+        if (block == nullptr) continue;
+        ++blocks;
+        const std::set<Hash256> distinct(block->parents.begin(),
+                                         block->parents.end());
+        repeated_parent += distinct.size() != block->parents.size();
+        for (const Certificate& cert : block->parent_certs) {
+          const BlockPtr parent = core.GetBlockByDigest(cert.block_digest);
+          misnamed_parent +=
+              parent != nullptr && parent->proposer != cert.proposer;
+        }
+      }
+    }
+    EXPECT_GT(blocks, 0u) << "replica " << id;
+    EXPECT_EQ(repeated_parent, 0u) << "replica " << id;
+    EXPECT_EQ(misnamed_parent, 0u) << "replica " << id;
+    EXPECT_GT(core.last_committed_leader_round(), 10u) << "replica " << id;
+  }
+}
+
+TEST_F(AdversarialTest, ForgedParentDigestOnCertifiedSlotRejected) {
+  StartAll();
+  sim_.RunUntil(Millis(200));
+  BlockPtr honest = cores_[1]->GetBlock(2, 0);
+  ASSERT_TRUE(honest != nullptr);
+  // The first parent keeps its slot (round 1, proposer), which replica 1
+  // has a certificate for, but cites a fabricated digest. Its quorum names
+  // the fabricated block's vote digest, so only the corrupted signatures
+  // give it away. Stored, the block would send every walk through its
+  // history after a digest no replica can deliver.
+  auto forged = std::make_shared<Block>(*honest);
+  forged->content = std::make_shared<TestContent>(4711);
+  Certificate& cert = forged->parent_certs.front();
+  ASSERT_TRUE(cores_[1]->HasCertificate(cert.round, cert.proposer));
+  const Hash256 fabricated = Sha256::Digest("no such block");
+  forged->parents.front() = fabricated;
+  cert.block_digest = fabricated;
+  cert.qc.digest = VoteDigest(cert.epoch, cert.round, cert.proposer,
+                              fabricated);
+  for (crypto::Signature& sig : cert.qc.signatures) sig.mac.bytes[0] ^= 0x5a;
+  auto msg = std::make_shared<BlockResponseMsg>();
+  msg->block = forged;
+  cores_[1]->OnMessage(2, msg);
+  EXPECT_EQ(cores_[1]->GetBlockByDigest(forged->Digest()), nullptr);
 }
 
 TEST_F(AdversarialTest, WrongEpochMessagesIgnored) {

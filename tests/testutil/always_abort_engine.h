@@ -1,8 +1,8 @@
-// Engine stub whose slot 0 aborts at every Finish, forever. A real engine
-// never does this, but a buggy one (or a pathological contract) can: it
-// livelocks any pool that runs it, which must then fail the batch (the
-// pool's per-transaction restart bound) and, in a cluster, stop the run
-// loudly rather than report a silent 0 tps.
+// Engine stub whose slot 0 aborts at every Finish (or, when asked, at every
+// Read), forever. A real engine never does this, but a buggy one (or a
+// pathological contract) can: it livelocks any pool that runs it, which
+// must then fail the batch (the pool's per-transaction restart bound) and,
+// in a cluster, stop the run loudly rather than report a silent 0 tps.
 #ifndef THUNDERBOLT_TESTS_TESTUTIL_ALWAYS_ABORT_ENGINE_H_
 #define THUNDERBOLT_TESTS_TESTUTIL_ALWAYS_ABORT_ENGINE_H_
 
@@ -16,12 +16,19 @@ namespace thunderbolt::testutil {
 
 class AlwaysAbortSlotZeroEngine final : public ce::BatchEngine {
  public:
-  explicit AlwaysAbortSlotZeroEngine(uint32_t n)
-      : n_(n), committed_(n, false) {}
+  /// The operation at which slot 0 aborts.
+  enum class AbortAt { kFinish, kRead };
+
+  explicit AlwaysAbortSlotZeroEngine(uint32_t n,
+                                     AbortAt abort_at = AbortAt::kFinish)
+      : n_(n), abort_at_(abort_at), committed_(n, false) {}
 
   void SetAbortCallback(ce::AbortCallback cb) override { cb_ = std::move(cb); }
   uint32_t Begin(ce::TxnSlot) override { return 0; }
-  Result<ce::Value> Read(ce::TxnSlot, uint32_t, const ce::Key&) override {
+  Result<ce::Value> Read(ce::TxnSlot slot, uint32_t, const ce::Key&) override {
+    if (slot == 0 && abort_at_ == AbortAt::kRead) {
+      return Abort(obs::AbortReason::kReadWriteConflict);
+    }
     return ce::Value{0};
   }
   Status Write(ce::TxnSlot, uint32_t, const ce::Key&, ce::Value) override {
@@ -29,10 +36,8 @@ class AlwaysAbortSlotZeroEngine final : public ce::BatchEngine {
   }
   void Emit(ce::TxnSlot, uint32_t, ce::Value) override {}
   Status Finish(ce::TxnSlot slot, uint32_t) override {
-    if (slot == 0) {
-      ++total_aborts_;
-      if (cb_) cb_(0, obs::AbortReason::kValidationFailure);
-      return Status::Aborted("stub: permanent abort");
+    if (slot == 0 && abort_at_ == AbortAt::kFinish) {
+      return Abort(obs::AbortReason::kValidationFailure);
     }
     if (!committed_[slot]) {
       committed_[slot] = true;
@@ -53,7 +58,14 @@ class AlwaysAbortSlotZeroEngine final : public ce::BatchEngine {
   storage::WriteBatch FinalWrites() const override { return {}; }
 
  private:
+  Status Abort(obs::AbortReason reason) {
+    ++total_aborts_;
+    if (cb_) cb_(0, reason);
+    return Status::Aborted("stub: permanent abort");
+  }
+
   const uint32_t n_;
+  const AbortAt abort_at_;
   ce::AbortCallback cb_;
   std::vector<bool> committed_;
   uint32_t committed_count_ = 0;
