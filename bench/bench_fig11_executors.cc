@@ -8,6 +8,8 @@
 // throughput (tps), mean latency (s), and mean re-executions per txn over
 // the SmallBank workload with 10,000 accounts at theta = 0.85 — the
 // paper's CE experiment setup (section 11).
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -53,8 +55,13 @@ Measurement RunConfig(const std::string& engine_name, uint32_t executors,
                                             batch_size);
     auto r = pool->Run(*engine, *registry, batch);
     if (!r.ok()) {
-      std::fprintf(stderr, "run failed: %s\n", r.status().ToString().c_str());
-      continue;
+      // The cell has no number without this batch: stop loudly.
+      std::fprintf(stderr,
+                   "fig11: %s batch %u executors %u Pr %.1f run %u failed: "
+                   "%s\n",
+                   engine_name.c_str(), batch_size, executors, read_ratio,
+                   run, r.status().ToString().c_str());
+      std::exit(1);
     }
     store->Write(engine->FinalWrites());
     total_time += r->duration;

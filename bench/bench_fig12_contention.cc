@@ -5,6 +5,8 @@
 //
 // Engines: Thunderbolt CE, OCC, 2PL-No-Wait; batch sizes 300 and 500;
 // 12 executors (the plateau point of Figure 11).
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -57,7 +59,15 @@ Measurement RunConfig(const std::string& engine_name, uint32_t batch_size,
         ce::EngineRegistry::Global().Create(engine_name, store.get(),
                                             batch_size);
     auto r = pool->Run(*engine, *registry, batch);
-    if (!r.ok()) continue;
+    if (!r.ok()) {
+      // The cell has no number without this batch: stop loudly.
+      std::fprintf(stderr,
+                   "fig12: %s batch %u theta %.2f Pr %.1f run %u failed: "
+                   "%s\n",
+                   engine_name.c_str(), batch_size, theta, read_ratio, run,
+                   r.status().ToString().c_str());
+      std::exit(1);
+    }
     store->Write(engine->FinalWrites());
     total_time += r->duration;
     total_txns += batch_size;

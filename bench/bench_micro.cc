@@ -1,12 +1,14 @@
 // Component microbenchmarks (google-benchmark): hashing, signatures, the
-// concurrency controller, the executor pool, validation, and the workload
-// generator. These are wall-clock benchmarks of the implementation itself
-// (not the simulated system) — useful for tracking regressions.
+// concurrency controller, the executor pool, validation, DAG consensus and
+// the workload generator. These are wall-clock benchmarks of the
+// implementation itself (not the simulated system) — useful for tracking
+// regressions.
 //
 // This file replaces the global operator new/delete with a counting
 // malloc/free pair, so BM_CcBatch, BM_Validation, BM_CrossShardExecute and
 // BM_PendingCrossIndex can report heap allocations per transaction (the
-// allocs_per_txn counter).
+// allocs_per_txn counter), and BM_DagRounds per committed block
+// (allocs_per_block).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -18,12 +20,16 @@
 #include "ce/concurrency_controller.h"
 #include "ce/sim_executor_pool.h"
 #include "common/sha256_kernels.h"
+#include "common/simulator.h"
 #include "contract/contract.h"
 #include "core/cross_shard_executor.h"
+#include "core/node.h"
 #include "core/payload.h"
 #include "core/pending_cross_index.h"
 #include "core/validator.h"
 #include "crypto/signature.h"
+#include "dag/dag_core.h"
+#include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -588,6 +594,76 @@ void BM_PendingCrossIndex(benchmark::State& state) {
                           static_cast<int64_t>(txn_events));
 }
 BENCHMARK(BM_PendingCrossIndex);
+
+/// The fixed small payload every BM_DagRounds block carries.
+struct FixedBlockContent final : public dag::BlockContent {
+  Hash256 ContentDigest() const override { return Hash256{}; }
+};
+
+/// One BM_DagRounds run: `n` DagCores on a LAN SimNetwork, each proposing
+/// whenever a round is ready and collecting its DAG below
+/// core::kDagGcDepth rounds under each commit, as ThunderboltNode does.
+/// Runs until replica 0 has committed `leaders` leaders; returns the blocks
+/// committed on all replicas.
+uint64_t RunDagRounds(uint32_t n, const crypto::KeyDirectory& keys,
+                      uint32_t leaders) {
+  sim::Simulator sim;
+  net::SimNetwork network(&sim, n, net::LatencyModel::Lan(), /*seed=*/1);
+  const dag::BlockContentPtr content = std::make_shared<FixedBlockContent>();
+  std::vector<std::unique_ptr<dag::DagCore>> cores;
+  uint64_t blocks = 0;
+  uint32_t observer_leaders = 0;
+  for (ReplicaId id = 0; id < n; ++id) {
+    dag::DagConfig config;
+    config.n = n;
+    config.id = id;
+    cores.push_back(std::make_unique<dag::DagCore>(config, &keys, &network));
+    dag::DagCore* core = cores.back().get();
+    core->SetRoundReadyCallback(
+        [core, &content](Round round) { core->Propose(round, content); });
+    core->SetCommitCallback([&blocks, &observer_leaders, id,
+                             core](const dag::CommittedSubDag& sub) {
+      blocks += sub.blocks.size();
+      observer_leaders += id == 0;
+      if (sub.leader_round > core::kDagGcDepth) {
+        core->CollectGarbageBelow(sub.leader_round - core::kDagGcDepth);
+      }
+    });
+    network.RegisterHandler(
+        id, [core](ReplicaId from, const net::PayloadPtr& payload) {
+          core->OnMessage(from, payload);
+        });
+  }
+  for (auto& core : cores) core->Start();
+  while (observer_leaders < leaders && sim.Step()) {
+  }
+  return blocks;
+}
+
+void BM_DagRounds(benchmark::State& state) {
+  // Real-time cost of Tusk consensus alone: proposals, votes, certificate
+  // validation, the commit rule's DAG walks and garbage collection, with
+  // no preplay or validation. allocs_per_block is counted over one run
+  // and divided by the blocks committed on all replicas; wall_per_block
+  // is wall seconds per committed block over the timed runs.
+  constexpr uint32_t kLeaders = 20;
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  const crypto::KeyDirectory keys = crypto::KeyDirectory::Create(n, 1);
+  uint64_t blocks = 0;
+  const uint64_t allocs =
+      CountAllocations([&] { blocks = RunDagRounds(n, keys, kLeaders); });
+  state.counters["allocs_per_block"] =
+      static_cast<double>(allocs) / static_cast<double>(blocks);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RunDagRounds(n, keys, kLeaders));
+  }
+  const double committed =
+      static_cast<double>(blocks) * static_cast<double>(state.iterations());
+  state.counters["wall_per_block"] = benchmark::Counter(
+      committed, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<int64_t>(committed));
+}
+BENCHMARK(BM_DagRounds)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace thunderbolt

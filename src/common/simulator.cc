@@ -1,62 +1,27 @@
 #include "common/simulator.h"
 
-#include <algorithm>
-
 namespace thunderbolt::sim {
 
-EventId Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
+void Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
   if (when < now_) when = now_;
-  EventId id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id, std::move(fn)});
-  ++live_events_;
-  return id;
-}
-
-bool Simulator::Cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  if (IsCancelled(id)) return false;
-  cancelled_.push_back(id);
-  std::sort(cancelled_.begin(), cancelled_.end());
-  if (live_events_ > 0) --live_events_;
-  return true;
-}
-
-bool Simulator::IsCancelled(EventId id) const {
-  return std::binary_search(cancelled_.begin(), cancelled_.end(), id);
+  queue_.push(Event{when, next_seq_++, std::move(fn)});
 }
 
 bool Simulator::Step() {
-  while (!queue_.empty()) {
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    if (IsCancelled(ev.id)) {
-      // Drop the tombstone so the cancelled list stays small.
-      cancelled_.erase(
-          std::lower_bound(cancelled_.begin(), cancelled_.end(), ev.id));
-      continue;
-    }
-    now_ = ev.when;
-    --live_events_;
-    ++executed_events_;
-    ev.fn();
-    return true;
-  }
-  return false;
+  if (queue_.empty()) return false;
+  Event ev = std::move(const_cast<Event&>(queue_.top()));
+  queue_.pop();
+  now_ = ev.when;
+  ++executed_events_;
+  ev.fn();
+  return true;
 }
 
 uint64_t Simulator::RunUntil(SimTime until) {
   uint64_t executed = 0;
-  while (!queue_.empty()) {
-    // Peek past cancelled events without executing.
-    const Event& top = queue_.top();
-    if (IsCancelled(top.id)) {
-      cancelled_.erase(
-          std::lower_bound(cancelled_.begin(), cancelled_.end(), top.id));
-      queue_.pop();
-      continue;
-    }
-    if (top.when > until) break;
-    if (Step()) ++executed;
+  while (!queue_.empty() && queue_.top().when <= until) {
+    Step();
+    ++executed;
   }
   if (now_ < until) now_ = until;
   return executed;

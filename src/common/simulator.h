@@ -17,9 +17,6 @@
 
 namespace thunderbolt::sim {
 
-/// Handle used to cancel a scheduled event.
-using EventId = uint64_t;
-
 class Simulator {
  public:
   Simulator() = default;
@@ -33,16 +30,12 @@ class Simulator {
   /// Schedules `fn` to run at absolute virtual time `when` (clamped to be
   /// no earlier than Now()). Events scheduled for the same instant run in
   /// scheduling order (FIFO), which keeps runs deterministic.
-  EventId ScheduleAt(SimTime when, std::function<void()> fn);
+  void ScheduleAt(SimTime when, std::function<void()> fn);
 
   /// Schedules `fn` to run `delay` after Now().
-  EventId ScheduleAfter(SimTime delay, std::function<void()> fn) {
-    return ScheduleAt(now_ + delay, std::move(fn));
+  void ScheduleAfter(SimTime delay, std::function<void()> fn) {
+    ScheduleAt(now_ + delay, std::move(fn));
   }
-
-  /// Cancels a pending event. Returns false if the event already ran or was
-  /// already cancelled.
-  bool Cancel(EventId id);
 
   /// Runs events until the queue is empty or the clock passes `until`.
   /// Returns the number of events executed.
@@ -55,15 +48,14 @@ class Simulator {
   /// Executes exactly one event if available. Returns false when idle.
   bool Step();
 
-  bool Idle() const { return live_events_ == 0; }
-  uint64_t pending_events() const { return live_events_; }
+  bool Idle() const { return queue_.empty(); }
+  uint64_t pending_events() const { return queue_.size(); }
   uint64_t executed_events() const { return executed_events_; }
 
  private:
   struct Event {
     SimTime when;
     uint64_t seq;  // FIFO tiebreak for identical timestamps.
-    EventId id;
     std::function<void()> fn;
   };
   struct EventOrder {
@@ -76,12 +68,7 @@ class Simulator {
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-  uint64_t live_events_ = 0;
   uint64_t executed_events_ = 0;
-  std::vector<EventId> cancelled_;  // Sorted lazily; typically tiny.
-
-  bool IsCancelled(EventId id) const;
 };
 
 }  // namespace thunderbolt::sim

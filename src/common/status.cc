@@ -10,24 +10,14 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "InvalidArgument";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
     case StatusCode::kAborted:
       return "Aborted";
-    case StatusCode::kConflict:
-      return "Conflict";
     case StatusCode::kCorruption:
       return "Corruption";
-    case StatusCode::kTimedOut:
-      return "TimedOut";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
     case StatusCode::kOutOfRange:
       return "OutOfRange";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kNotSupported:
-      return "NotSupported";
   }
   return "Unknown";
 }

@@ -17,15 +17,10 @@ enum class StatusCode : int {
   kOk = 0,
   kInvalidArgument = 1,
   kNotFound = 2,
-  kAlreadyExists = 3,
-  kAborted = 4,          // Transaction aborted by concurrency control.
-  kConflict = 5,         // Unresolvable conflict (e.g., dependency cycle).
-  kCorruption = 6,       // Failed integrity check (bad signature, bad block).
-  kTimedOut = 7,
-  kUnavailable = 8,      // Resource temporarily unavailable (retry).
-  kOutOfRange = 9,
-  kInternal = 10,
-  kNotSupported = 11,
+  kAborted = 3,          // Transaction aborted by concurrency control.
+  kCorruption = 4,       // Failed integrity check (bad signature, bad block).
+  kOutOfRange = 5,
+  kInternal = 6,
 };
 
 /// Returns a stable human-readable name ("OK", "Aborted", ...).
@@ -51,23 +46,11 @@ class Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
   static Status Aborted(std::string msg) {
     return Status(StatusCode::kAborted, std::move(msg));
   }
-  static Status Conflict(std::string msg) {
-    return Status(StatusCode::kConflict, std::move(msg));
-  }
   static Status Corruption(std::string msg) {
     return Status(StatusCode::kCorruption, std::move(msg));
-  }
-  static Status TimedOut(std::string msg) {
-    return Status(StatusCode::kTimedOut, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
@@ -75,17 +58,11 @@ class Status {
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
-  static Status NotSupported(std::string msg) {
-    return Status(StatusCode::kNotSupported, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
   bool IsAborted() const { return code_ == StatusCode::kAborted; }
-  bool IsConflict() const { return code_ == StatusCode::kConflict; }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
-  bool IsTimedOut() const { return code_ == StatusCode::kTimedOut; }
-  bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
   bool IsInvalidArgument() const {
     return code_ == StatusCode::kInvalidArgument;
   }

@@ -1,12 +1,10 @@
 #include "core/cluster.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
 #include "ce/engine_registry.h"
-#include "ce/executor_pool.h"
 
 namespace thunderbolt::core {
 
@@ -65,10 +63,11 @@ Cluster::Cluster(ThunderboltConfig config, const std::string& workload_name,
     std::abort();
   }
   // Validate the pool and engine names before any node constructs with
-  // them.
-  const std::vector<std::string> pools = ce::ExecutorPoolNames();
-  if (std::find(pools.begin(), pools.end(), config_.pool) == pools.end()) {
-    std::fprintf(stderr, "Cluster: unknown executor pool \"%s\"\n",
+  // them. Replicas preplay on the sim pool only (see ThunderboltConfig).
+  if (config_.pool != "sim") {
+    std::fprintf(stderr,
+                 "Cluster: executor pool \"%s\" is not supported; clusters "
+                 "run the \"sim\" pool\n",
                  config_.pool.c_str());
     std::abort();
   }

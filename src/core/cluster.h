@@ -82,9 +82,9 @@ class Cluster {
   /// Runs the named registry workload ("smallbank", "ycsb", "tpcc_lite",
   /// ...) configured from `options`. `options.num_shards` is forced to
   /// `config.n` (one shard per replica, paper section 3.1). Aborts on an
-  /// unknown workload, placement, store, pool or engine name — cluster
-  /// construction is configuration, and a bad name is a programming error
-  /// at every call site.
+  /// unknown workload, placement, store or engine name, or a pool other
+  /// than "sim" — cluster construction is configuration, and a bad name is
+  /// a programming error at every call site.
   Cluster(ThunderboltConfig config, const std::string& workload_name,
           workload::WorkloadOptions options);
 

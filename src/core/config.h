@@ -37,10 +37,11 @@ struct ThunderboltConfig {
   uint32_t num_executors = 16;         // CE pool width.
   uint32_t num_validators = 16;        // Parallel validation width.
   ce::ExecutionCostModel exec_costs;   // Per-operation virtual costs.
-  /// Executor pool driving preplay, by ce::CreateExecutorPool name:
-  /// "sim" (default; deterministic virtual-time simulation — required for
-  /// determinism baselines) or "thread" (real std::thread workers,
-  /// wall-clock timings, nondeterministic interleavings).
+  /// Executor pool driving preplay. Clusters run the "sim" pool only
+  /// (deterministic virtual time); Cluster aborts on any other name. The
+  /// "thread" pool would start num_executors OS threads per replica and
+  /// feed wall-clock batch durations into the virtual clock. The field
+  /// stays because perfbench sets it.
   std::string pool = "sim";
 
   // --- Consensus cadence ----------------------------------------------------

@@ -83,15 +83,14 @@ ThunderboltNode::ThunderboltNode(
       obs_(obs),
       is_observer_(is_observer),
       outcomes_(obs->metrics(), shared->service != nullptr),
-      pool_(ce::CreateExecutorPool(config.pool, config.num_executors,
-                                   config.exec_costs)),
+      pool_(config.num_executors, config.exec_costs),
       cross_executor_(registry_.get(), config.exec_costs.op_cost,
                       /*num_workers=*/4, &workload->mapper()),
       owned_shard_(ShardOwnedBy(id, 0, config.n)),
       pending_cross_(&shared->account_ids) {
   // The preplay pool records its per-transaction/batch events and
   // pool.<name>.* metrics directly; pid scopes them to this replica.
-  pool_->SetObs(
+  pool_.SetObs(
       ce::PoolObsContext{obs_->tracer(), &obs_->metrics(), id_});
   dag::DagConfig dag_config;
   dag_config.n = config_.n;
@@ -326,7 +325,7 @@ void ThunderboltNode::StartPreplay(Round round,
 
   SimTime duration = 0;
   if (batch > 0) {
-    auto result = pool_->Run(*engine, *registry_, singles, start);
+    auto result = pool_.Run(*engine, *registry_, singles, start);
     if (!result.ok()) {
       // A failed preplay (e.g. an engine livelock tripping the pool's
       // restart bound) is a bug: stop loudly, never report a silent 0 tps.

@@ -56,7 +56,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ce/executor_pool.h"
+#include "ce/sim_executor_pool.h"
 #include "common/histogram.h"
 #include "common/simulator.h"
 #include "common/types.h"
@@ -225,9 +225,8 @@ class ThunderboltNode {
   Outcomes outcomes_;
 
   std::unique_ptr<dag::DagCore> dag_;
-  /// Preplay pool, selected by ThunderboltConfig::pool ("sim" keeps the
-  /// discrete-event simulation deterministic; "thread" runs real workers).
-  std::unique_ptr<ce::ExecutorPool> pool_;
+  /// Preplay pool: virtual executors on the simulation's clock.
+  ce::SimExecutorPool pool_;
   CrossShardExecutor cross_executor_;
 
   EpochId epoch_ = 0;

@@ -29,9 +29,10 @@ Hash256 Block::Digest() const {
   h.UpdateInt(epoch);
   h.UpdateInt(round);
   h.UpdateInt(proposer);
-  h.UpdateInt<uint32_t>(static_cast<uint32_t>(parents.size()));
-  for (const Hash256& p : parents) {
-    h.Update(p.bytes.data(), p.bytes.size());
+  h.UpdateInt<uint32_t>(static_cast<uint32_t>(parent_certs.size()));
+  for (const Certificate& parent : parent_certs) {
+    h.Update(parent.block_digest.bytes.data(),
+             parent.block_digest.bytes.size());
   }
   Hash256 content_digest = content ? content->ContentDigest() : Hash256{};
   h.Update(content_digest.bytes.data(), content_digest.bytes.size());

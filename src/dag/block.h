@@ -53,14 +53,14 @@ struct Certificate {
   Status Validate(const crypto::KeyDirectory& dir, uint32_t n) const;
 };
 
-/// A DAG vertex. `parents` are the digests of certified round-(r-1) blocks;
-/// the matching certificates travel inside the proposal so any receiver can
-/// verify the causal references without extra round trips.
+/// A DAG vertex. Its parents are the certified round-(r-1) blocks that
+/// `parent_certs` name: parent i is parent_certs[i].block_digest. The
+/// certificates travel inside the proposal so any receiver can verify the
+/// causal references without extra round trips.
 struct Block {
   EpochId epoch = 0;
   Round round = 1;
   ReplicaId proposer = 0;
-  std::vector<Hash256> parents;
   std::vector<Certificate> parent_certs;
   BlockContentPtr content;
 
@@ -70,7 +70,6 @@ struct Block {
       : epoch(other.epoch),
         round(other.round),
         proposer(other.proposer),
-        parents(other.parents),
         parent_certs(other.parent_certs),
         content(other.content) {}
   Block& operator=(const Block& other) {
@@ -78,7 +77,6 @@ struct Block {
       epoch = other.epoch;
       round = other.round;
       proposer = other.proposer;
-      parents = other.parents;
       parent_certs = other.parent_certs;
       content = other.content;
       digest_cached_ = false;
@@ -86,7 +84,8 @@ struct Block {
     return *this;
   }
 
-  /// Digest over (epoch, round, proposer, parents, content digest).
+  /// Digest over (epoch, round, proposer, the parent certificates'
+  /// block digests in order, content digest).
   /// Cached after the first call; blocks are immutable once proposed.
   Hash256 Digest() const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 
 namespace thunderbolt::dag {
 
@@ -40,8 +39,8 @@ Status DagCore::Propose(Round round, BlockContentPtr content) {
     if (prev.certificates.size() < QuorumSize(config_.n)) {
       return Status::Internal("missing 2f+1 parent certificates");
     }
+    block->parent_certs.reserve(prev.certificates.size());
     for (const auto& [proposer, cert] : prev.certificates) {
-      block->parents.push_back(cert.block_digest);
       block->parent_certs.push_back(cert);
     }
   }
@@ -53,48 +52,37 @@ Status DagCore::Propose(Round round, BlockContentPtr content) {
   return Status::OK();
 }
 
-namespace {
-
-/// Extracts the epoch tag of any DAG message; ~0 for unknown payloads.
-EpochId PayloadEpoch(const net::Payload& payload) {
-  if (auto* p = dynamic_cast<const BlockProposalMsg*>(&payload)) {
-    return p->block ? p->block->epoch : ~EpochId{0};
+bool DagCore::DeferToNextEpoch(ReplicaId from, const net::PayloadPtr& payload,
+                               EpochId epoch) {
+  if (epoch != config_.epoch + 1 ||
+      next_epoch_buffer_.size() >= kMaxEpochBuffer) {
+    return false;
   }
-  if (auto* v = dynamic_cast<const BlockVoteMsg*>(&payload)) return v->epoch;
-  if (auto* c = dynamic_cast<const CertificateMsg*>(&payload)) {
-    return c->certificate.epoch;
-  }
-  if (auto* rq = dynamic_cast<const BlockRequestMsg*>(&payload)) {
-    return rq->epoch;
-  }
-  if (auto* rs = dynamic_cast<const BlockResponseMsg*>(&payload)) {
-    return rs->block ? rs->block->epoch : ~EpochId{0};
-  }
-  return ~EpochId{0};
+  next_epoch_buffer_.emplace_back(from, payload);
+  return true;
 }
-
-}  // namespace
 
 void DagCore::OnMessage(ReplicaId from, const net::PayloadPtr& payload) {
   // Replicas transition to a new DAG (epoch) at slightly different virtual
   // times; buffer messages from the immediately-next epoch and replay them
   // after ResetForNewEpoch so early proposals are not lost.
-  EpochId msg_epoch = PayloadEpoch(*payload);
-  if (msg_epoch == config_.epoch + 1 &&
-      next_epoch_buffer_.size() < kMaxEpochBuffer) {
-    next_epoch_buffer_.emplace_back(from, payload);
-    return;
-  }
-  if (auto* p = dynamic_cast<const BlockProposalMsg*>(payload.get())) {
-    HandleProposal(from, *p);
-  } else if (auto* v = dynamic_cast<const BlockVoteMsg*>(payload.get())) {
-    HandleVote(from, *v);
-  } else if (auto* c = dynamic_cast<const CertificateMsg*>(payload.get())) {
-    HandleCertificate(from, *c);
-  } else if (auto* rq = dynamic_cast<const BlockRequestMsg*>(payload.get())) {
-    HandleBlockRequest(from, *rq);
-  } else if (auto* rs = dynamic_cast<const BlockResponseMsg*>(payload.get())) {
-    HandleBlockResponse(from, *rs);
+  const net::Payload* p = payload.get();
+  if (auto* m = dynamic_cast<const BlockProposalMsg*>(p)) {
+    const EpochId epoch = m->block ? m->block->epoch : ~EpochId{0};
+    if (!DeferToNextEpoch(from, payload, epoch)) HandleProposal(from, *m);
+  } else if (auto* m = dynamic_cast<const BlockVoteMsg*>(p)) {
+    if (!DeferToNextEpoch(from, payload, m->epoch)) HandleVote(from, *m);
+  } else if (auto* m = dynamic_cast<const CertificateMsg*>(p)) {
+    if (!DeferToNextEpoch(from, payload, m->certificate.epoch)) {
+      HandleCertificate(from, *m);
+    }
+  } else if (auto* m = dynamic_cast<const BlockRequestMsg*>(p)) {
+    if (!DeferToNextEpoch(from, payload, m->epoch)) {
+      HandleBlockRequest(from, *m);
+    }
+  } else if (auto* m = dynamic_cast<const BlockResponseMsg*>(p)) {
+    const EpochId epoch = m->block ? m->block->epoch : ~EpochId{0};
+    if (!DeferToNextEpoch(from, payload, epoch)) HandleBlockResponse(from, *m);
   }
 }
 
@@ -107,18 +95,11 @@ Status DagCore::ValidateBlock(const Block& block) const {
   }
   if (block.round == 0) return Status::Corruption("round 0");
   if (block.round > 1) {
-    if (block.parents.size() < QuorumSize(config_.n)) {
+    if (block.parent_certs.size() < QuorumSize(config_.n)) {
       return Status::Corruption("fewer than 2f+1 parents");
     }
-    if (block.parent_certs.size() != block.parents.size()) {
-      return Status::Corruption("parent/certificate count mismatch");
-    }
     std::vector<bool> parent_proposers(config_.n);
-    for (size_t i = 0; i < block.parents.size(); ++i) {
-      const Certificate& cert = block.parent_certs[i];
-      if (cert.block_digest != block.parents[i]) {
-        return Status::Corruption("parent digest mismatch");
-      }
+    for (const Certificate& cert : block.parent_certs) {
       if (cert.round != block.round - 1 || cert.epoch != block.epoch) {
         return Status::Corruption("parent from wrong round/epoch");
       }
@@ -139,7 +120,7 @@ Status DagCore::ValidateBlock(const Block& block) const {
         THUNDERBOLT_RETURN_NOT_OK(cert.Validate(*keys_, config_.n));
       }
     }
-  } else if (!block.parents.empty()) {
+  } else if (!block.parent_certs.empty()) {
     return Status::Corruption("round-1 block with parents");
   }
   return Status::OK();
@@ -154,15 +135,16 @@ void DagCore::HandleProposal(ReplicaId from, const BlockProposalMsg& msg) {
   if (!ValidateBlock(block).ok()) return;
 
   // One vote per (round, proposer): equivocation guard.
-  auto key = std::make_pair(block.round, block.proposer);
-  const bool first_time = voted_.insert(key).second;
-  if (!first_time) {
+  std::vector<bool>& voted = rounds_[block.round].voted;
+  if (voted.empty()) voted.resize(config_.n);
+  if (voted[block.proposer]) {
     // Still store the block if it matches what we voted for (duplicate
     // delivery); conflicting blocks are ignored.
     auto existing = GetBlock(block.round, block.proposer);
     if (!existing) StoreBlock(msg.block);
     return;
   }
+  voted[block.proposer] = true;
 
   // Adopt the parent certificates carried by the proposal.
   for (const Certificate& cert : block.parent_certs) {
@@ -184,21 +166,26 @@ void DagCore::HandleProposal(ReplicaId from, const BlockProposalMsg& msg) {
 void DagCore::HandleVote(ReplicaId from, const BlockVoteMsg& msg) {
   if (msg.epoch != config_.epoch) return;
   if (BelowWatermark(msg.round)) return;
-  if (cert_formed_[msg.round]) return;
-  BlockPtr own = GetBlock(msg.round, config_.id);
-  if (!own || own->Digest() != msg.block_digest) return;
+  auto round_it = rounds_.find(msg.round);
+  if (round_it == rounds_.end()) return;  // No own block to vote for.
+  RoundState& rs = round_it->second;
+  if (rs.cert_formed) return;
+  auto own = rs.blocks.find(config_.id);
+  if (own == rs.blocks.end() || own->second->Digest() != msg.block_digest) {
+    return;
+  }
   const Hash256 signed_digest =
       VoteDigest(config_.epoch, msg.round, config_.id, msg.block_digest);
   if (!keys_->Verify(signed_digest, msg.signature)) return;
   if (msg.signature.signer != from) return;
 
-  std::vector<crypto::Signature>& votes = vote_collect_[msg.round];
+  std::vector<crypto::Signature>& votes = rs.own_votes;
   for (const crypto::Signature& sig : votes) {
     if (sig.signer == from) return;  // Duplicate vote.
   }
   votes.push_back(msg.signature);
   if (votes.size() >= QuorumSize(config_.n)) {
-    cert_formed_[msg.round] = true;
+    rs.cert_formed = true;
     Certificate cert;
     cert.epoch = config_.epoch;
     cert.round = msg.round;
@@ -250,7 +237,9 @@ void DagCore::StoreBlock(const BlockPtr& block) {
   // commit) can raise the watermark past the block it is storing.
   if (BelowWatermark(block->round)) return;
   Hash256 digest = block->Digest();
-  if (!blocks_by_digest_.emplace(digest, block).second) return;
+  if (!blocks_by_digest_.try_emplace(digest, BlockRecord{block}).second) {
+    return;
+  }
   RoundState& rs = rounds_[block->round];
   rs.blocks.emplace(block->proposer, block);
   rs.digests.push_back(digest);
@@ -308,7 +297,7 @@ BlockPtr DagCore::GetBlock(Round round, ReplicaId proposer) const {
 
 BlockPtr DagCore::GetBlockByDigest(const Hash256& digest) const {
   auto it = blocks_by_digest_.find(digest);
-  return it == blocks_by_digest_.end() ? nullptr : it->second;
+  return it == blocks_by_digest_.end() ? nullptr : it->second.block;
 }
 
 bool DagCore::HasCertificate(Round round, ReplicaId proposer) const {
@@ -333,24 +322,60 @@ Round DagCore::LatestBlockRoundFrom(ReplicaId proposer) const {
   return latest_block_round_[proposer];
 }
 
-bool DagCore::HaveCausalHistory(const Hash256& digest) {
-  bool complete = true;
-  std::set<Hash256> visited;
-  std::deque<Hash256> frontier{digest};
-  while (!frontier.empty()) {
-    Hash256 cur = frontier.front();
-    frontier.pop_front();
-    if (!visited.insert(cur).second) continue;
-    if (committed_blocks_.count(cur)) continue;  // History already complete.
-    auto it = blocks_by_digest_.find(cur);
-    if (it == blocks_by_digest_.end()) {
-      RequestBlock(cur);
-      complete = false;
+template <typename Step>
+bool DagCore::Walk(const Hash256& start, Step&& step) {
+  assert(!walking_ && "DAG walks never nest");
+  walking_ = true;
+  ++walk_generation_;
+  frontier_.clear();
+  missing_.clear();
+  Enqueue(start);
+  bool stopped = false;
+  for (size_t next = 0; next < frontier_.size(); ++next) {
+    BlockRecord& record = *frontier_[next];
+    const WalkStep what = step(record);
+    if (what == WalkStep::kStop) {
+      stopped = true;
+      break;
+    }
+    if (what == WalkStep::kSkip) continue;
+    const Block& block = *record.block;
+    if (block.round <= gc_round_) {
+      // The parents (round - 1) are below the watermark: collected, so the
+      // walk neither requests nor collects them.
+      ++ignored_below_gc_;
       continue;
     }
-    ExpandParents(*it->second, &frontier);
+    for (const Certificate& parent : block.parent_certs) {
+      Enqueue(parent.block_digest);
+    }
   }
-  return complete;
+  walking_ = false;
+  return stopped;
+}
+
+void DagCore::Enqueue(const Hash256& digest) {
+  auto it = blocks_by_digest_.find(digest);
+  if (it == blocks_by_digest_.end()) {
+    if (std::find(missing_.begin(), missing_.end(), digest) ==
+        missing_.end()) {
+      missing_.push_back(digest);
+    }
+    return;
+  }
+  BlockRecord& record = it->second;
+  if (record.walk_mark == walk_generation_) return;
+  record.walk_mark = walk_generation_;
+  frontier_.push_back(&record);
+}
+
+bool DagCore::HaveCausalHistory(const Hash256& digest) {
+  // A committed block's history is complete already.
+  Walk(digest, [](const BlockRecord& record) {
+    return record.committed ? WalkStep::kSkip : WalkStep::kExpand;
+  });
+  for (const Hash256& missing : missing_) RequestBlock(missing);
+  return missing_.empty();
 }
 
 void DagCore::TryCommitLeaders() {
@@ -370,8 +395,8 @@ void DagCore::TryCommitLeaders() {
     if (next_it == rounds_.end()) continue;
     uint32_t support = 0;
     for (const auto& [proposer, block] : next_it->second.blocks) {
-      for (const Hash256& parent : block->parents) {
-        if (parent == leader_digest) {
+      for (const Certificate& parent : block->parent_certs) {
+        if (parent.block_digest == leader_digest) {
           ++support;
           break;
         }
@@ -390,24 +415,16 @@ void DagCore::TryCommitLeaders() {
          rr -= 2) {
       BlockPtr earlier = GetBlock(rr, LeaderOf(rr));
       if (earlier) {
-        // Ancestor test: is `earlier` in `cursor`'s causal history?
-        Hash256 target = earlier->Digest();
-        bool is_ancestor = false;
-        std::set<Hash256> visited;
-        std::deque<Hash256> frontier{cursor->Digest()};
-        while (!frontier.empty()) {
-          Hash256 cur = frontier.front();
-          frontier.pop_front();
-          if (cur == target) {
-            is_ancestor = true;
-            break;
-          }
-          if (!visited.insert(cur).second) continue;
-          auto bit = blocks_by_digest_.find(cur);
-          if (bit == blocks_by_digest_.end()) continue;
-          if (bit->second->round <= earlier->round) continue;
-          ExpandParents(*bit->second, &frontier);
-        }
+        // Ancestor test: is `earlier` in `cursor`'s causal history? Blocks
+        // at or below its round cannot lead to it.
+        const Hash256 target = earlier->Digest();
+        const Round floor = earlier->round;
+        const bool is_ancestor =
+            Walk(cursor->Digest(), [&target, floor](const BlockRecord& record) {
+              if (record.block->Digest() == target) return WalkStep::kStop;
+              return record.block->round <= floor ? WalkStep::kSkip
+                                                  : WalkStep::kExpand;
+            });
         if (is_ancestor) {
           chain.push_back(earlier);
           cursor = earlier;
@@ -425,28 +442,20 @@ void DagCore::TryCommitLeaders() {
 
 void DagCore::CommitLeader(const BlockPtr& leader) {
   // Linearize the leader's uncommitted causal history deterministically:
-  // ascending (round, proposer).
+  // ascending (round, proposer). The caller checked HaveCausalHistory, so
+  // no digest is missing.
   std::vector<BlockPtr> history;
-  std::set<Hash256> visited;
-  std::deque<Hash256> frontier{leader->Digest()};
-  while (!frontier.empty()) {
-    Hash256 cur = frontier.front();
-    frontier.pop_front();
-    if (!visited.insert(cur).second) continue;
-    if (committed_blocks_.count(cur)) continue;
-    auto it = blocks_by_digest_.find(cur);
-    if (it == blocks_by_digest_.end()) continue;  // Guarded by caller.
-    history.push_back(it->second);
-    ExpandParents(*it->second, &frontier);
-  }
+  Walk(leader->Digest(), [&history](BlockRecord& record) {
+    if (record.committed) return WalkStep::kSkip;
+    record.committed = true;
+    history.push_back(record.block);
+    return WalkStep::kExpand;
+  });
   std::sort(history.begin(), history.end(),
             [](const BlockPtr& a, const BlockPtr& b) {
               if (a->round != b->round) return a->round < b->round;
               return a->proposer < b->proposer;
             });
-  for (const BlockPtr& b : history) {
-    committed_blocks_.insert(b->Digest());
-  }
   committed_block_count_ += history.size();
 
   CommittedSubDag sub_dag;
@@ -463,17 +472,6 @@ bool DagCore::BelowWatermark(Round round) {
   return true;
 }
 
-void DagCore::ExpandParents(const Block& block,
-                            std::deque<Hash256>* frontier) {
-  if (block.round <= gc_round_) {
-    // The parents (round - 1) are below the watermark: collected, so the
-    // walk neither requests nor collects them.
-    ++ignored_below_gc_;
-    return;
-  }
-  for (const Hash256& parent : block.parents) frontier->push_back(parent);
-}
-
 void DagCore::CollectGarbageBelow(Round watermark) {
   if (watermark <= std::max<Round>(gc_round_, 1)) return;
   gc_round_ = watermark;
@@ -483,24 +481,15 @@ void DagCore::CollectGarbageBelow(Round watermark) {
   for (auto it = rounds_.begin(); it != end; ++it) {
     for (const Hash256& digest : it->second.digests) {
       blocks_by_digest_.erase(digest);
-      committed_blocks_.erase(digest);
     }
   }
   rounds_.erase(rounds_.begin(), end);
-  vote_collect_.erase(vote_collect_.begin(),
-                      vote_collect_.lower_bound(watermark));
-  cert_formed_.erase(cert_formed_.begin(), cert_formed_.lower_bound(watermark));
-  voted_.erase(voted_.begin(), voted_.lower_bound({watermark, ReplicaId{0}}));
 }
 
 void DagCore::ResetForNewEpoch(EpochId epoch) {
   config_.epoch = epoch;
   rounds_.clear();
   blocks_by_digest_.clear();
-  vote_collect_.clear();
-  cert_formed_.clear();
-  voted_.clear();
-  committed_blocks_.clear();
   std::fill(latest_block_round_.begin(), latest_block_round_.end(), 0);
   highest_proposed_ = 0;
   highest_ready_ = 0;

@@ -26,10 +26,9 @@
 // leaves requests for collected digests unanswered. A block of round w
 // itself is still accepted, as Narwhal accepts a header at its GC round: a
 // walk may need to fetch it, and refusing it would leave that walk waiting
-// forever. The three DAG walks (HaveCausalHistory, the ancestor test in
-// TryCommitLeaders, CommitLeader) stop at the watermark: at a round-w block
-// they neither request nor collect its parents. The watermark is a function
-// of the committed sequence, so every replica cuts the same history there.
+// forever. Walks stop at the watermark: at a round-w block they neither
+// request nor collect its parents. The watermark is a function of the
+// committed sequence, so every replica cuts the same history there.
 // Each message or certificate dropped this way and each stopped walk
 // counts in ignored_below_gc(): it marks a place where the machine without
 // GC would still have acted, so the owner picks a watermark deep enough
@@ -39,14 +38,24 @@
 // one for a digest never stored, and it goes unanswered without being
 // counted; a zero count says nothing about requests. Without a call,
 // nothing is collected.
+//
+// DAG walks. HaveCausalHistory, the ancestor test in TryCommitLeaders and
+// CommitLeader all run through Walk: one breadth-first pass from a block
+// over its parent certificates' digests, in certificate order, queueing each
+// digest at most once (a generation stamp on the block's record marks it).
+// The caller decides, block by block, whether the walk expands a block's
+// parents, skips them or stops. Digests with no stored block are collected
+// in order of first reach, and HaveCausalHistory requests them in that
+// order: each request draws from the network's RNG, so the order is part
+// of a run's determinism. A walk runs no callback and sends nothing, so
+// walks never nest: the frontier and the missing list are members, reused
+// by every walk.
 #ifndef THUNDERBOLT_DAG_DAG_CORE_H_
 #define THUNDERBOLT_DAG_DAG_CORE_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -155,15 +164,40 @@ class DagCore {
   uint64_t ignored_below_gc() const { return ignored_below_gc_; }
 
  private:
+  /// Everything this replica holds for one round: its blocks and
+  /// certificates, the votes it cast and the votes its own block drew.
   struct RoundState {
     std::map<ReplicaId, BlockPtr> blocks;            // By proposer.
     std::map<ReplicaId, Certificate> certificates;   // By proposer.
     /// Every stored block of the round, including an equivocating
     /// proposer's second block that `blocks` has no slot for; GC erases
-    /// these from blocks_by_digest_ and committed_blocks_.
+    /// these records from blocks_by_digest_.
     std::vector<Hash256> digests;
+    /// Proposers whose round block this replica voted for (equivocation
+    /// guard; indexed by proposer, empty until the first vote). A block
+    /// stored from a BlockResponseMsg is not voted for.
+    std::vector<bool> voted;
+    /// Votes collected for this replica's own block of the round.
+    std::vector<crypto::Signature> own_votes;
+    /// Whether own_votes reached a quorum and the certificate went out.
+    bool cert_formed = false;
   };
 
+  /// One stored block and what this replica knows about it.
+  struct BlockRecord {
+    BlockPtr block;
+    bool committed = false;
+    /// Walk generation that last queued this block (see walk_generation_).
+    uint64_t walk_mark = 0;
+  };
+
+  /// What a Walk does at a stored block.
+  enum class WalkStep { kExpand, kSkip, kStop };
+
+  /// Routes a message of epoch config_.epoch + 1 into next_epoch_buffer_
+  /// (true) while the buffer has room; any other epoch returns false.
+  bool DeferToNextEpoch(ReplicaId from, const net::PayloadPtr& payload,
+                        EpochId epoch);
   void HandleProposal(ReplicaId from, const BlockProposalMsg& msg);
   void HandleVote(ReplicaId from, const BlockVoteMsg& msg);
   void HandleCertificate(ReplicaId from, const CertificateMsg& msg);
@@ -185,26 +219,36 @@ class DagCore {
   /// True, and counted in ignored_below_gc(), when `round` is below the GC
   /// watermark: whatever arrives for it is dropped.
   bool BelowWatermark(Round round);
-  /// One step of a DAG walk: appends `block`'s parents to `frontier`, but
-  /// stops at the GC watermark (see the file header), counting each stop.
-  void ExpandParents(const Block& block, std::deque<Hash256>* frontier);
+  /// Breadth-first walk from `start` (see the file header). `step` is
+  /// called once for each stored block the walk reaches, in order of first
+  /// reach, and returns a WalkStep. kExpand queues the block's parents
+  /// unless the block is at or below the GC watermark; that stop counts in
+  /// ignored_below_gc(). Unstored digests end up in missing_. Returns true
+  /// when `step` stopped the walk.
+  template <typename Step>
+  bool Walk(const Hash256& start, Step&& step);
+  /// Queues `digest` for the current walk unless it was queued already.
+  void Enqueue(const Hash256& digest);
 
   DagConfig config_;
   const crypto::KeyDirectory* keys_;
   net::SimNetwork* network_;
 
   std::map<Round, RoundState> rounds_;
-  std::unordered_map<Hash256, BlockPtr> blocks_by_digest_;
-  /// Votes collected for our own proposals: round -> signatures.
-  std::map<Round, std::vector<crypto::Signature>> vote_collect_;
-  std::map<Round, bool> cert_formed_;
-  /// (round, proposer) pairs we already voted for (equivocation guard).
-  std::set<std::pair<Round, ReplicaId>> voted_;
-  std::set<Hash256> committed_blocks_;
+  std::unordered_map<Hash256, BlockRecord> blocks_by_digest_;
   std::vector<Round> latest_block_round_;  // Indexed by proposer.
   /// Messages from epoch+1 buffered across the reconfiguration boundary.
   std::vector<std::pair<ReplicaId, net::PayloadPtr>> next_epoch_buffer_;
   static constexpr size_t kMaxEpochBuffer = 100000;
+
+  /// Walk state. Records stay put while a walk runs: nothing is stored or
+  /// collected until it returns.
+  std::vector<BlockRecord*> frontier_;
+  std::vector<Hash256> missing_;  // Unstored digests, in order of reach.
+  /// Stamp of the current walk: a record whose walk_mark equals it is
+  /// queued already.
+  uint64_t walk_generation_ = 0;
+  bool walking_ = false;  // Guards the no-nesting rule (asserted).
 
   Round highest_proposed_ = 0;
   Round highest_ready_ = 0;

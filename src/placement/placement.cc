@@ -227,96 +227,6 @@ uint64_t DirectoryPlacement::Fingerprint() const {
   return h.Finalize().Prefix64();
 }
 
-std::string DirectoryPlacement::Serialize() const {
-  std::string out = "directory " + std::to_string(num_shards_) + " " +
-                    std::to_string(top_k_) + " " +
-                    std::to_string(max_entries_) + "\n";
-  // Entries go out in migration-recency order (oldest first) so a
-  // deserialized twin evicts in the same order the original would.
-  std::vector<std::pair<uint64_t, const std::string*>> by_touch;
-  by_touch.reserve(directory_.size());
-  for (const auto& [account, pin] : directory_) {
-    by_touch.emplace_back(pin.touch, &account);
-  }
-  std::sort(by_touch.begin(), by_touch.end());
-  for (const auto& [touch, account] : by_touch) {
-    out += *account;
-    out += ':';
-    out += std::to_string(directory_.at(*account).shard);
-    out += '\n';
-  }
-  return out;
-}
-
-Result<std::unique_ptr<DirectoryPlacement>> DirectoryPlacement::Deserialize(
-    const std::string& data) {
-  size_t eol = data.find('\n');
-  if (eol == std::string::npos) {
-    return Status::InvalidArgument("directory: missing header line");
-  }
-  // "directory <num_shards> <top_k> <max_entries>". The third number
-  // (max_entries) arrived with dictionary bounding; two-number headers from
-  // older serializations still parse.
-  const std::string header = data.substr(0, eol);
-  const Status bad_header =
-      Status::InvalidArgument("directory: bad header \"" + header + "\"");
-  const std::vector<std::string> fields = Split(header, ' ');
-  if (fields.size() < 3 || fields.size() > 4 || fields[0] != "directory") {
-    return bad_header;
-  }
-  uint32_t numbers[3] = {0, 0, kDefaultMaxEntries};
-  for (size_t i = 1; i < fields.size(); ++i) {
-    Result<uint64_t> n = ParseUint(Param{"header", fields[i]}, UINT32_MAX);
-    if (!n.ok()) return bad_header;
-    numbers[i - 1] = static_cast<uint32_t>(n.value());
-  }
-  const uint32_t num_shards = numbers[0], top_k = numbers[1],
-                 max_entries = numbers[2];
-  if (num_shards == 0) return bad_header;
-  auto policy =
-      std::make_unique<DirectoryPlacement>(num_shards, top_k, max_entries);
-  size_t start = eol + 1;
-  while (start < data.size()) {
-    size_t end = data.find('\n', start);
-    if (end == std::string::npos) end = data.size();
-    if (end > start) {
-      std::string line = data.substr(start, end - start);
-      // Accounts never contain ':' in this codebase, but parse from the
-      // last one anyway so a future account format can't corrupt shards.
-      size_t colon = line.rfind(':');
-      if (colon == std::string::npos || colon == 0 ||
-          colon + 1 == line.size()) {
-        return Status::InvalidArgument("directory: bad entry \"" + line +
-                                       "\"");
-      }
-      const Result<uint64_t> shard =
-          ParseUint(Param{"shard", line.substr(colon + 1)}, num_shards - 1);
-      if (!shard.ok()) {
-        return Status::InvalidArgument("directory: bad shard in \"" + line +
-                                       "\"");
-      }
-      // Entries are serialized oldest-first, so re-stamping in read order
-      // reconstructs the original eviction order.
-      policy->directory_[line.substr(0, colon)] =
-          Pin{static_cast<ShardId>(shard.value()), ++policy->touch_counter_};
-    }
-    start = end + 1;
-  }
-  // A serialization may carry more pins than this policy's bound allows
-  // (legacy two-field headers default it): enforce the invariant the same
-  // way live inserts do, oldest pins first. Entries were stamped in read
-  // order, so the smallest touch is always the map's earliest line.
-  while (policy->directory_.size() > policy->max_entries_) {
-    auto victim = policy->directory_.begin();
-    for (auto it = policy->directory_.begin(); it != policy->directory_.end();
-         ++it) {
-      if (it->second.touch < victim->second.touch) victim = it;
-    }
-    policy->directory_.erase(victim);
-  }
-  return policy;
-}
-
 // --- LocalityPlacement ------------------------------------------------------
 
 LocalityPlacement::LocalityPlacement(uint32_t num_shards, AccountGroupFn hint)

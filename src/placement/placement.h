@@ -11,8 +11,7 @@
 //              between split points i-1 and i ("splits=g;p" puts [..,"g")
 //              on shard 0, ["g","p") on shard 1, ["p",..) on shard 2).
 //   directory  An explicit account -> shard dictionary with a hash
-//              fallback for unlisted accounts. Serializable so every
-//              replica can hold the same mapping, and the only built-in
+//              fallback for unlisted accounts, and the only built-in
 //              that supports hot-key migration: Rebalance consults remote-
 //              access counters and deterministically re-homes the top-K
 //              hottest remote-accessed accounts.
@@ -40,7 +39,7 @@
 #include <vector>
 
 #include "common/registry.h"
-#include "common/result.h"
+#include "common/status.h"
 #include "common/types.h"
 
 namespace thunderbolt::placement {
@@ -206,8 +205,8 @@ class RangePlacement final : public PlacementPolicy {
 };
 
 /// Explicit account -> shard dictionary with a hash fallback, the policy
-/// behind hot-key migration. The dictionary is serializable so replicas
-/// (or tests) can exchange and compare the exact mapping.
+/// behind hot-key migration. Replicas compare the exact mapping through
+/// Fingerprint().
 ///
 /// The dictionary is bounded: it holds at most `max_entries` pins, and
 /// when a migration (or Assign) would exceed the bound the least-recently
@@ -239,12 +238,6 @@ class DirectoryPlacement final : public PlacementPolicy {
 
   /// Pins `account` to `shard` (clamped to num_shards).
   void Assign(const std::string& account, ShardId shard);
-
-  /// Text round-trip so all replicas can agree on the exact dictionary:
-  /// Deserialize(Serialize()) reconstructs an equal-fingerprint policy.
-  std::string Serialize() const;
-  static Result<std::unique_ptr<DirectoryPlacement>> Deserialize(
-      const std::string& data);
 
   size_t directory_size() const { return directory_.size(); }
   uint32_t top_k() const { return top_k_; }

@@ -67,29 +67,6 @@ std::vector<ShardId> ShardMapper::ShardsOf(const Transaction& tx) const {
   return shards;
 }
 
-uint32_t ShardMapper::CountDistinctShards(const Transaction& tx) const {
-  // Account lists are tiny (1-4 entries for every built-in workload): a
-  // linear scan over a stack buffer beats ShardsOf's allocate+sort+unique.
-  constexpr size_t kInline = 16;
-  if (tx.accounts.size() > kInline) {
-    return static_cast<uint32_t>(ShardsOf(tx).size());
-  }
-  ShardId seen[kInline];
-  uint32_t distinct = 0;
-  for (const std::string& a : tx.accounts) {
-    const ShardId s = ShardOfAccount(a);
-    bool found = false;
-    for (uint32_t i = 0; i < distinct; ++i) {
-      if (seen[i] == s) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) seen[distinct++] = s;
-  }
-  return distinct;
-}
-
 std::string CheckingKey(const std::string& account) {
   return account + "/checking";
 }

@@ -129,10 +129,6 @@ class ShardMapper {
   /// The distinct shards a transaction's account arguments touch, sorted.
   std::vector<ShardId> ShardsOf(const Transaction& tx) const;
 
-  /// Number of distinct shards the transaction's accounts touch, without
-  /// materializing the sorted vector ShardsOf builds.
-  uint32_t CountDistinctShards(const Transaction& tx) const;
-
   /// True when all account arguments live in a single shard. Early-exits
   /// on the first account that maps elsewhere (the hot classification
   /// path: every pulled transaction goes through this check).

@@ -51,16 +51,6 @@ TEST(SimulatorTest, PastEventsClampToNow) {
   EXPECT_TRUE(ran);
 }
 
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator sim;
-  bool ran = false;
-  EventId id = sim.ScheduleAt(10, [&] { ran = true; });
-  EXPECT_TRUE(sim.Cancel(id));
-  EXPECT_FALSE(sim.Cancel(id));  // Double-cancel reports false.
-  sim.RunAll();
-  EXPECT_FALSE(ran);
-}
-
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   Simulator sim;
   std::vector<SimTime> fired;

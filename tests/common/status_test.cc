@@ -24,17 +24,14 @@ TEST(StatusTest, ErrorCarriesMessage) {
 
 TEST(StatusTest, CodePredicates) {
   EXPECT_TRUE(Status::Aborted("x").IsAborted());
-  EXPECT_TRUE(Status::Conflict("x").IsConflict());
   EXPECT_TRUE(Status::Corruption("x").IsCorruption());
-  EXPECT_TRUE(Status::TimedOut("x").IsTimedOut());
-  EXPECT_TRUE(Status::Unavailable("x").IsUnavailable());
   EXPECT_TRUE(Status::InvalidArgument("x").IsInvalidArgument());
   EXPECT_FALSE(Status::OK().IsAborted());
 }
 
 TEST(StatusTest, EqualityByCode) {
   EXPECT_EQ(Status::Aborted("a"), Status::Aborted("b"));
-  EXPECT_FALSE(Status::Aborted("a") == Status::Conflict("a"));
+  EXPECT_FALSE(Status::Aborted("a") == Status::Corruption("a"));
 }
 
 TEST(StatusTest, StreamOutput) {
@@ -45,10 +42,10 @@ TEST(StatusTest, StreamOutput) {
 
 TEST(StatusTest, ReturnNotOkMacro) {
   auto fails = []() -> Status {
-    THUNDERBOLT_RETURN_NOT_OK(Status::TimedOut("late"));
+    THUNDERBOLT_RETURN_NOT_OK(Status::Corruption("bad"));
     return Status::OK();
   };
-  EXPECT_TRUE(fails().IsTimedOut());
+  EXPECT_TRUE(fails().IsCorruption());
 
   auto passes = []() -> Status {
     THUNDERBOLT_RETURN_NOT_OK(Status::OK());

@@ -148,6 +148,15 @@ TEST(ClusterDeathTest, PreplayFailureAbortsLoudly) {
       "preplay failed on replica [0-9]+, shard [0-9]+");
 }
 
+TEST(ClusterDeathTest, NonSimPoolRejected) {
+  // Replicas preplay on the sim pool only. Any other pool name stops
+  // construction before the first node, so no pool thread ever starts.
+  auto cfg = SmallConfig();
+  cfg.pool = "thread";
+  EXPECT_DEATH({ Cluster cluster(cfg, "smallbank", SmallWorkload()); },
+               "executor pool \"thread\" is not supported");
+}
+
 TEST(ClusterTest, SurvivesFCrashedReplicas) {
   auto cfg = SmallConfig(7);  // f = 2.
   Cluster cluster(cfg, "smallbank", SmallWorkload());

@@ -207,9 +207,11 @@ TEST_F(AdversarialTest, RenamedCertificatesIgnored) {
         const BlockPtr block = core.GetBlock(r, proposer);
         if (block == nullptr) continue;
         ++blocks;
-        const std::set<Hash256> distinct(block->parents.begin(),
-                                         block->parents.end());
-        repeated_parent += distinct.size() != block->parents.size();
+        std::set<Hash256> distinct;
+        for (const Certificate& cert : block->parent_certs) {
+          distinct.insert(cert.block_digest);
+        }
+        repeated_parent += distinct.size() != block->parent_certs.size();
         for (const Certificate& cert : block->parent_certs) {
           const BlockPtr parent = core.GetBlockByDigest(cert.block_digest);
           misnamed_parent +=
@@ -239,7 +241,6 @@ TEST_F(AdversarialTest, ForgedParentDigestOnCertifiedSlotRejected) {
   Certificate& cert = forged->parent_certs.front();
   ASSERT_TRUE(cores_[1]->HasCertificate(cert.round, cert.proposer));
   const Hash256 fabricated = Sha256::Digest("no such block");
-  forged->parents.front() = fabricated;
   cert.block_digest = fabricated;
   cert.qc.digest = VoteDigest(cert.epoch, cert.round, cert.proposer,
                               fabricated);

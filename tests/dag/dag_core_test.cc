@@ -129,6 +129,50 @@ TEST(DagCoreTest, LeaderCommitsInIncreasingOrder) {
   }
 }
 
+TEST(DagCoreTest, WeakLeaderCommitsInsideALaterLeadersHistory) {
+  // A leader that fewer than f+1 next-round blocks cite never commits
+  // directly. It commits only through the ancestor test, when a later
+  // leader that does commit directly has it in its causal history, and
+  // then just before that leader. The network delays in this run leave
+  // some leaders that weak; each must still commit on every replica, at
+  // the same place in the same sequence.
+  DagHarness h(4);
+  h.StartAll();
+  h.sim_.RunUntil(Seconds(3));
+  const DagCore& core = *h.cores_[0];
+  uint32_t weak_leaders = 0;
+  for (Round r : h.leader_commits_[0]) {
+    const BlockPtr leader = core.GetBlock(r, core.LeaderOf(r));
+    ASSERT_NE(leader, nullptr) << "round " << r;
+    uint32_t support = 0;
+    for (ReplicaId p = 0; p < 4; ++p) {
+      const BlockPtr child = core.GetBlock(r + 1, p);
+      if (child == nullptr) continue;
+      for (const Certificate& cert : child->parent_certs) {
+        support += cert.block_digest == leader->Digest();
+      }
+    }
+    weak_leaders += support < 2;  // f + 1 at n = 4.
+  }
+  EXPECT_GT(weak_leaders, 0u);
+  for (ReplicaId id = 1; id < 4; ++id) {
+    const std::vector<Round>& leaders = h.leader_commits_[id];
+    const size_t common =
+        std::min(leaders.size(), h.leader_commits_[0].size());
+    ASSERT_GT(common, 10u);
+    for (size_t i = 0; i < common; ++i) {
+      ASSERT_EQ(leaders[i], h.leader_commits_[0][i])
+          << "replica " << id << " diverged at leader " << i;
+    }
+    const std::vector<std::pair<Round, ReplicaId>>& log = h.commit_log_[id];
+    const size_t blocks = std::min(log.size(), h.commit_log_[0].size());
+    for (size_t i = 0; i < blocks; ++i) {
+      ASSERT_EQ(log[i], h.commit_log_[0][i])
+          << "replica " << id << " diverged at commit " << i;
+    }
+  }
+}
+
 TEST(DagCoreTest, ProgressWithOneCrashedReplica) {
   DagHarness h(4);
   h.auto_propose_[3] = false;  // Replica 3 never proposes.
@@ -294,6 +338,14 @@ TEST(BlockTest, DigestCoversAllFields) {
   EXPECT_NE(make(2, 2, 3, 9).Digest(), d1);       // Epoch.
   EXPECT_NE(make(1, 2, 0, 9).Digest(), d1);       // Proposer.
   EXPECT_NE(make(1, 2, 3, 10).Digest(), d1);      // Content.
+
+  Block with_parent = make(1, 2, 3, 9);
+  with_parent.parent_certs.emplace_back().block_digest = Sha256::Digest("p");
+  const Hash256 d2 = with_parent.Digest();
+  EXPECT_NE(d2, d1);                               // Parent count.
+  Block other_parent = with_parent;
+  other_parent.parent_certs[0].block_digest = Sha256::Digest("q");
+  EXPECT_NE(other_parent.Digest(), d2);            // Parent digest.
 }
 
 TEST(BlockTest, CopyDropsDigestCache) {

@@ -3,8 +3,8 @@
 // account maps to a shard below num_shards), stable (same account, same
 // answer across calls), and replica-deterministic (two policies built from
 // the same configuration agree on every account and report equal
-// fingerprints). The directory policy additionally round-trips through
-// Serialize/Deserialize, before and after a hot-key rebalance.
+// fingerprints). The directory policy additionally rebalances hot keys
+// deterministically and keeps its dictionary bounded.
 #include <memory>
 #include <string>
 #include <vector>
@@ -154,45 +154,6 @@ TEST_F(PlacementPolicyPropertyTest, LocalityCoLocatesHintGroups) {
   }
 }
 
-TEST_F(PlacementPolicyPropertyTest, DirectoryRoundTripsSerialization) {
-  DirectoryPlacement policy(8, /*top_k=*/4);
-  std::vector<std::string> accounts = SampleAccounts(rng_, 200);
-  for (size_t i = 0; i < accounts.size(); ++i) {
-    policy.Assign(accounts[i], static_cast<ShardId>(i % 8));
-  }
-
-  auto restored = DirectoryPlacement::Deserialize(policy.Serialize());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ((*restored)->Fingerprint(), policy.Fingerprint());
-  EXPECT_EQ((*restored)->directory_size(), policy.directory_size());
-  EXPECT_EQ((*restored)->top_k(), policy.top_k());
-  for (const std::string& account : SampleAccounts(rng_, 2000)) {
-    EXPECT_EQ((*restored)->ShardOfAccount(account),
-              policy.ShardOfAccount(account))
-        << account;
-  }
-
-  EXPECT_FALSE(DirectoryPlacement::Deserialize("").ok());
-  EXPECT_FALSE(DirectoryPlacement::Deserialize("bogus header\n").ok());
-  EXPECT_FALSE(
-      DirectoryPlacement::Deserialize("directory 4 2\nacct1:9\n").ok());
-}
-
-// Header numbers and entry shards parse with the shared ParseUint, so a
-// sign or a leading blank is rejected instead of wrapping or being skipped.
-TEST_F(PlacementPolicyPropertyTest, DirectoryDeserializeRejectsSignedNumbers) {
-  for (const char* data :
-       {"directory 4 -1 8\n", "directory 4 2 -5\n",
-        "directory 4 2\nacct1:+1\n", "directory 4 2\nacct1: 2\n"}) {
-    EXPECT_FALSE(DirectoryPlacement::Deserialize(data).ok()) << data;
-  }
-  auto plain = DirectoryPlacement::Deserialize("directory 4 1 8\nacct1:2\n");
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  EXPECT_EQ((*plain)->top_k(), 1u);
-  EXPECT_EQ((*plain)->max_entries(), 8u);
-  EXPECT_EQ((*plain)->ShardOfAccount("acct1"), 2u);
-}
-
 // CheckPlacementParams reports what the built-in factories abort on, and
 // every spec it accepts builds. With num_shards 0 the shard-count bounds
 // are left to the factory.
@@ -268,11 +229,6 @@ TEST_F(PlacementPolicyPropertyTest, DirectoryRebalanceIsDeterministic) {
     EXPECT_EQ(a.ShardOfAccount(ea[i].account), ea[i].to);
   }
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
-
-  // Migration state survives the serialization round-trip too.
-  auto restored = DirectoryPlacement::Deserialize(a.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ((*restored)->Fingerprint(), a.Fingerprint());
 }
 
 TEST_F(PlacementPolicyPropertyTest, RebalanceMovesHotKeysTowardAccessors) {
@@ -348,43 +304,6 @@ TEST_F(PlacementPolicyPropertyTest, DirectoryDictionaryStaysBounded) {
     EXPECT_EQ(assigned.ShardOfAccount("acct" + std::to_string(i)),
               static_cast<ShardId>(i % 4));
   }
-}
-
-TEST_F(PlacementPolicyPropertyTest, DirectoryEvictionSurvivesSerialization) {
-  // The serialized form carries migration-recency order, so original and
-  // restored replicas evict the same victim next.
-  constexpr uint32_t kMaxEntries = 8;
-  DirectoryPlacement policy(4, /*top_k=*/2, kMaxEntries);
-  for (int i = 0; i < 8; ++i) {
-    policy.Assign("pin" + std::to_string(i), static_cast<ShardId>(i % 4));
-  }
-  auto restored = DirectoryPlacement::Deserialize(policy.Serialize());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ((*restored)->max_entries(), kMaxEntries);
-  EXPECT_EQ((*restored)->Fingerprint(), policy.Fingerprint());
-
-  // One more pin overflows both; they must evict identically.
-  policy.Assign("straw", 1);
-  (*restored)->Assign("straw", 1);
-  EXPECT_EQ(policy.directory_size(), kMaxEntries);
-  EXPECT_EQ((*restored)->directory_size(), kMaxEntries);
-  EXPECT_EQ((*restored)->Fingerprint(), policy.Fingerprint());
-
-  // Legacy two-field headers still parse, defaulting the bound.
-  auto legacy = DirectoryPlacement::Deserialize("directory 4 2\nacct1:3\n");
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ((*legacy)->max_entries(), DirectoryPlacement::kDefaultMaxEntries);
-  EXPECT_EQ((*legacy)->ShardOfAccount("acct1"), 3u);
-
-  // A serialization carrying more pins than its own bound (hand-edited or
-  // produced under a larger bound) is trimmed oldest-first on load, so
-  // the invariant holds from the first lookup.
-  auto trimmed =
-      DirectoryPlacement::Deserialize("directory 4 2 2\na:0\nb:1\nc:2\n");
-  ASSERT_TRUE(trimmed.ok()) << trimmed.status().ToString();
-  EXPECT_EQ((*trimmed)->directory_size(), 2u);
-  EXPECT_EQ((*trimmed)->ShardOfAccount("b"), 1u);
-  EXPECT_EQ((*trimmed)->ShardOfAccount("c"), 2u);
 }
 
 TEST_F(PlacementPolicyPropertyTest, GenerationTracksMutations) {

@@ -43,10 +43,10 @@ TEST(ShardMapperTest, SingleVsCrossShard) {
   EXPECT_EQ(mapper.ShardsOf(MakeTx({base, diff})).size(), 2u);
 }
 
-TEST(ShardMapperTest, CountDistinctShardsAgreesWithShardsOf) {
+TEST(ShardMapperTest, IsSingleShardAgreesWithShardsOf) {
   ShardMapper mapper(8);
   // Transactions of every account-list shape the workloads emit, plus a
-  // wide one past the inline fast-path buffer.
+  // wide one.
   std::vector<std::vector<std::string>> shapes = {
       {},
       {"acct1"},
@@ -59,9 +59,7 @@ TEST(ShardMapperTest, CountDistinctShardsAgreesWithShardsOf) {
   shapes.push_back(wide);
   for (const auto& accounts : shapes) {
     Transaction tx = MakeTx(accounts);
-    EXPECT_EQ(mapper.CountDistinctShards(tx), mapper.ShardsOf(tx).size());
-    EXPECT_EQ(mapper.IsSingleShard(tx),
-              mapper.CountDistinctShards(tx) <= 1);
+    EXPECT_EQ(mapper.IsSingleShard(tx), mapper.ShardsOf(tx).size() <= 1);
   }
 }
 
