@@ -9,15 +9,10 @@
 // the SmallBank workload with 10,000 accounts at theta = 0.85 — the
 // paper's CE experiment setup (section 11).
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "bench/bench_util.h"
-#include "ce/engine_registry.h"
-#include "ce/executor_pool.h"
-#include "contract/contract.h"
-#include "workload/smallbank_workload.h"
 
 namespace thunderbolt {
 namespace {
@@ -33,47 +28,22 @@ Measurement RunConfig(const std::string& engine_name, uint32_t executors,
                       const bench::StoreSelection& store_sel,
                       const bench::PoolSelection& pool_sel,
                       obs::Observability* obs) {
-  workload::SmallBankConfig wc;
-  wc.num_accounts = 10000;
-  wc.theta = 0.85;
-  wc.read_ratio = read_ratio;
-  wc.seed = 1234;
-  workload::SmallBankWorkload w(wc);
-  std::unique_ptr<storage::KVStore> store = store_sel.Create();
-  w.InitStore(store.get());
-  auto registry = contract::Registry::CreateDefault();
-
-  std::unique_ptr<ce::ExecutorPool> pool = pool_sel.Create(executors);
-  pool->SetObs(ce::PoolObsContext{obs->tracer(), &obs->metrics(), 0});
-  SimTime total_time = 0;
-  uint64_t total_txns = 0, total_aborts = 0;
-  double latency_sum = 0;
-  for (uint32_t run = 0; run < runs; ++run) {
-    auto batch = w.MakeBatch(batch_size);
-    std::unique_ptr<ce::BatchEngine> engine =
-        ce::EngineRegistry::Global().Create(engine_name, store.get(),
-                                            batch_size);
-    auto r = pool->Run(*engine, *registry, batch);
-    if (!r.ok()) {
-      // The cell has no number without this batch: stop loudly.
-      std::fprintf(stderr,
-                   "fig11: %s batch %u executors %u Pr %.1f run %u failed: "
-                   "%s\n",
-                   engine_name.c_str(), batch_size, executors, read_ratio,
-                   run, r.status().ToString().c_str());
-      std::exit(1);
-    }
-    store->Write(engine->FinalWrites());
-    total_time += r->duration;
-    total_txns += batch_size;
-    total_aborts += r->total_aborts;
-    latency_sum += r->commit_latency_us.Mean();
-  }
+  workload::WorkloadOptions options;
+  options.num_records = 10000;
+  options.theta = 0.85;
+  options.read_ratio = read_ratio;
+  options.seed = 1234;
+  char cell[128];
+  std::snprintf(cell, sizeof(cell), "fig11: %s batch %u executors %u Pr %.1f",
+                engine_name.c_str(), batch_size, executors, read_ratio);
+  const bench::BatchCellSums sums =
+      bench::RunBatchCell(options, engine_name, executors, batch_size, runs,
+                          store_sel, pool_sel, obs, cell);
   Measurement m;
-  m.tps = static_cast<double>(total_txns) / ToSeconds(total_time);
-  m.latency_s = (latency_sum / runs) / 1e6;
+  m.tps = sums.tps();
+  m.latency_s = sums.latency_s();
   m.re_executions =
-      static_cast<double>(total_aborts) / static_cast<double>(total_txns);
+      static_cast<double>(sums.aborts) / static_cast<double>(sums.txns);
   return m;
 }
 

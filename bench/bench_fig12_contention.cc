@@ -6,15 +6,10 @@
 // Engines: Thunderbolt CE, OCC, 2PL-No-Wait; batch sizes 300 and 500;
 // 12 executors (the plateau point of Figure 11).
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "bench/bench_util.h"
-#include "ce/engine_registry.h"
-#include "ce/executor_pool.h"
-#include "contract/contract.h"
-#include "workload/smallbank_workload.h"
 
 namespace thunderbolt {
 namespace {
@@ -37,48 +32,24 @@ Measurement RunConfig(const std::string& engine_name, uint32_t batch_size,
                       const bench::StoreSelection& store_sel,
                       const bench::PoolSelection& pool_sel,
                       obs::Observability* obs, SweepObs* sweep) {
-  workload::SmallBankConfig wc;
-  wc.num_accounts = 10000;
-  wc.theta = theta;
-  wc.read_ratio = read_ratio;
-  wc.seed = 4321;
-  workload::SmallBankWorkload w(wc);
-  std::unique_ptr<storage::KVStore> store = store_sel.Create();
-  w.InitStore(store.get());
-  auto registry = contract::Registry::CreateDefault();
+  workload::WorkloadOptions options;
+  options.num_records = 10000;
+  options.theta = theta;
+  options.read_ratio = read_ratio;
+  options.seed = 4321;
+  char cell[128];
+  std::snprintf(cell, sizeof(cell), "fig12: %s batch %u theta %.2f Pr %.1f",
+                engine_name.c_str(), batch_size, theta, read_ratio);
   // 12 executors: the Figure 11 plateau point.
-  std::unique_ptr<ce::ExecutorPool> pool = pool_sel.Create(12);
-  pool->SetObs(ce::PoolObsContext{obs->tracer(), &obs->metrics(), 0});
-
-  SimTime total_time = 0;
-  uint64_t total_txns = 0;
-  double latency_sum = 0;
-  for (uint32_t run = 0; run < runs; ++run) {
-    auto batch = w.MakeBatch(batch_size);
-    std::unique_ptr<ce::BatchEngine> engine =
-        ce::EngineRegistry::Global().Create(engine_name, store.get(),
-                                            batch_size);
-    auto r = pool->Run(*engine, *registry, batch);
-    if (!r.ok()) {
-      // The cell has no number without this batch: stop loudly.
-      std::fprintf(stderr,
-                   "fig12: %s batch %u theta %.2f Pr %.1f run %u failed: "
-                   "%s\n",
-                   engine_name.c_str(), batch_size, theta, read_ratio, run,
-                   r.status().ToString().c_str());
-      std::exit(1);
-    }
-    store->Write(engine->FinalWrites());
-    total_time += r->duration;
-    total_txns += batch_size;
-    latency_sum += r->commit_latency_us.Mean();
-    sweep->phases.Merge(r->phases);
-  }
-  sweep->clock_us += total_time;
+  const bench::BatchCellSums sums =
+      bench::RunBatchCell(options, engine_name, /*executors=*/12, batch_size,
+                          runs, store_sel, pool_sel, obs, cell);
+  sweep->phases.Merge(sums.phases);
+  sweep->clock_us += sums.duration;
   obs->SampleWindow(sweep->clock_us);
   Measurement m;
-  m.tps = static_cast<double>(total_txns) / ToSeconds(total_time);
-  m.latency_s = (latency_sum / runs) / 1e6;
+  m.tps = sums.tps();
+  m.latency_s = sums.latency_s();
   return m;
 }
 

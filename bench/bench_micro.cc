@@ -104,8 +104,8 @@ BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
 void BM_TxnDigest(benchmark::State& state) {
   // One SmallBank transaction's digest: the unit a Tusk block's
   // ThunderboltPayload::ContentDigest repeats for each raw transaction.
-  workload::SmallBankConfig wc;
-  wc.num_accounts = 10000;
+  workload::WorkloadOptions wc;
+  wc.num_records = 10000;
   workload::SmallBankWorkload w(wc);
   const txn::Transaction tx = w.Next();
   for (auto _ : state) {
@@ -138,24 +138,6 @@ void BM_QuorumValidate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuorumValidate)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_StoreClone(benchmark::State& state) {
-  // MemKVStore::Clone forks validator state on every preplay validation;
-  // the explicit reserve keeps it to a single allocation burst.
-  storage::MemKVStore store;
-  uint64_t n = static_cast<uint64_t>(state.range(0));
-  store.Reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    store.Put("key" + std::to_string(i), static_cast<storage::Value>(i));
-  }
-  for (auto _ : state) {
-    storage::MemKVStore copy = store.Clone();
-    benchmark::DoNotOptimize(copy.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_StoreClone)->Arg(1000)->Arg(20000);
 
 void RegistryStoreBench(benchmark::State& state, const char* backend,
                         bool fork) {
@@ -206,7 +188,7 @@ BENCHMARK(BM_StoreFork_Cow)->Arg(10000)->Arg(100000);
 void BM_StoreWriteBatch(benchmark::State& state) {
   // Batch apply over a half-fresh/half-live key mix (the post-commit write
   // path): try_emplace keeps it to one lookup per entry. The store is
-  // re-cloned from the base every iteration so the fresh-key insertion
+  // re-copied from the base every iteration so the fresh-key insertion
   // path is measured in steady state, not just on the first pass.
   storage::MemKVStore base;
   const int64_t kLive = 10000;
@@ -219,7 +201,7 @@ void BM_StoreWriteBatch(benchmark::State& state) {
   }
   for (auto _ : state) {
     state.PauseTiming();
-    storage::MemKVStore store = base.Clone();
+    storage::MemKVStore store = base;
     state.ResumeTiming();
     benchmark::DoNotOptimize(store.Write(batch).ok());
   }
@@ -291,8 +273,8 @@ void BM_ZipfianNext(benchmark::State& state) {
 BENCHMARK(BM_ZipfianNext);
 
 void BM_WorkloadGen(benchmark::State& state) {
-  workload::SmallBankConfig wc;
-  wc.num_accounts = 10000;
+  workload::WorkloadOptions wc;
+  wc.num_records = 10000;
   workload::SmallBankWorkload w(wc);
   for (auto _ : state) {
     benchmark::DoNotOptimize(w.Next());
@@ -419,8 +401,8 @@ void TimeCcBatches(benchmark::State& state, workload::Workload& w,
 void BM_CcBatch(benchmark::State& state) {
   // Real-time cost of executing one SmallBank batch through the CC with
   // the simulated pool (the dominant cost of cluster simulations).
-  workload::SmallBankConfig wc;
-  wc.num_accounts = 1000;
+  workload::WorkloadOptions wc;
+  wc.num_records = 1000;
   wc.theta = 0.85;
   wc.seed = 3;
   workload::SmallBankWorkload w(wc);
@@ -450,8 +432,8 @@ BENCHMARK(BM_CcBatchTpcc)->Arg(500);
 
 void BM_SerialBatch(benchmark::State& state) {
   uint32_t batch_size = static_cast<uint32_t>(state.range(0));
-  workload::SmallBankConfig wc;
-  wc.num_accounts = 1000;
+  workload::WorkloadOptions wc;
+  wc.num_records = 1000;
   wc.seed = 4;
   workload::SmallBankWorkload w(wc);
   storage::MemKVStore store;
@@ -469,8 +451,8 @@ BENCHMARK(BM_SerialBatch)->Arg(500);
 
 void BM_Validation(benchmark::State& state) {
   uint32_t batch_size = 500;
-  workload::SmallBankConfig wc;
-  wc.num_accounts = 1000;
+  workload::WorkloadOptions wc;
+  wc.num_records = 1000;
   wc.theta = 0.85;
   wc.seed = 5;
   workload::SmallBankWorkload w(wc);
@@ -508,8 +490,8 @@ void BM_CrossShardExecute(benchmark::State& state) {
   // SmallBank transactions through the CrossShardExecutor, with the home
   // shards and remote-access tracker the cluster's commit path passes.
   const uint32_t batch_size = static_cast<uint32_t>(state.range(0));
-  workload::SmallBankConfig wc;
-  wc.num_accounts = 1000;
+  workload::WorkloadOptions wc;
+  wc.num_records = 1000;
   wc.theta = 0.85;
   wc.cross_shard_ratio = 1.0;
   wc.num_shards = 4;
@@ -552,8 +534,8 @@ void BM_PendingCrossIndex(benchmark::State& state) {
   constexpr int kReplicas = 8;
   constexpr int kPayloads = 16;
   constexpr uint32_t kTxnsPerPayload = 150;
-  workload::SmallBankConfig wc;
-  wc.num_accounts = 1000;
+  workload::WorkloadOptions wc;
+  wc.num_records = 1000;
   wc.theta = 0.85;
   wc.cross_shard_ratio = 1.0;
   wc.num_shards = 4;

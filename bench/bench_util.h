@@ -22,7 +22,10 @@
 #include <type_traits>
 #include <vector>
 
+#include "ce/engine_registry.h"
+#include "ce/executor_pool.h"
 #include "common/params.h"
+#include "contract/contract.h"
 #include "core/config.h"
 #include "obs/latency.h"
 #include "obs/obs.h"
@@ -556,6 +559,66 @@ inline PoolSelection PoolFromFlags(int argc, char** argv) {
     selection.name = name;
   }
   return selection;
+}
+
+/// What one batch-figure cell (Figures 11 and 12) sums over its batches.
+struct BatchCellSums {
+  SimTime duration = 0;
+  uint64_t txns = 0;
+  uint64_t aborts = 0;
+  uint32_t batches = 0;
+  /// Sum of the batches' mean commit latencies, in microseconds.
+  double latency_sum_us = 0;
+  obs::LatencyBreakdown phases;
+
+  double tps() const {
+    return static_cast<double>(txns) / ToSeconds(duration);
+  }
+  /// Mean of the per-batch mean latencies (not a pooled mean), in seconds.
+  double latency_s() const { return (latency_sum_us / batches) / 1e6; }
+};
+
+/// Runs one batch-figure cell: `runs` batches of `batch_size` SmallBank
+/// transactions from `options`, over a fresh `store_sel` store seeded by
+/// the workload, each through a new `engine_name` (ce::EngineRegistry)
+/// engine on one `executors`-wide pool that records into `obs`; each
+/// batch's writes are applied before the next. A failed batch exits 1
+/// naming `cell`: the cell has no number without it.
+inline BatchCellSums RunBatchCell(const workload::WorkloadOptions& options,
+                                  const std::string& engine_name,
+                                  uint32_t executors, uint32_t batch_size,
+                                  uint32_t runs, const StoreSelection& store_sel,
+                                  const PoolSelection& pool_sel,
+                                  obs::Observability* obs,
+                                  const std::string& cell) {
+  std::unique_ptr<workload::Workload> w =
+      workload::WorkloadRegistry::Global().Create("smallbank", options);
+  std::unique_ptr<storage::KVStore> store = store_sel.Create();
+  w->InitStore(store.get());
+  auto registry = contract::Registry::CreateDefault();
+  std::unique_ptr<ce::ExecutorPool> pool = pool_sel.Create(executors);
+  pool->SetObs(ce::PoolObsContext{obs->tracer(), &obs->metrics(), 0});
+  BatchCellSums sums;
+  for (uint32_t run = 0; run < runs; ++run) {
+    auto batch = w->MakeBatch(batch_size);
+    std::unique_ptr<ce::BatchEngine> engine =
+        ce::EngineRegistry::Global().Create(engine_name, store.get(),
+                                            batch_size);
+    auto r = pool->Run(*engine, *registry, batch);
+    if (!r.ok()) {
+      std::fprintf(stderr, "%s run %u failed: %s\n", cell.c_str(), run,
+                   r.status().ToString().c_str());
+      std::exit(1);
+    }
+    store->Write(engine->FinalWrites());
+    sums.duration += r->duration;
+    sums.txns += batch_size;
+    sums.aborts += r->total_aborts;
+    ++sums.batches;
+    sums.latency_sum_us += r->commit_latency_us.Mean();
+    sums.phases.Merge(r->phases);
+  }
+  return sums;
 }
 
 /// The open-loop service front end a bench binary was asked to run with

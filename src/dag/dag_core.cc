@@ -10,7 +10,8 @@ DagCore::DagCore(DagConfig config, const crypto::KeyDirectory* keys,
     : config_(config),
       keys_(keys),
       network_(network),
-      latest_block_round_(config.n, 0) {}
+      latest_block_round_(config.n, 0),
+      parent_seen_(config.n) {}
 
 void DagCore::Start() {
   highest_ready_ = 1;
@@ -86,7 +87,7 @@ void DagCore::OnMessage(ReplicaId from, const net::PayloadPtr& payload) {
   }
 }
 
-Status DagCore::ValidateBlock(const Block& block) const {
+Status DagCore::ValidateBlock(const Block& block) {
   if (block.epoch != config_.epoch) {
     return Status::InvalidArgument("wrong epoch");
   }
@@ -98,7 +99,7 @@ Status DagCore::ValidateBlock(const Block& block) const {
     if (block.parent_certs.size() < QuorumSize(config_.n)) {
       return Status::Corruption("fewer than 2f+1 parents");
     }
-    std::vector<bool> parent_proposers(config_.n);
+    parent_seen_.assign(config_.n, false);
     for (const Certificate& cert : block.parent_certs) {
       if (cert.round != block.round - 1 || cert.epoch != block.epoch) {
         return Status::Corruption("parent from wrong round/epoch");
@@ -106,10 +107,10 @@ Status DagCore::ValidateBlock(const Block& block) const {
       if (cert.proposer >= config_.n) {
         return Status::Corruption("unknown parent proposer");
       }
-      if (parent_proposers[cert.proposer]) {
+      if (parent_seen_[cert.proposer]) {
         return Status::Corruption("duplicate parent proposer");
       }
-      parent_proposers[cert.proposer] = true;
+      parent_seen_[cert.proposer] = true;
       // Quorum certificates are validated before StoreCertificate keeps
       // them, so a parent certificate naming the block its slot's stored
       // certificate names needs only the checks above; any other parent

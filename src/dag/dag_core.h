@@ -204,7 +204,7 @@ class DagCore {
   void HandleBlockRequest(ReplicaId from, const BlockRequestMsg& msg);
   void HandleBlockResponse(ReplicaId from, const BlockResponseMsg& msg);
 
-  Status ValidateBlock(const Block& block) const;
+  Status ValidateBlock(const Block& block);
   /// The stored certificate for (round, proposer), or nullptr.
   const Certificate* FindCertificate(Round round, ReplicaId proposer) const;
   void StoreBlock(const BlockPtr& block);
@@ -237,6 +237,9 @@ class DagCore {
   std::map<Round, RoundState> rounds_;
   std::unordered_map<Hash256, BlockRecord> blocks_by_digest_;
   std::vector<Round> latest_block_round_;  // Indexed by proposer.
+  /// ValidateBlock's parent proposers seen so far, indexed by proposer:
+  /// one n-bit bitmap reused for every block checked.
+  std::vector<bool> parent_seen_;
   /// Messages from epoch+1 buffered across the reconfiguration boundary.
   std::vector<std::pair<ReplicaId, net::PayloadPtr>> next_epoch_buffer_;
   static constexpr size_t kMaxEpochBuffer = 100000;

@@ -76,18 +76,18 @@ class Observability {
   /// when time series are disabled.
   void SampleWindow(uint64_t now_us) {
     if (!timeseries_) return;
-    const size_t before = timeseries_->window_count();
-    timeseries_->Advance(now_us);
-    RunHealthFrom(before);
+    for (const TimeSeriesWindow& window : timeseries_->Advance(now_us)) {
+      health_->OnWindow(window);
+    }
   }
 
   /// Closes the trailing partial window (end of run) and health-checks it.
   /// No-op when time series are disabled.
   void FlushTimeSeries() {
     if (!timeseries_) return;
-    const size_t before = timeseries_->window_count();
-    timeseries_->Flush();
-    RunHealthFrom(before);
+    for (const TimeSeriesWindow& window : timeseries_->Flush()) {
+      health_->OnWindow(window);
+    }
   }
 
   /// Mirrors the ring's drop accounting into the metrics registry
@@ -104,13 +104,6 @@ class Observability {
   }
 
  private:
-  void RunHealthFrom(size_t first_new_window) {
-    const auto windows = timeseries_->Snapshot();
-    for (size_t i = first_new_window; i < windows.size(); ++i) {
-      health_->OnWindow(windows[i]);
-    }
-  }
-
   ObsOptions options_;
   MetricsRegistry metrics_;
   std::unique_ptr<RingTracer> ring_;

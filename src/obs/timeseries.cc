@@ -43,10 +43,11 @@ void TimeSeriesRecorder::CloseWindowLocked(
   window_start_ = end_us;
 }
 
-void TimeSeriesRecorder::Advance(uint64_t now_us) {
+std::vector<TimeSeriesWindow> TimeSeriesRecorder::Advance(uint64_t now_us) {
   std::lock_guard<std::mutex> lk(mu_);
   if (now_us > last_now_) last_now_ = now_us;
-  if (window_start_ + window_us_ > now_us) return;
+  if (window_start_ + window_us_ > now_us) return {};
+  const size_t first = windows_.size();
   // The delta since the previous sample belongs to the last window this
   // call closes; any earlier gap windows close empty.
   std::map<std::string, uint64_t> deltas = TakeDeltasLocked();
@@ -54,14 +55,16 @@ void TimeSeriesRecorder::Advance(uint64_t now_us) {
     CloseWindowLocked(window_start_ + window_us_, {});
   }
   CloseWindowLocked(window_start_ + window_us_, std::move(deltas));
+  return {windows_.begin() + first, windows_.end()};
 }
 
-void TimeSeriesRecorder::Flush() {
+std::vector<TimeSeriesWindow> TimeSeriesRecorder::Flush() {
   std::lock_guard<std::mutex> lk(mu_);
   std::map<std::string, uint64_t> deltas = TakeDeltasLocked();
   const uint64_t end = last_now_ > window_start_ ? last_now_ : window_start_;
-  if (end == window_start_ && deltas.empty()) return;
+  if (end == window_start_ && deltas.empty()) return {};
   CloseWindowLocked(end, std::move(deltas));
+  return {windows_.back()};
 }
 
 size_t TimeSeriesRecorder::window_count() const {

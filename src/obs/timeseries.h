@@ -62,16 +62,17 @@ class TimeSeriesRecorder {
 
   uint64_t window_us() const { return window_us_; }
 
-  /// Closes every window whose boundary is <= now_us. The counter delta
-  /// since the previous sample lands in the LAST window this call closes;
-  /// earlier gap windows close empty. Monotonic: a now_us in the past is
-  /// a no-op beyond remembering max(now).
-  void Advance(uint64_t now_us);
+  /// Closes every window whose boundary is <= now_us and returns copies
+  /// of them, in order. The counter delta since the previous sample lands
+  /// in the LAST window this call closes; earlier gap windows close empty.
+  /// Monotonic: a now_us in the past is a no-op beyond remembering
+  /// max(now).
+  std::vector<TimeSeriesWindow> Advance(uint64_t now_us);
 
   /// Closes the in-progress partial window (end = the max now_us ever
-  /// seen) if it is non-empty in time or counters. Call once at end of
-  /// run, before exporting.
-  void Flush();
+  /// seen) if it is non-empty in time or counters, and returns a copy of
+  /// it (none otherwise). Call once at end of run, before exporting.
+  std::vector<TimeSeriesWindow> Flush();
 
   size_t window_count() const;
   std::vector<TimeSeriesWindow> Snapshot() const;

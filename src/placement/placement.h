@@ -261,8 +261,7 @@ class DirectoryPlacement final : public PlacementPolicy {
   uint32_t top_k_;
   uint32_t max_entries_;
   uint64_t touch_counter_ = 0;
-  /// Ordered so serialization and Fingerprint never depend on insertion
-  /// order.
+  /// Ordered so Fingerprint never depends on insertion order.
   std::map<std::string, Pin> directory_;
 };
 

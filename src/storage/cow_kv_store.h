@@ -5,7 +5,7 @@
 // leaves everything else shared. That makes Snapshot() and Fork() O(1) —
 // they just retain the current root — where the hash/ordered backends pay
 // a full O(n) copy. This is the backend for validation-style pipelines
-// that fork state per block (ROADMAP hot path BM_StoreClone /
+// that fork state per block (bench_micro BM_StoreFork /
 // BM_StoreSnapshot): forking stops scaling with store size.
 //
 // The tree is a treap keyed by lexicographic key order with priorities

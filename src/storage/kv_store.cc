@@ -155,13 +155,6 @@ std::unique_ptr<KVStore> MemKVStore::Fork() const {
   return copy;
 }
 
-MemKVStore MemKVStore::Clone() const {
-  MemKVStore copy;
-  copy.map_.reserve(map_.size());
-  copy.map_.insert(map_.begin(), map_.end());
-  return copy;
-}
-
 uint64_t MemKVStore::ContentFingerprint() const {
   std::vector<const std::pair<const Key, VersionedValue>*> entries;
   entries.reserve(map_.size());

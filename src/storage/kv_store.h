@@ -13,8 +13,9 @@
 //   StoreSnapshot  An immutable point-in-time ReadView with ordered Scan.
 //                  Writes to the owning store never show through.
 //   KVStore        The full mutable engine: point writes, atomic
-//                  WriteBatches (puts + deletes), ordered Scan, O(?)
-//                  Snapshot()/Fork(), content fingerprinting and Stats().
+//                  WriteBatches (puts + deletes), ordered Scan,
+//                  Snapshot()/Fork() (O(1) for "cow", a copy otherwise),
+//                  content fingerprinting and Stats().
 //
 // Implementations register by name in StoreRegistry::Global()
 // (common/registry.h), which is how core::Cluster and the bench drivers
@@ -198,8 +199,9 @@ struct StoreCounters {
   std::atomic<uint64_t> wal_recovered_records{0};
 
   // Copyable (atomics are not, by default) so stores keep their implicit
-  // copy/move — e.g. MemKVStore::Clone returning by value. Copying is only
-  // meaningful on quiescent stores.
+  // copy/move: tests copy a seeded MemKVStore to run a second engine or a
+  // serial reference on the same state, and testutil::MakeStore returns
+  // one by value. Copying is only meaningful on quiescent stores.
   StoreCounters() = default;
   StoreCounters(const StoreCounters& other) { *this = other; }
   StoreCounters& operator=(const StoreCounters& other) {
@@ -329,10 +331,6 @@ class MemKVStore final : public KVStore {
   void Reserve(size_t expected_keys) override { map_.reserve(expected_keys); }
   uint64_t ContentFingerprint() const override;
   StoreStats Stats() const override;
-
-  /// Deep copy used to fork validator state (value-semantics twin of
-  /// Fork(), kept for call sites that hold a concrete MemKVStore).
-  MemKVStore Clone() const;
 
  private:
   std::unordered_map<Key, VersionedValue> map_;

@@ -3,43 +3,20 @@
 #include <cassert>
 #include <cerrno>
 #include <cstdlib>
+#include <vector>
 
 #include "contract/smallbank.h"
 
 namespace thunderbolt::workload {
 
-SmallBankConfig SmallBankConfig::FromOptions(const WorkloadOptions& options) {
-  SmallBankConfig config;
-  config.num_accounts = options.num_records;
-  config.theta = options.theta;
-  config.read_ratio = options.read_ratio;
-  config.cross_shard_ratio = options.cross_shard_ratio;
-  config.num_shards = options.num_shards;
-  config.seed = options.seed;
-  return config;
-}
-
-SmallBankWorkload::SmallBankWorkload(SmallBankConfig config)
-    : Workload(config.num_shards),
-      config_(config),
-      rng_(config.seed),
-      global_zipf_(config.num_accounts, config.theta) {
+SmallBankWorkload::SmallBankWorkload(const WorkloadOptions& options)
+    : Workload(options), global_zipf_(options.num_records, options.theta) {
   RebuildShardBuckets();
 }
 
 void SmallBankWorkload::RebuildShardBuckets() {
-  shard_accounts_.assign(config_.num_shards, {});
-  for (uint64_t i = 0; i < config_.num_accounts; ++i) {
-    ShardId s = mapper_.ShardOfAccount(AccountName(i));
-    shard_accounts_[s].push_back(i);
-  }
-  shard_zipf_.clear();
-  shard_zipf_.reserve(config_.num_shards);
-  for (uint32_t s = 0; s < config_.num_shards; ++s) {
-    // Guard against empty shards (tiny account pools): fall back to size 1.
-    uint64_t n = shard_accounts_[s].empty() ? 1 : shard_accounts_[s].size();
-    shard_zipf_.emplace_back(n, config_.theta);
-  }
+  // Zipfian per bucket, so per-shard sampling keeps the skew profile.
+  BuildShardBuckets(options().num_records, AccountName, /*zipfian=*/true);
 }
 
 std::string SmallBankWorkload::AccountName(uint64_t i) {
@@ -60,11 +37,11 @@ std::string SmallBankWorkload::PlacementHint(const std::string& account) const {
 }
 
 void SmallBankWorkload::InitStore(storage::KVStore* store) const {
-  store->Reserve(store->size() + 2 * config_.num_accounts);
-  for (uint64_t i = 0; i < config_.num_accounts; ++i) {
+  store->Reserve(store->size() + 2 * options().num_records);
+  for (uint64_t i = 0; i < options().num_records; ++i) {
     std::string account = AccountName(i);
-    store->Put(txn::CheckingKey(account), config_.initial_checking);
-    store->Put(txn::SavingsKey(account), config_.initial_savings);
+    store->Put(txn::CheckingKey(account), kInitialChecking);
+    store->Put(txn::SavingsKey(account), kInitialSavings);
   }
 }
 
@@ -73,25 +50,21 @@ std::string SmallBankWorkload::SampleGlobalAccount() {
 }
 
 std::string SmallBankWorkload::SampleShardAccount(ShardId shard) {
-  const std::vector<uint64_t>& bucket = shard_accounts_[shard];
+  const std::vector<uint64_t>& bucket = shard_buckets_[shard];
   if (bucket.empty()) return AccountName(0);
   uint64_t rank = shard_zipf_[shard].Next(rng_);
   return AccountName(bucket[rank]);
 }
 
 txn::Transaction SmallBankWorkload::MakeGetBalance(std::string account) {
-  txn::Transaction tx;
-  tx.id = next_txn_id_++;
-  tx.contract = contract::kGetBalance;
+  txn::Transaction tx = NewTransaction(contract::kGetBalance);
   tx.accounts.push_back(std::move(account));
   return tx;
 }
 
 txn::Transaction SmallBankWorkload::MakeSendPayment(std::string from,
                                                     std::string to) {
-  txn::Transaction tx;
-  tx.id = next_txn_id_++;
-  tx.contract = contract::kSendPayment;
+  txn::Transaction tx = NewTransaction(contract::kSendPayment);
   tx.accounts.push_back(std::move(from));
   tx.accounts.push_back(std::move(to));
   tx.params.push_back(static_cast<storage::Value>(rng_.NextRange(1, 5)));
@@ -99,7 +72,7 @@ txn::Transaction SmallBankWorkload::MakeSendPayment(std::string from,
 }
 
 txn::Transaction SmallBankWorkload::Next() {
-  if (rng_.NextBool(config_.read_ratio)) {
+  if (rng_.NextBool(options().read_ratio)) {
     return MakeGetBalance(SampleGlobalAccount());
   }
   std::string from = SampleGlobalAccount();
@@ -112,17 +85,17 @@ txn::Transaction SmallBankWorkload::Next() {
 }
 
 txn::Transaction SmallBankWorkload::NextForShard(ShardId shard) {
-  assert(shard < config_.num_shards);
-  if (config_.num_shards > 1 && rng_.NextBool(config_.cross_shard_ratio)) {
+  assert(shard < options().num_shards);
+  // The cross-shard coin is drawn even at ratio 0 (unlike YCSB and
+  // TPC-C-lite), so every multi-shard stream keeps its place.
+  if (options().num_shards > 1 &&
+      rng_.NextBool(options().cross_shard_ratio)) {
     // Cross-shard SendPayment: one account here, one in another shard.
     std::string from = SampleShardAccount(shard);
-    ShardId other =
-        static_cast<ShardId>(rng_.NextBounded(config_.num_shards - 1));
-    if (other >= shard) ++other;
-    std::string to = SampleShardAccount(other);
+    std::string to = SampleShardAccount(OtherShard(shard));
     return MakeSendPayment(std::move(from), std::move(to));
   }
-  if (rng_.NextBool(config_.read_ratio)) {
+  if (rng_.NextBool(options().read_ratio)) {
     return MakeGetBalance(SampleShardAccount(shard));
   }
   std::string from = SampleShardAccount(shard);
@@ -136,7 +109,7 @@ txn::Transaction SmallBankWorkload::NextForShard(ShardId shard) {
 storage::Value SmallBankWorkload::TotalBalance(
     const storage::KVStore& store) const {
   storage::Value total = 0;
-  for (uint64_t i = 0; i < config_.num_accounts; ++i) {
+  for (uint64_t i = 0; i < options().num_records; ++i) {
     std::string account = AccountName(i);
     total += store.GetOrDefault(txn::CheckingKey(account), 0);
     total += store.GetOrDefault(txn::SavingsKey(account), 0);
@@ -147,8 +120,8 @@ storage::Value SmallBankWorkload::TotalBalance(
 Status SmallBankWorkload::CheckInvariant(
     const storage::KVStore& store) const {
   storage::Value expected =
-      static_cast<storage::Value>(config_.num_accounts) *
-      (config_.initial_checking + config_.initial_savings);
+      static_cast<storage::Value>(options().num_records) *
+      (kInitialChecking + kInitialSavings);
   storage::Value actual = TotalBalance(store);
   if (actual != expected) {
     return Status::Corruption(

@@ -12,9 +12,7 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/rng.h"
 #include "common/zipfian.h"
 #include "storage/kv_store.h"
 #include "txn/transaction.h"
@@ -22,26 +20,15 @@
 
 namespace thunderbolt::workload {
 
-struct SmallBankConfig {
-  uint64_t num_accounts = 10000;
-  double theta = 0.85;          // Zipfian skew.
-  double read_ratio = 0.5;      // Pr: probability of GetBalance.
-  double cross_shard_ratio = 0; // P: fraction of cross-shard transactions.
-  uint32_t num_shards = 1;
-  storage::Value initial_checking = 10000;
-  storage::Value initial_savings = 10000;
-  uint64_t seed = 42;
-
-  /// Maps the framework-level options onto SmallBank's native config
-  /// (registry factory path; initial balances keep their defaults).
-  static SmallBankConfig FromOptions(const WorkloadOptions& options);
-};
-
+/// Generates over options().num_records accounts at skew options().theta,
+/// with Pr = options().read_ratio and P = options().cross_shard_ratio.
 class SmallBankWorkload final : public Workload {
  public:
-  explicit SmallBankWorkload(SmallBankConfig config);
+  /// Every account's seeded checking and savings balance.
+  static constexpr storage::Value kInitialChecking = 10000;
+  static constexpr storage::Value kInitialSavings = 10000;
 
-  const SmallBankConfig& config() const { return config_; }
+  explicit SmallBankWorkload(const WorkloadOptions& options);
 
   std::string name() const override { return "smallbank"; }
 
@@ -68,10 +55,6 @@ class SmallBankWorkload final : public Workload {
   /// fraction is generator-determined and no placement changes it.
   std::string PlacementHint(const std::string& account) const override;
 
-  double CrossShardFraction() const override {
-    return config_.num_shards > 1 ? config_.cross_shard_ratio : 0.0;
-  }
-
   /// Sum of all balances; conserved by every SmallBank mix that excludes
   /// WriteCheck and failed sends (used by invariant tests).
   storage::Value TotalBalance(const storage::KVStore& store) const;
@@ -89,14 +72,7 @@ class SmallBankWorkload final : public Workload {
   txn::Transaction MakeGetBalance(std::string account);
   txn::Transaction MakeSendPayment(std::string from, std::string to);
 
-  SmallBankConfig config_;
-  Rng rng_;
   ZipfianGenerator global_zipf_;
-  /// Accounts bucketed by shard, in global hotness order, so per-shard
-  /// sampling preserves the skew profile.
-  std::vector<std::vector<uint64_t>> shard_accounts_;
-  std::vector<ZipfianGenerator> shard_zipf_;
-  TxnId next_txn_id_ = 1;
 };
 
 }  // namespace thunderbolt::workload

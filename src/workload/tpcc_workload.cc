@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "contract/tpcc_lite.h"
 
@@ -24,28 +25,33 @@ WorkloadOptions ClampTpccOptions(WorkloadOptions options) {
 
 }  // namespace
 
-TpccLiteWorkload::TpccLiteWorkload(const WorkloadOptions& options)
-    : Workload(ClampTpccOptions(options).num_shards),
-      options_(ClampTpccOptions(options)),
-      rng_(options_.seed),
-      num_customers_(static_cast<uint64_t>(options_.num_warehouses) *
-                     options_.districts_per_warehouse *
-                     options_.customers_per_district),
-      customer_zipf_(num_customers_, options_.theta),
-      item_zipf_(options_.num_items, options_.theta) {
+TpccLiteWorkload::TpccLiteWorkload(const WorkloadOptions& requested)
+    : Workload(ClampTpccOptions(requested)),
+      num_customers_(static_cast<uint64_t>(options().num_warehouses) *
+                     options().districts_per_warehouse *
+                     options().customers_per_district),
+      customer_zipf_(num_customers_, options().theta),
+      item_zipf_(options().num_items, options().theta) {
   RebuildShardBuckets();
 }
 
 void TpccLiteWorkload::RebuildShardBuckets() {
-  shard_districts_.assign(options_.num_shards, {});
-  uint64_t num_districts = static_cast<uint64_t>(options_.num_warehouses) *
-                           options_.districts_per_warehouse;
-  for (uint64_t i = 0; i < num_districts; ++i) {
-    uint32_t w = static_cast<uint32_t>(i / options_.districts_per_warehouse);
-    uint32_t d = static_cast<uint32_t>(i % options_.districts_per_warehouse);
-    ShardId s = mapper_.ShardOfAccount(DistrictName(w, d));
-    shard_districts_[s].push_back(i);
-  }
+  // Shard-homed generation picks uniformly within a bucket: no generators.
+  BuildShardBuckets(
+      static_cast<uint64_t>(options().num_warehouses) *
+          options().districts_per_warehouse,
+      [this](uint64_t i) {
+        uint32_t w, d;
+        DistrictAt(i, &w, &d);
+        return DistrictName(w, d);
+      },
+      /*zipfian=*/false);
+}
+
+void TpccLiteWorkload::DistrictAt(uint64_t i, uint32_t* w,
+                                  uint32_t* d) const {
+  *w = static_cast<uint32_t>(i / options().districts_per_warehouse);
+  *d = static_cast<uint32_t>(i % options().districts_per_warehouse);
 }
 
 std::string TpccLiteWorkload::PlacementHint(const std::string& account) const {
@@ -78,32 +84,30 @@ std::string TpccLiteWorkload::ItemName(uint32_t i) {
 }
 
 void TpccLiteWorkload::InitStore(storage::KVStore* store) const {
-  store->Reserve(store->size() + options_.num_warehouses +
-                 2 * num_customers_ + options_.num_items);
-  for (uint32_t w = 0; w < options_.num_warehouses; ++w) {
+  store->Reserve(store->size() + options().num_warehouses +
+                 2 * num_customers_ + options().num_items);
+  for (uint32_t w = 0; w < options().num_warehouses; ++w) {
     store->Put(WarehouseName(w) + "/ytd", 0);
-    for (uint32_t d = 0; d < options_.districts_per_warehouse; ++d) {
+    for (uint32_t d = 0; d < options().districts_per_warehouse; ++d) {
       std::string district = DistrictName(w, d);
       store->Put(district + "/ytd", 0);
       store->Put(district + "/next_oid", kInitialOrderId);
-      for (uint32_t c = 0; c < options_.customers_per_district; ++c) {
+      for (uint32_t c = 0; c < options().customers_per_district; ++c) {
         std::string customer = CustomerName(w, d, c);
         store->Put(customer + "/balance", kInitialBalance);
         if (HasBadCredit(w, d, c)) store->Put(customer + "/credit", 1);
       }
     }
   }
-  for (uint32_t i = 0; i < options_.num_items; ++i) {
+  for (uint32_t i = 0; i < options().num_items; ++i) {
     store->Put(ItemName(i) + "/stock", kInitialStock);
   }
 }
 
 void TpccLiteWorkload::CustomerAt(uint64_t rank, uint32_t* w, uint32_t* d,
                                   uint32_t* c) const {
-  *c = static_cast<uint32_t>(rank % options_.customers_per_district);
-  uint64_t district = rank / options_.customers_per_district;
-  *d = static_cast<uint32_t>(district % options_.districts_per_warehouse);
-  *w = static_cast<uint32_t>(district / options_.districts_per_warehouse);
+  *c = static_cast<uint32_t>(rank % options().customers_per_district);
+  DistrictAt(rank / options().customers_per_district, w, d);
 }
 
 txn::Transaction TpccLiteWorkload::MakePayment(uint32_t w, uint32_t d,
@@ -114,9 +118,7 @@ txn::Transaction TpccLiteWorkload::MakePayment(uint32_t w, uint32_t d,
 txn::Transaction TpccLiteWorkload::MakeRemotePayment(uint32_t w, uint32_t d,
                                                      uint32_t cw, uint32_t cd,
                                                      uint32_t c) {
-  txn::Transaction tx;
-  tx.id = next_txn_id_++;
-  tx.contract = contract::kTpccPayment;
+  txn::Transaction tx = NewTransaction(contract::kTpccPayment);
   tx.accounts = {WarehouseName(w), DistrictName(w, d),
                  CustomerName(cw, cd, c)};
   tx.params.push_back(
@@ -125,16 +127,14 @@ txn::Transaction TpccLiteWorkload::MakeRemotePayment(uint32_t w, uint32_t d,
 }
 
 txn::Transaction TpccLiteWorkload::MakeNewOrder(uint32_t w, uint32_t d) {
-  txn::Transaction tx;
-  tx.id = next_txn_id_++;
-  tx.contract = contract::kTpccNewOrder;
+  txn::Transaction tx = NewTransaction(contract::kTpccNewOrder);
   tx.accounts.push_back(DistrictName(w, d));
   // Distinct items, Zipfian-hot; duplicates slide to the next item id so a
   // tiny item pool still yields kTpccOrderItems distinct accounts.
   std::set<uint64_t> picked;
   while (picked.size() < static_cast<size_t>(contract::kTpccOrderItems)) {
     uint64_t item = item_zipf_.Next(rng_);
-    while (picked.count(item) != 0) item = (item + 1) % options_.num_items;
+    while (picked.count(item) != 0) item = (item + 1) % options().num_items;
     picked.insert(item);
     tx.accounts.push_back(ItemName(static_cast<uint32_t>(item)));
     tx.params.push_back(
@@ -146,43 +146,35 @@ txn::Transaction TpccLiteWorkload::MakeNewOrder(uint32_t w, uint32_t d) {
 txn::Transaction TpccLiteWorkload::Next() {
   uint32_t w, d, c;
   CustomerAt(customer_zipf_.Next(rng_), &w, &d, &c);
-  if (rng_.NextBool(options_.payment_ratio)) return MakePayment(w, d, c);
+  if (rng_.NextBool(options().payment_ratio)) return MakePayment(w, d, c);
   return MakeNewOrder(w, d);
 }
 
 txn::Transaction TpccLiteWorkload::NextForShard(ShardId shard) {
-  const std::vector<uint64_t>& bucket = shard_districts_[shard];
+  const std::vector<uint64_t>& bucket = shard_buckets_[shard];
   uint32_t w, d, c;
   if (bucket.empty()) {
     CustomerAt(customer_zipf_.Next(rng_), &w, &d, &c);
   } else {
-    uint64_t district = bucket[rng_.NextBounded(bucket.size())];
-    w = static_cast<uint32_t>(district / options_.districts_per_warehouse);
-    d = static_cast<uint32_t>(district % options_.districts_per_warehouse);
+    DistrictAt(bucket[rng_.NextBounded(bucket.size())], &w, &d);
     c = static_cast<uint32_t>(
-        rng_.NextBounded(options_.customers_per_district));
+        rng_.NextBounded(options().customers_per_district));
   }
   // Remote payment: the home district collects the payment but the credited
   // customer lives in a district of another shard. Gated on a positive
   // ratio so existing configurations keep their RNG stream.
-  if (options_.num_shards > 1 && options_.cross_shard_ratio > 0 &&
-      !bucket.empty() && rng_.NextBool(options_.cross_shard_ratio)) {
-    ShardId other =
-        static_cast<ShardId>(rng_.NextBounded(options_.num_shards - 1));
-    if (other >= shard) ++other;
-    const std::vector<uint64_t>& remote = shard_districts_[other];
+  if (options().num_shards > 1 && options().cross_shard_ratio > 0 &&
+      !bucket.empty() && rng_.NextBool(options().cross_shard_ratio)) {
+    const std::vector<uint64_t>& remote = shard_buckets_[OtherShard(shard)];
     if (!remote.empty()) {
-      uint64_t rdistrict = remote[rng_.NextBounded(remote.size())];
-      uint32_t cw = static_cast<uint32_t>(rdistrict /
-                                          options_.districts_per_warehouse);
-      uint32_t cd = static_cast<uint32_t>(rdistrict %
-                                          options_.districts_per_warehouse);
+      uint32_t cw, cd;
+      DistrictAt(remote[rng_.NextBounded(remote.size())], &cw, &cd);
       uint32_t cc = static_cast<uint32_t>(
-          rng_.NextBounded(options_.customers_per_district));
+          rng_.NextBounded(options().customers_per_district));
       return MakeRemotePayment(w, d, cw, cd, cc);
     }
   }
-  if (rng_.NextBool(options_.payment_ratio)) return MakePayment(w, d, c);
+  if (rng_.NextBool(options().payment_ratio)) return MakePayment(w, d, c);
   return MakeNewOrder(w, d);
 }
 
@@ -201,14 +193,14 @@ Status TpccLiteWorkload::CheckInvariant(
   // Remote payments decouple the paying warehouse from the credited
   // customer, so the customer breakdown only balances globally.
   const bool remote_payments =
-      options_.num_shards > 1 && options_.cross_shard_ratio > 0;
+      options().num_shards > 1 && options().cross_shard_ratio > 0;
   storage::Value global_warehouse_ytd = 0;
   storage::Value global_district_ytd = 0;
   storage::Value global_customer_ytd = 0;
-  for (uint32_t w = 0; w < options_.num_warehouses; ++w) {
+  for (uint32_t w = 0; w < options().num_warehouses; ++w) {
     storage::Value district_ytd_sum = 0;
     storage::Value customer_ytd_sum = 0;
-    for (uint32_t d = 0; d < options_.districts_per_warehouse; ++d) {
+    for (uint32_t d = 0; d < options().districts_per_warehouse; ++d) {
       std::string district = DistrictName(w, d);
       district_ytd_sum += ReadOrZero(store, district + "/ytd");
       storage::Value next_oid = ReadOrZero(store, district + "/next_oid");
@@ -220,7 +212,7 @@ Status TpccLiteWorkload::CheckInvariant(
             " order ids but recorded " + std::to_string(order_cnt) +
             " orders");
       }
-      for (uint32_t c = 0; c < options_.customers_per_district; ++c) {
+      for (uint32_t c = 0; c < options().customers_per_district; ++c) {
         customer_ytd_sum +=
             ReadOrZero(store, CustomerName(w, d, c) + "/ytd_payment");
       }
@@ -252,7 +244,7 @@ Status TpccLiteWorkload::CheckInvariant(
         std::to_string(global_district_ytd) + " / customers " +
         std::to_string(global_customer_ytd));
   }
-  for (uint32_t i = 0; i < options_.num_items; ++i) {
+  for (uint32_t i = 0; i < options().num_items; ++i) {
     storage::Value stock = ReadOrZero(store, ItemName(i) + "/stock");
     if (stock < 0) {
       return Status::Corruption("tpcc_lite: " + ItemName(i) +

@@ -22,9 +22,7 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/rng.h"
 #include "common/zipfian.h"
 #include "storage/kv_store.h"
 #include "txn/transaction.h"
@@ -43,9 +41,8 @@ class TpccLiteWorkload final : public Workload {
   static constexpr storage::Value kMaxPaymentAmount = 500;
   static constexpr storage::Value kMaxOrderQuantity = 10;
 
+  /// Keeps `options` with num_items raised to at least kTpccOrderItems.
   explicit TpccLiteWorkload(const WorkloadOptions& options);
-
-  const WorkloadOptions& options() const { return options_; }
 
   std::string name() const override { return "tpcc_lite"; }
 
@@ -78,10 +75,6 @@ class TpccLiteWorkload final : public Workload {
   /// shared across warehouses and keep their own groups.
   std::string PlacementHint(const std::string& account) const override;
 
-  double CrossShardFraction() const override {
-    return options_.num_shards > 1 ? options_.cross_shard_ratio : 0.0;
-  }
-
   /// TPC-C-lite transactions are anchored at their district: shard-homed
   /// generation places the district in the requested shard while the
   /// warehouse, customer and item accounts may hash elsewhere.
@@ -106,16 +99,12 @@ class TpccLiteWorkload final : public Workload {
   txn::Transaction MakeRemotePayment(uint32_t w, uint32_t d, uint32_t cw,
                                      uint32_t cd, uint32_t c);
   txn::Transaction MakeNewOrder(uint32_t w, uint32_t d);
+  /// The warehouse and district of district index `i` (w * districts + d).
+  void DistrictAt(uint64_t i, uint32_t* w, uint32_t* d) const;
 
-  WorkloadOptions options_;
-  Rng rng_;
   uint64_t num_customers_;
   ZipfianGenerator customer_zipf_;
   ZipfianGenerator item_zipf_;
-  /// District indices (w * districts + d) bucketed by the shard of their
-  /// account, for shard-homed generation.
-  std::vector<std::vector<uint64_t>> shard_districts_;
-  TxnId next_txn_id_ = 1;
 };
 
 }  // namespace thunderbolt::workload

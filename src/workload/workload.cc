@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <type_traits>
+#include <utility>
 
 #include "common/params.h"
 #include "common/result.h"
@@ -34,7 +36,45 @@ Status Set(const Param& p, T* out) {
   return Status::OK();
 }
 
+template <typename W>
+std::unique_ptr<Workload> Make(const WorkloadOptions& options) {
+  return std::make_unique<W>(options);
+}
+
 }  // namespace
+
+Workload::Workload(const WorkloadOptions& options)
+    : mapper_(options.num_shards), rng_(options.seed), options_(options) {}
+
+void Workload::BuildShardBuckets(
+    uint64_t count, const std::function<std::string(uint64_t)>& name,
+    bool zipfian) {
+  shard_buckets_.assign(options_.num_shards, {});
+  for (uint64_t i = 0; i < count; ++i) {
+    shard_buckets_[mapper_.ShardOfAccount(name(i))].push_back(i);
+  }
+  shard_zipf_.clear();
+  if (!zipfian) return;
+  shard_zipf_.reserve(options_.num_shards);
+  for (const std::vector<uint64_t>& bucket : shard_buckets_) {
+    shard_zipf_.emplace_back(bucket.empty() ? 1 : bucket.size(),
+                             options_.theta);
+  }
+}
+
+ShardId Workload::OtherShard(ShardId home) {
+  ShardId other =
+      static_cast<ShardId>(rng_.NextBounded(options_.num_shards - 1));
+  if (other >= home) ++other;
+  return other;
+}
+
+txn::Transaction Workload::NewTransaction(std::string contract) {
+  txn::Transaction tx;
+  tx.id = next_txn_id_++;
+  tx.contract = std::move(contract);
+  return tx;
+}
 
 ShardId Workload::HomeShard(const txn::Transaction& tx) const {
   if (tx.accounts.empty()) return 0;
@@ -124,16 +164,9 @@ std::vector<txn::Transaction> Workload::MakeShardBatch(ShardId shard,
 WorkloadRegistry& WorkloadRegistry::Global() {
   static WorkloadRegistry* registry = [] {
     auto* r = new WorkloadRegistry();
-    r->Register("smallbank", [](const WorkloadOptions& options) {
-      return std::unique_ptr<Workload>(
-          new SmallBankWorkload(SmallBankConfig::FromOptions(options)));
-    });
-    r->Register("ycsb", [](const WorkloadOptions& options) {
-      return std::unique_ptr<Workload>(new YcsbWorkload(options));
-    });
-    r->Register("tpcc_lite", [](const WorkloadOptions& options) {
-      return std::unique_ptr<Workload>(new TpccLiteWorkload(options));
-    });
+    r->Register("smallbank", Make<SmallBankWorkload>);
+    r->Register("ycsb", Make<YcsbWorkload>);
+    r->Register("tpcc_lite", Make<TpccLiteWorkload>);
     return r;
   }();
   return *registry;

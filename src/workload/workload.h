@@ -18,13 +18,16 @@
 #define THUNDERBOLT_WORKLOAD_WORKLOAD_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/registry.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "common/zipfian.h"
 #include "placement/placement.h"
 #include "storage/kv_store.h"
 #include "txn/transaction.h"
@@ -66,16 +69,25 @@ struct WorkloadOptions {
 
 /// Abstract workload: transaction source + store seeding + invariant.
 ///
-/// The account -> shard mapping lives in the base class: every workload
-/// generates against `mapper_`, which delegates to a placement::
+/// What every generator shares lives in the base class: the options it was
+/// built from, its RNG seeded from `options.seed`, its TxnId counter, the
+/// account -> shard mapping and the per-shard population buckets. Every
+/// workload generates against `mapper_`, which delegates to a placement::
 /// PlacementPolicy (hash by default). The cluster installs its configured
 /// policy via SetPlacementPolicy right after construction — and again
 /// after hot-key migrations — at which point the workload rebuilds any
-/// per-shard account buckets it derived from the old mapping.
+/// per-shard buckets it derived from the old mapping.
 class Workload {
  public:
-  explicit Workload(uint32_t num_shards = 1) : mapper_(num_shards) {}
+  explicit Workload(const WorkloadOptions& options);
+  /// Default options over `num_shards` shards: for a wrapper that forwards
+  /// generation to an inner workload.
+  explicit Workload(uint32_t num_shards = 1)
+      : Workload(WorkloadOptions{.num_shards = num_shards}) {}
   virtual ~Workload() = default;
+
+  /// The options this workload generates from.
+  const WorkloadOptions& options() const { return options_; }
 
   /// Registry name ("smallbank", "ycsb", ...).
   virtual std::string name() const = 0;
@@ -120,11 +132,13 @@ class Workload {
   }
 
   /// Fraction of NextForShard draws that deliberately span multiple shards
-  /// (the configured cross_shard_ratio where honored; 0 when the workload
-  /// is sharded onto a single shard). Transactions may still be
-  /// incidentally cross-shard when their account arguments hash apart —
-  /// this reports only the intentional cross-shard traffic.
-  virtual double CrossShardFraction() const { return 0.0; }
+  /// (the configured cross_shard_ratio; 0 when the workload is sharded
+  /// onto a single shard). Transactions may still be incidentally
+  /// cross-shard when their account arguments hash apart — this reports
+  /// only the intentional cross-shard traffic.
+  virtual double CrossShardFraction() const {
+    return options_.num_shards > 1 ? options_.cross_shard_ratio : 0.0;
+  }
 
   /// The shard a transaction from NextForShard(s) is homed at: the shard
   /// of its anchor account (`s` by construction, even for cross-shard
@@ -143,7 +157,30 @@ class Workload {
   /// account lists override this (and call it from their constructor).
   virtual void RebuildShardBuckets() {}
 
+  /// Fills `shard_buckets_`: the population indices [0, count), each in
+  /// the bucket of the shard `name(i)` maps to, in index order (so a
+  /// bucket keeps the global hotness order). With `zipfian`, also one
+  /// Zipfian generator at options().theta over each bucket's ranks (over
+  /// one rank for an empty bucket) into `shard_zipf_`.
+  void BuildShardBuckets(uint64_t count,
+                         const std::function<std::string(uint64_t)>& name,
+                         bool zipfian);
+
+  /// A shard other than `home`, uniformly: one RNG draw.
+  ShardId OtherShard(ShardId home);
+
+  /// A new transaction calling `contract`, stamped with the next TxnId.
+  txn::Transaction NewTransaction(std::string contract);
+
   txn::ShardMapper mapper_;
+  Rng rng_;  // Seeded from options().seed.
+  /// BuildShardBuckets' output, indexed by shard.
+  std::vector<std::vector<uint64_t>> shard_buckets_;
+  std::vector<ZipfianGenerator> shard_zipf_;
+
+ private:
+  WorkloadOptions options_;
+  TxnId next_txn_id_ = 1;
 };
 
 /// Creates the named placement policy configured for `workload` — wiring

@@ -1,6 +1,7 @@
 #include "workload/ycsb_workload.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "contract/kv.h"
 
@@ -18,29 +19,17 @@ YcsbWorkload::Distribution ParseDistribution(const std::string& name) {
 }  // namespace
 
 YcsbWorkload::YcsbWorkload(const WorkloadOptions& options)
-    : Workload(options.num_shards),
-      options_(options),
+    : Workload(options),
       distribution_(ParseDistribution(options.distribution)),
-      rng_(options.seed),
-      global_zipf_(options.num_records, options.theta) {
-  hot_set_size_ = std::max<uint64_t>(
-      1, static_cast<uint64_t>(static_cast<double>(options_.num_records) *
-                               options_.hotspot_set_fraction));
+      global_zipf_(options.num_records, options.theta),
+      hot_set_size_(std::max<uint64_t>(
+          1, static_cast<uint64_t>(static_cast<double>(options.num_records) *
+                                   options.hotspot_set_fraction))) {
   RebuildShardBuckets();
 }
 
 void YcsbWorkload::RebuildShardBuckets() {
-  shard_records_.assign(options_.num_shards, {});
-  for (uint64_t i = 0; i < options_.num_records; ++i) {
-    ShardId s = mapper_.ShardOfAccount(RecordName(i));
-    shard_records_[s].push_back(i);
-  }
-  shard_zipf_.clear();
-  shard_zipf_.reserve(options_.num_shards);
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    uint64_t n = shard_records_[s].empty() ? 1 : shard_records_[s].size();
-    shard_zipf_.emplace_back(n, options_.theta);
-  }
+  BuildShardBuckets(options().num_records, RecordName, /*zipfian=*/true);
 }
 
 std::string YcsbWorkload::RecordName(uint64_t i) {
@@ -48,8 +37,8 @@ std::string YcsbWorkload::RecordName(uint64_t i) {
 }
 
 void YcsbWorkload::InitStore(storage::KVStore* store) const {
-  store->Reserve(store->size() + options_.num_records);
-  for (uint64_t i = 0; i < options_.num_records; ++i) {
+  store->Reserve(store->size() + options().num_records);
+  for (uint64_t i = 0; i < options().num_records; ++i) {
     store->Put(contract::KvValueKey(RecordName(i)), kInitialValue);
   }
 }
@@ -57,21 +46,20 @@ void YcsbWorkload::InitStore(storage::KVStore* store) const {
 uint64_t YcsbWorkload::SampleRank() {
   switch (distribution_) {
     case Distribution::kUniform:
-      return rng_.NextBounded(options_.num_records);
+      return rng_.NextBounded(options().num_records);
     case Distribution::kZipfian:
       return global_zipf_.Next(rng_);
     case Distribution::kHotspot:
-      if (rng_.NextBool(options_.hotspot_op_fraction)) {
+      if (rng_.NextBool(options().hotspot_op_fraction)) {
         return rng_.NextBounded(hot_set_size_);
       }
-      return rng_.NextBounded(options_.num_records);
+      return rng_.NextBounded(options().num_records);
   }
   return 0;  // Unreachable.
 }
 
 uint64_t YcsbWorkload::SampleBucketRank(ShardId shard) {
-  uint64_t bucket_size = shard_records_[shard].size();
-  if (bucket_size == 0) return 0;
+  const uint64_t bucket_size = shard_buckets_[shard].size();
   switch (distribution_) {
     case Distribution::kUniform:
       return rng_.NextBounded(bucket_size);
@@ -79,11 +67,10 @@ uint64_t YcsbWorkload::SampleBucketRank(ShardId shard) {
       return shard_zipf_[shard].Next(rng_);
     case Distribution::kHotspot: {
       // Scale the hot set to the bucket, keeping at least one hot record.
-      uint64_t hot =
-          std::max<uint64_t>(1, hot_set_size_ * bucket_size /
-                                    std::max<uint64_t>(1,
-                                                       options_.num_records));
-      if (rng_.NextBool(options_.hotspot_op_fraction)) {
+      const uint64_t hot = std::max<uint64_t>(
+          1, hot_set_size_ * bucket_size /
+                 std::max<uint64_t>(1, options().num_records));
+      if (rng_.NextBool(options().hotspot_op_fraction)) {
         return rng_.NextBounded(std::min(hot, bucket_size));
       }
       return rng_.NextBounded(bucket_size);
@@ -93,14 +80,10 @@ uint64_t YcsbWorkload::SampleBucketRank(ShardId shard) {
 }
 
 txn::Transaction YcsbWorkload::MakeOp(std::string record) {
-  txn::Transaction tx;
-  tx.id = next_txn_id_++;
+  txn::Transaction tx = NewTransaction(contract::kKvRead);
   tx.accounts.push_back(std::move(record));
-  if (rng_.NextBool(options_.read_ratio)) {
-    tx.contract = contract::kKvRead;
-    return tx;
-  }
-  if (rng_.NextBool(options_.update_ratio)) {
+  if (rng_.NextBool(options().read_ratio)) return tx;
+  if (rng_.NextBool(options().update_ratio)) {
     tx.contract = contract::kKvUpdate;
     tx.params.push_back(
         static_cast<storage::Value>(rng_.NextRange(1, kMaxValue)));
@@ -113,9 +96,7 @@ txn::Transaction YcsbWorkload::MakeOp(std::string record) {
 }
 
 txn::Transaction YcsbWorkload::MakeTransfer(std::string from, std::string to) {
-  txn::Transaction tx;
-  tx.id = next_txn_id_++;
-  tx.contract = contract::kKvTransfer;
+  txn::Transaction tx = NewTransaction(contract::kKvTransfer);
   tx.accounts.push_back(std::move(from));
   tx.accounts.push_back(std::move(to));
   tx.params.push_back(
@@ -128,7 +109,7 @@ txn::Transaction YcsbWorkload::Next() {
 }
 
 std::string YcsbWorkload::SampleShardRecord(ShardId shard) {
-  const std::vector<uint64_t>& bucket = shard_records_[shard];
+  const std::vector<uint64_t>& bucket = shard_buckets_[shard];
   if (bucket.empty()) return RecordName(0);
   return RecordName(bucket[SampleBucketRank(shard)]);
 }
@@ -136,14 +117,11 @@ std::string YcsbWorkload::SampleShardRecord(ShardId shard) {
 txn::Transaction YcsbWorkload::NextForShard(ShardId shard) {
   // The extra dice roll is gated on a positive ratio so configurations
   // without cross-shard traffic keep their pre-existing RNG stream.
-  if (options_.num_shards > 1 && options_.cross_shard_ratio > 0 &&
-      rng_.NextBool(options_.cross_shard_ratio)) {
+  if (options().num_shards > 1 && options().cross_shard_ratio > 0 &&
+      rng_.NextBool(options().cross_shard_ratio)) {
     // kv.transfer from a record homed here to a record of another shard.
     std::string from = SampleShardRecord(shard);
-    ShardId other =
-        static_cast<ShardId>(rng_.NextBounded(options_.num_shards - 1));
-    if (other >= shard) ++other;
-    return MakeTransfer(std::move(from), SampleShardRecord(other));
+    return MakeTransfer(std::move(from), SampleShardRecord(OtherShard(shard)));
   }
   return MakeOp(SampleShardRecord(shard));
 }
@@ -151,12 +129,12 @@ txn::Transaction YcsbWorkload::NextForShard(ShardId shard) {
 Status YcsbWorkload::CheckInvariant(const storage::KVStore& store) const {
   // kv.* contracts only ever write the seeded record keys, so any size
   // change means an engine manufactured or lost a key.
-  if (store.size() != options_.num_records) {
+  if (store.size() != options().num_records) {
     return Status::Corruption(
         "ycsb: store holds " + std::to_string(store.size()) +
-        " keys, expected " + std::to_string(options_.num_records));
+        " keys, expected " + std::to_string(options().num_records));
   }
-  for (uint64_t i = 0; i < options_.num_records; ++i) {
+  for (uint64_t i = 0; i < options().num_records; ++i) {
     auto vv = store.Get(contract::KvValueKey(RecordName(i)));
     if (!vv.ok()) {
       return Status::Corruption("ycsb: record " + RecordName(i) +

@@ -12,9 +12,7 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/rng.h"
 #include "common/zipfian.h"
 #include "storage/kv_store.h"
 #include "txn/transaction.h"
@@ -35,7 +33,6 @@ class YcsbWorkload final : public Workload {
 
   explicit YcsbWorkload(const WorkloadOptions& options);
 
-  const WorkloadOptions& options() const { return options_; }
   Distribution distribution() const { return distribution_; }
 
   std::string name() const override { return "ycsb"; }
@@ -50,10 +47,6 @@ class YcsbWorkload final : public Workload {
   /// record of `shard` to a record of another shard instead.
   txn::Transaction NextForShard(ShardId shard) override;
 
-  double CrossShardFraction() const override {
-    return options_.num_shards > 1 ? options_.cross_shard_ratio : 0.0;
-  }
-
   /// All records still exist, the store holds exactly the seeded keys (no
   /// strays appeared), and every value is non-negative (update/RMW
   /// arguments are positive; transfers clamp at the source balance).
@@ -67,23 +60,16 @@ class YcsbWorkload final : public Workload {
  private:
   /// Hotness rank in [0, num_records) under the configured distribution.
   uint64_t SampleRank();
-  /// Rank within `bucket_size` records (per-shard sampling).
+  /// Rank within `shard`'s non-empty bucket (per-shard sampling).
   uint64_t SampleBucketRank(ShardId shard);
   /// A record of `shard`'s bucket under the configured distribution.
   std::string SampleShardRecord(ShardId shard);
   txn::Transaction MakeOp(std::string record);
   txn::Transaction MakeTransfer(std::string from, std::string to);
 
-  WorkloadOptions options_;
   Distribution distribution_;
-  Rng rng_;
   ZipfianGenerator global_zipf_;
   uint64_t hot_set_size_;
-  /// Records bucketed by shard in global hotness order (skew-preserving
-  /// per-shard sampling, mirroring SmallBankWorkload).
-  std::vector<std::vector<uint64_t>> shard_records_;
-  std::vector<ZipfianGenerator> shard_zipf_;
-  TxnId next_txn_id_ = 1;
 };
 
 }  // namespace thunderbolt::workload

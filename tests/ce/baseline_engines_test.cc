@@ -151,7 +151,7 @@ TEST_P(EngineEquivalenceTest, OutcomeIsSerializable) {
   storage::MemKVStore store;
   workload::SmallBankWorkload w = testutil::MakeSmallBank(
       &store, /*num_accounts=*/200, p.seed, p.read_ratio, p.theta);
-  storage::MemKVStore serial_store = store.Clone();
+  storage::MemKVStore serial_store = store;
   auto batch = w.MakeBatch(300);
   auto registry = contract::Registry::CreateDefault();
 
@@ -204,13 +204,13 @@ TEST(AbortRateOrderingTest, CcLowestAborts) {
   storage::MemKVStore base;
   auto batch = testutil::MakeSmallBankBatch(
       &base, 500,
-      testutil::SmallBankTestConfig(/*num_accounts=*/1000, /*seed=*/31,
+      testutil::WorkloadTestOptions(/*num_records=*/1000, /*seed=*/31,
                                     /*read_ratio=*/0.0));
   auto registry = contract::Registry::CreateDefault();
 
   uint64_t aborts[3];
   for (int kind = 0; kind < 3; ++kind) {
-    storage::MemKVStore store = base.Clone();
+    storage::MemKVStore store = base;
     std::unique_ptr<ce::BatchEngine> engine;
     if (kind == 0) {
       engine = std::make_unique<ce::ConcurrencyController>(&store, 500);

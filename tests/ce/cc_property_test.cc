@@ -29,13 +29,13 @@ class CcSerializabilityTest : public ::testing::TestWithParam<PropertyParam> {
 
 TEST_P(CcSerializabilityTest, ScheduledOrderIsSerialOrder) {
   const PropertyParam p = GetParam();
-  workload::SmallBankConfig wc =
-      testutil::SmallBankTestConfig(p.accounts, p.seed, p.read_ratio, p.theta);
+  workload::WorkloadOptions wc =
+      testutil::WorkloadTestOptions(p.accounts, p.seed, p.read_ratio, p.theta);
   workload::SmallBankWorkload workload(wc);
 
   storage::MemKVStore store;
   workload.InitStore(&store);
-  storage::MemKVStore serial_store = store.Clone();
+  storage::MemKVStore serial_store = store;
 
   std::vector<txn::Transaction> batch = workload.MakeBatch(p.batch);
   auto registry = contract::Registry::CreateDefault();
@@ -72,7 +72,8 @@ TEST_P(CcSerializabilityTest, ScheduledOrderIsSerialOrder) {
   // SmallBank invariant: SendPayment conserves total balance.
   EXPECT_EQ(workload.TotalBalance(store),
             static_cast<storage::Value>(
-                p.accounts * (wc.initial_checking + wc.initial_savings)));
+                p.accounts * (workload::SmallBankWorkload::kInitialChecking +
+                              workload::SmallBankWorkload::kInitialSavings)));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -209,7 +209,7 @@ TEST_P(CcRandomOps, SerializableUnderTorture) {
     init.emplace_back("k" + std::to_string(k), static_cast<Value>(k * 11));
   }
   storage::MemKVStore store = testutil::MakeStore(init);
-  storage::MemKVStore serial_store = store.Clone();
+  storage::MemKVStore serial_store = store;
 
   std::vector<txn::Transaction> batch(p.batch);
   for (uint32_t i = 0; i < p.batch; ++i) {

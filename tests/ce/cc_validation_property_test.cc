@@ -29,8 +29,8 @@ class CcValidationProperty : public ::testing::TestWithParam<Param> {};
 
 TEST_P(CcValidationProperty, ScheduleSurvivesValidation) {
   const Param p = GetParam();
-  workload::SmallBankConfig wc = testutil::SmallBankTestConfig(
-      /*num_accounts=*/1000, p.seed, p.read_ratio, p.theta);
+  workload::WorkloadOptions wc = testutil::WorkloadTestOptions(
+      /*num_records=*/1000, p.seed, p.read_ratio, p.theta);
   wc.num_shards = 8;
   workload::SmallBankWorkload w(wc);
   storage::MemKVStore base;

@@ -26,7 +26,7 @@ class PoolTest : public ::testing::Test {
   std::vector<txn::Transaction> MakeBatch(size_t n, uint64_t seed,
                                           double read_ratio = 0.5) {
     return testutil::MakeSmallBankBatch(
-        &store_, n, testutil::SmallBankTestConfig(100, seed, read_ratio));
+        &store_, n, testutil::WorkloadTestOptions(100, seed, read_ratio));
   }
 
   storage::MemKVStore store_;
@@ -71,7 +71,7 @@ TEST_F(PoolTest, MoreExecutorsShortenMakespan) {
   auto batch = MakeBatch(300, 13, /*read_ratio=*/0.9);  // Low conflict.
   SimTime d1, d8;
   {
-    storage::MemKVStore store = store_.Clone();
+    storage::MemKVStore store = store_;
     ConcurrencyController cc(&store, 300);
     SimExecutorPool pool(1, ExecutionCostModel{});
     auto r = pool.Run(cc, *registry_, batch);
@@ -79,7 +79,7 @@ TEST_F(PoolTest, MoreExecutorsShortenMakespan) {
     d1 = r->duration;
   }
   {
-    storage::MemKVStore store = store_.Clone();
+    storage::MemKVStore store = store_;
     ConcurrencyController cc(&store, 300);
     SimExecutorPool pool(8, ExecutionCostModel{});
     auto r = pool.Run(cc, *registry_, batch);
@@ -106,7 +106,7 @@ TEST_F(PoolTest, DeterministicAcrossRuns) {
   SimTime durations[2];
   uint64_t aborts[2];
   for (int i = 0; i < 2; ++i) {
-    storage::MemKVStore store = store_.Clone();
+    storage::MemKVStore store = store_;
     ConcurrencyController cc(&store, 250);
     SimExecutorPool pool(8, ExecutionCostModel{});
     auto r = pool.Run(cc, *registry_, batch);
@@ -214,7 +214,7 @@ TEST_F(PoolTest, ReportsReExecutions) {
   // Update-only on a tiny hot set forces conflicts.
   auto batch = testutil::MakeSmallBankBatch(
       &store_, 100,
-      testutil::SmallBankTestConfig(/*num_accounts=*/4, /*seed=*/16,
+      testutil::WorkloadTestOptions(/*num_records=*/4, /*seed=*/16,
                                     /*read_ratio=*/0.0, /*theta=*/0.9));
   ConcurrencyController cc(&store_, 100);
   SimExecutorPool pool(8, ExecutionCostModel{});

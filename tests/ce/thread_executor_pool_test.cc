@@ -97,7 +97,7 @@ class ThreadPoolTest : public ::testing::Test {
   std::vector<txn::Transaction> MakeBatch(size_t n, uint64_t seed,
                                           double read_ratio = 0.5) {
     return testutil::MakeSmallBankBatch(
-        &store_, n, testutil::SmallBankTestConfig(100, seed, read_ratio));
+        &store_, n, testutil::WorkloadTestOptions(100, seed, read_ratio));
   }
 
   storage::MemKVStore store_;
@@ -170,7 +170,7 @@ TEST_F(ThreadPoolTest, AllTransactionsCommit) {
 TEST_F(ThreadPoolTest, PoolReusableAcrossBatches) {
   ThreadExecutorPool pool(4, ExecutionCostModel{});
   for (uint64_t seed : {23u, 24u, 25u}) {
-    storage::MemKVStore store = store_.Clone();
+    storage::MemKVStore store = store_;
     auto batch = MakeBatch(100, seed);
     ConcurrencyController cc(&store, 100);
     auto r = pool.Run(cc, *registry_, batch);
@@ -183,7 +183,7 @@ TEST_F(ThreadPoolTest, HighContentionStillCommitsEverything) {
   // Update-only on 4 hot accounts: maximal write-write conflict pressure.
   auto batch = testutil::MakeSmallBankBatch(
       &store_, 120,
-      testutil::SmallBankTestConfig(/*num_accounts=*/4, /*seed=*/26,
+      testutil::WorkloadTestOptions(/*num_records=*/4, /*seed=*/26,
                                     /*read_ratio=*/0.0, /*theta=*/0.9));
   ConcurrencyController cc(&store_, 120);
   ThreadExecutorPool pool(8, ExecutionCostModel{});

@@ -99,8 +99,8 @@ TEST_F(CrossShardTest, EmptyBatch) {
 }
 
 TEST_F(CrossShardTest, StateMatchesSerialExecution) {
-  workload::SmallBankConfig wc = testutil::SmallBankTestConfig(
-      /*num_accounts=*/200, /*seed=*/51, /*read_ratio=*/0.0);
+  workload::WorkloadOptions wc = testutil::WorkloadTestOptions(
+      /*num_records=*/200, /*seed=*/51, /*read_ratio=*/0.0);
   wc.num_shards = 4;
   wc.cross_shard_ratio = 1.0;
   workload::SmallBankWorkload w(wc);
@@ -186,7 +186,7 @@ TEST_F(CrossShardTest, WorkerPoolBoundsMakespan) {
   }
   CrossShardExecutor two(registry_.get(), Micros(10), 2);
   CrossShardExecutor eight(registry_.get(), Micros(10), 8);
-  storage::MemKVStore s1 = store.Clone(), s2 = store.Clone();
+  storage::MemKVStore s1 = store, s2 = store;
   CrossShardResult r2 = two.Execute(txs, &s1);
   CrossShardResult r8 = eight.Execute(txs, &s2);
   EXPECT_EQ(s1.ContentFingerprint(), s2.ContentFingerprint());

@@ -53,9 +53,9 @@ TEST_F(ValidatorTest, HonestPreplayValidates) {
   EXPECT_GT(vr.ops, 0u);
 
   // Applying the writes yields the same state the CE computed.
-  storage::MemKVStore validated = base.Clone();
+  storage::MemKVStore validated = base;
   ASSERT_TRUE(validated.Write(vr.writes).ok());
-  storage::MemKVStore replayed = base.Clone();
+  storage::MemKVStore replayed = base;
   ce::ConcurrencyController cc(&base, static_cast<uint32_t>(txs.size()));
   ce::SimExecutorPool pool(8, ce::ExecutionCostModel{});
   auto r = pool.Run(cc, *registry_, txs);
@@ -109,7 +109,7 @@ TEST_F(ValidatorTest, StaleBaseStateRejected) {
   tx.params = {10};
   auto preplayed = Preplay({tx}, base);
 
-  storage::MemKVStore diverged = base.Clone();
+  storage::MemKVStore diverged = base;
   diverged.Put("a/checking", 50);  // A cross-shard write landed meanwhile.
   ValidationResult vr = ValidatePreplay(*registry_, preplayed, diverged);
   EXPECT_FALSE(vr.valid);

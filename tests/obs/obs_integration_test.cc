@@ -35,8 +35,8 @@ size_t CountKind(const std::vector<obs::TraceEvent>& events,
 std::vector<obs::TraceEvent> RunTracedBatch(obs::Observability* obs,
                                             bool use_occ,
                                             uint32_t batch_size) {
-  workload::SmallBankConfig wc;
-  wc.num_accounts = 40;  // Tiny account pool -> heavy conflicts.
+  workload::WorkloadOptions wc;
+  wc.num_records = 40;  // Tiny account pool -> heavy conflicts.
   wc.theta = 0.95;
   wc.seed = 7;
   workload::SmallBankWorkload w(wc);

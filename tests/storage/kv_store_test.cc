@@ -41,7 +41,7 @@ TEST(MemKVStoreTest, WriteBatchAtomicallyApplies) {
 TEST(MemKVStoreTest, CloneIsIndependent) {
   MemKVStore store;
   store.Put("x", 10);
-  MemKVStore copy = store.Clone();
+  MemKVStore copy = store;
   copy.Put("x", 20);
   EXPECT_EQ(store.GetOrDefault("x", 0), 10);
   EXPECT_EQ(copy.GetOrDefault("x", 0), 20);
@@ -64,7 +64,7 @@ TEST(MemKVStoreTest, CloneCarriesVersionsAndFingerprint) {
   store.Put("x", 1);
   store.Put("x", 2);  // version 2
   store.Put("y", 7);
-  MemKVStore copy = store.Clone();
+  MemKVStore copy = store;
   EXPECT_EQ(copy.size(), store.size());
   EXPECT_EQ(copy.ContentFingerprint(), store.ContentFingerprint());
   auto vv = copy.Get("x");
@@ -185,8 +185,8 @@ TEST(MemKVStoreTest, ForkMatchesCloneSemantics) {
   MemKVStore store;
   store.Put("k", 1);
   std::unique_ptr<KVStore> fork = store.Fork();
-  MemKVStore clone = store.Clone();
-  EXPECT_EQ(fork->ContentFingerprint(), clone.ContentFingerprint());
+  MemKVStore copy = store;
+  EXPECT_EQ(fork->ContentFingerprint(), copy.ContentFingerprint());
   fork->Put("k", 2);
   EXPECT_EQ(store.GetOrDefault("k", -1), 1);
 }

@@ -11,18 +11,6 @@ storage::MemKVStore MakeStore(
   return store;
 }
 
-workload::SmallBankConfig SmallBankTestConfig(uint64_t num_accounts,
-                                              uint64_t seed,
-                                              double read_ratio,
-                                              double theta) {
-  workload::SmallBankConfig config;
-  config.num_accounts = num_accounts;
-  config.seed = seed;
-  config.read_ratio = read_ratio;
-  config.theta = theta;
-  return config;
-}
-
 workload::WorkloadOptions WorkloadTestOptions(uint64_t num_records,
                                               uint64_t seed,
                                               double read_ratio,
@@ -41,15 +29,15 @@ workload::SmallBankWorkload MakeSmallBank(storage::MemKVStore* store,
                                           double read_ratio,
                                           double theta) {
   workload::SmallBankWorkload w(
-      SmallBankTestConfig(num_accounts, seed, read_ratio, theta));
+      WorkloadTestOptions(num_accounts, seed, read_ratio, theta));
   if (store != nullptr) w.InitStore(store);
   return w;
 }
 
 std::vector<txn::Transaction> MakeSmallBankBatch(
     storage::MemKVStore* store, size_t count,
-    const workload::SmallBankConfig& config) {
-  workload::SmallBankWorkload w(config);
+    const workload::WorkloadOptions& options) {
+  workload::SmallBankWorkload w(options);
   if (store != nullptr) w.InitStore(store);
   return w.MakeBatch(count);
 }

@@ -38,24 +38,15 @@ class SeededTest : public ::testing::Test {
 storage::MemKVStore MakeStore(
     std::vector<std::pair<std::string, storage::Value>> entries = {});
 
-/// SmallBank config sized for tests (small account population, fixed
-/// seed). Default ratios match the paper's mix (theta 0.85, Pr 0.5).
-workload::SmallBankConfig SmallBankTestConfig(uint64_t num_accounts,
-                                              uint64_t seed,
-                                              double read_ratio = 0.5,
-                                              double theta = 0.85);
-
-/// Registry-facing twin of SmallBankTestConfig: WorkloadOptions sized for
-/// tests, for any workload constructed by name (e.g. via core::Cluster).
-/// The defaults mirror SmallBankTestConfig so `Cluster(cfg, "smallbank",
-/// WorkloadTestOptions(n, seed))` generates the exact same transaction
-/// stream the SmallBankConfig-based API used to.
+/// WorkloadOptions sized for tests (small population, fixed seed), for
+/// any workload, constructed directly or by name (e.g. via core::Cluster).
+/// Default ratios match the paper's SmallBank mix (theta 0.85, Pr 0.5).
 workload::WorkloadOptions WorkloadTestOptions(uint64_t num_records,
                                               uint64_t seed,
                                               double read_ratio = 0.5,
                                               double theta = 0.85);
 
-/// Workload over `SmallBankTestConfig`. When `store` is non-null its
+/// SmallBank over `WorkloadTestOptions`. When `store` is non-null its
 /// account balances are initialized first.
 workload::SmallBankWorkload MakeSmallBank(storage::MemKVStore* store,
                                           uint64_t num_accounts,
@@ -63,13 +54,13 @@ workload::SmallBankWorkload MakeSmallBank(storage::MemKVStore* store,
                                           double read_ratio = 0.5,
                                           double theta = 0.85);
 
-/// One-shot batch builder: seeds `store` with `config`'s accounts and
-/// returns `count` transactions from its mix. Takes the full config (built
-/// via `SmallBankTestConfig`) rather than loose scalars so call sites can't
-/// silently transpose account/batch counts.
+/// One-shot SmallBank batch builder: seeds `store` with `options`'
+/// accounts and returns `count` transactions from its mix. Takes the full
+/// options (built via `WorkloadTestOptions`) rather than loose scalars so
+/// call sites can't silently transpose account/batch counts.
 std::vector<txn::Transaction> MakeSmallBankBatch(
     storage::MemKVStore* store, size_t count,
-    const workload::SmallBankConfig& config);
+    const workload::WorkloadOptions& options);
 
 }  // namespace thunderbolt::testutil
 

@@ -23,13 +23,13 @@ TEST(MakeStoreTest, EmptyByDefault) {
 }
 
 TEST(SmallBankBuilderTest, ConfigCarriesArguments) {
-  workload::SmallBankConfig wc =
-      SmallBankTestConfig(123, /*seed=*/9, /*read_ratio=*/0.25,
+  workload::WorkloadOptions options =
+      WorkloadTestOptions(123, /*seed=*/9, /*read_ratio=*/0.25,
                           /*theta=*/0.7);
-  EXPECT_EQ(wc.num_accounts, 123u);
-  EXPECT_EQ(wc.seed, 9u);
-  EXPECT_DOUBLE_EQ(wc.read_ratio, 0.25);
-  EXPECT_DOUBLE_EQ(wc.theta, 0.7);
+  EXPECT_EQ(options.num_records, 123u);
+  EXPECT_EQ(options.seed, 9u);
+  EXPECT_DOUBLE_EQ(options.read_ratio, 0.25);
+  EXPECT_DOUBLE_EQ(options.theta, 0.7);
 }
 
 TEST(SmallBankBuilderTest, MakeSmallBankSeedsStore) {
@@ -37,14 +37,15 @@ TEST(SmallBankBuilderTest, MakeSmallBankSeedsStore) {
   workload::SmallBankWorkload w = MakeSmallBank(&store, 10, /*seed=*/1);
   EXPECT_EQ(store.size(), 20u);  // checking + savings per account.
   EXPECT_EQ(w.TotalBalance(store),
-            10 * (w.config().initial_checking + w.config().initial_savings));
+            10 * (workload::SmallBankWorkload::kInitialChecking +
+                  workload::SmallBankWorkload::kInitialSavings));
 }
 
 TEST(SmallBankBuilderTest, BatchesAreDeterministicPerSeed) {
   storage::MemKVStore s1, s2;
-  workload::SmallBankConfig wc = SmallBankTestConfig(100, /*seed=*/5);
-  auto b1 = MakeSmallBankBatch(&s1, 50, wc);
-  auto b2 = MakeSmallBankBatch(&s2, 50, wc);
+  workload::WorkloadOptions options = WorkloadTestOptions(100, /*seed=*/5);
+  auto b1 = MakeSmallBankBatch(&s1, 50, options);
+  auto b2 = MakeSmallBankBatch(&s2, 50, options);
   ASSERT_EQ(b1.size(), b2.size());
   for (size_t i = 0; i < b1.size(); ++i) {
     EXPECT_EQ(b1[i].Digest(), b2[i].Digest());

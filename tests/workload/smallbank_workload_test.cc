@@ -13,12 +13,13 @@ TEST(SmallBankWorkloadTest, InitStoreSeedsAllAccounts) {
   SmallBankWorkload w = testutil::MakeSmallBank(&store, 50, /*seed=*/60);
   EXPECT_EQ(store.size(), 100u);  // checking + savings per account.
   EXPECT_EQ(w.TotalBalance(store),
-            50 * (w.config().initial_checking + w.config().initial_savings));
+            50 * (SmallBankWorkload::kInitialChecking +
+                  SmallBankWorkload::kInitialSavings));
 }
 
 TEST(SmallBankWorkloadTest, ReadRatioRespected) {
-  SmallBankConfig wc =
-      testutil::SmallBankTestConfig(1000, /*seed=*/61, /*read_ratio=*/0.7);
+  WorkloadOptions wc =
+      testutil::WorkloadTestOptions(1000, /*seed=*/61, /*read_ratio=*/0.7);
   SmallBankWorkload w(wc);
   int reads = 0;
   const int kN = 10000;
@@ -29,7 +30,7 @@ TEST(SmallBankWorkloadTest, ReadRatioRespected) {
 }
 
 TEST(SmallBankWorkloadTest, UpdateOnlyWhenPrZero) {
-  SmallBankConfig wc;
+  WorkloadOptions wc;
   wc.read_ratio = 0.0;
   wc.seed = 62;
   SmallBankWorkload w(wc);
@@ -39,7 +40,7 @@ TEST(SmallBankWorkloadTest, UpdateOnlyWhenPrZero) {
 }
 
 TEST(SmallBankWorkloadTest, TxnIdsAreUnique) {
-  SmallBankConfig wc;
+  WorkloadOptions wc;
   wc.seed = 63;
   SmallBankWorkload w(wc);
   std::set<TxnId> ids;
@@ -49,8 +50,8 @@ TEST(SmallBankWorkloadTest, TxnIdsAreUnique) {
 }
 
 TEST(SmallBankWorkloadTest, ShardBatchesStayInShard) {
-  SmallBankConfig wc;
-  wc.num_accounts = 1000;
+  WorkloadOptions wc;
+  wc.num_records = 1000;
   wc.num_shards = 8;
   wc.cross_shard_ratio = 0.0;
   wc.seed = 64;
@@ -66,8 +67,8 @@ TEST(SmallBankWorkloadTest, ShardBatchesStayInShard) {
 }
 
 TEST(SmallBankWorkloadTest, CrossShardRatioRespected) {
-  SmallBankConfig wc;
-  wc.num_accounts = 2000;
+  WorkloadOptions wc;
+  wc.num_records = 2000;
   wc.num_shards = 8;
   wc.cross_shard_ratio = 0.3;
   wc.seed = 65;
@@ -82,8 +83,8 @@ TEST(SmallBankWorkloadTest, CrossShardRatioRespected) {
 }
 
 TEST(SmallBankWorkloadTest, CrossShardTxsTouchHomeShard) {
-  SmallBankConfig wc;
-  wc.num_accounts = 2000;
+  WorkloadOptions wc;
+  wc.num_records = 2000;
   wc.num_shards = 4;
   wc.cross_shard_ratio = 1.0;
   wc.seed = 66;
@@ -100,8 +101,8 @@ TEST(SmallBankWorkloadTest, CrossShardTxsTouchHomeShard) {
 
 TEST(SmallBankWorkloadTest, ZipfSkewShowsInAccountFrequencies) {
   // read_ratio 1.0: GetBalance only, one account per txn.
-  SmallBankConfig wc =
-      testutil::SmallBankTestConfig(1000, /*seed=*/67, /*read_ratio=*/1.0);
+  WorkloadOptions wc =
+      testutil::WorkloadTestOptions(1000, /*seed=*/67, /*read_ratio=*/1.0);
   SmallBankWorkload w(wc);
   std::map<std::string, int> freq;
   for (int i = 0; i < 20000; ++i) ++freq[w.Next().accounts[0]];
@@ -119,7 +120,7 @@ TEST(SmallBankWorkloadTest, ZipfSkewShowsInAccountFrequencies) {
 }
 
 TEST(SmallBankWorkloadTest, DeterministicPerSeed) {
-  SmallBankConfig wc;
+  WorkloadOptions wc;
   wc.seed = 68;
   SmallBankWorkload a(wc), b(wc);
   for (int i = 0; i < 100; ++i) {

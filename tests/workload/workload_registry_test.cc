@@ -57,8 +57,7 @@ TEST(WorkloadRegistryTest, FactoriesProduceNamedWorkloads) {
 TEST(WorkloadRegistryTest, LocalRegistrationOverridesNothingGlobal) {
   WorkloadRegistry local;
   local.Register("custom", [](const WorkloadOptions& options) {
-    return std::unique_ptr<Workload>(
-        new SmallBankWorkload(SmallBankConfig::FromOptions(options)));
+    return std::make_unique<SmallBankWorkload>(options);
   });
   EXPECT_TRUE(local.Contains("custom"));
   EXPECT_FALSE(WorkloadRegistry::Global().Contains("custom"));
@@ -68,18 +67,21 @@ TEST(WorkloadRegistryTest, LocalRegistrationOverridesNothingGlobal) {
 }
 
 TEST(WorkloadRegistryTest, SmallBankConfigFromOptions) {
+  // A registry-built SmallBank generates from exactly the options given.
   WorkloadOptions options;
   options.num_records = 1234;
   options.theta = 0.9;
   options.read_ratio = 0.25;
   options.num_shards = 4;
   options.seed = 99;
-  SmallBankConfig config = SmallBankConfig::FromOptions(options);
-  EXPECT_EQ(config.num_accounts, 1234u);
-  EXPECT_EQ(config.theta, 0.9);
-  EXPECT_EQ(config.read_ratio, 0.25);
-  EXPECT_EQ(config.num_shards, 4u);
-  EXPECT_EQ(config.seed, 99u);
+  std::unique_ptr<Workload> w =
+      WorkloadRegistry::Global().Create("smallbank", options);
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(w->options().num_records, 1234u);
+  EXPECT_EQ(w->options().theta, 0.9);
+  EXPECT_EQ(w->options().read_ratio, 0.25);
+  EXPECT_EQ(w->options().num_shards, 4u);
+  EXPECT_EQ(w->options().seed, 99u);
 }
 
 TEST(WorkloadRegistryTest, SmallBankInvariantDetectsLostMoney) {
