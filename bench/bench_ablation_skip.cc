@@ -14,39 +14,33 @@ int main(int argc, char** argv) {
   using namespace thunderbolt;
   constexpr uint32_t kReplicas = 8;  // And so shards.
   const bench::CostFooter cost_footer(argv[0]);
-  bench::AcceptOnlyFlags(argc, argv,
-                         {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
-                          bench::kPlacementFlags, bench::kStoreFlags,
-                          bench::kObsFlags});
-  const SimTime duration =
-      bench::QuickMode(argc, argv) ? Seconds(2) : Seconds(4);
+  const bench::Flags flags = bench::AcceptOnlyFlags(
+      argc, argv,
+      {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
+       bench::kPlacementFlags, bench::kStoreFlags, bench::kObsFlags});
+  const SimTime duration = flags.Has("quick") ? Seconds(2) : Seconds(4);
   workload::WorkloadOptions options;
   const std::string workload_name = bench::ClusterWorkloadFromFlags(
-      argc, argv, &options, /*seed=*/312, {"cross_shard_ratio"});
-  const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv, {kReplicas});
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
+      flags, &options, /*seed=*/312, {"cross_shard_ratio"});
+  core::ThunderboltConfig base = bench::ConfigFromFlags(flags, {kReplicas});
+  bench::ObsSelection obs = bench::ObsFromFlags(flags, &base);
   bench::Banner(
       "Ablation", "P4 immediate conversion vs 5.4 Skip-block deferral",
       "conversion mode sustains throughput via the OE path; skip mode "
       "preserves a higher preplayed share but emits Skip blocks and "
       "defers conflicting work");
   std::printf("workload: %s  placement: %s  store: %s\n",
-              workload_name.c_str(), placement.policy.c_str(),
-              store.name.c_str());
+              workload_name.c_str(), base.placement.c_str(),
+              base.store.c_str());
   bench::Table table({"mode", "cross%", "tput(tps)", "latency(s)",
                       "single", "cross", "converted", "skips"});
   for (bool use_skip : {false, true}) {
     for (double pct : {0.04, 0.2, 0.6}) {
-      core::ThunderboltConfig cfg;
+      core::ThunderboltConfig cfg = base;
       cfg.n = kReplicas;
       cfg.batch_size = 500;
       cfg.use_skip_blocks = use_skip;
       cfg.seed = 311;
-      placement.ApplyTo(&cfg);
-      store.ApplyTo(&cfg);
-      obs.ApplyTo(&cfg);
       options.cross_shard_ratio = pct;
       core::Cluster cluster(cfg, workload_name, options);
       core::ClusterResult r = cluster.Run(duration);
@@ -59,6 +53,6 @@ int main(int argc, char** argv) {
                  bench::FmtInt(r.conversions), bench::FmtInt(r.skip_blocks)});
     }
   }
-  return bench::WriteTablesJsonIfRequested(argc, argv, "ablation_skip") |
+  return bench::WriteTablesJsonIfRequested(flags, "ablation_skip") |
          obs.WriteIfRequested();
 }

@@ -9,7 +9,6 @@
 // the SmallBank workload with 10,000 accounts at theta = 0.85 — the
 // paper's CE experiment setup (section 11).
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -23,10 +22,10 @@ struct Measurement {
   double re_executions = 0;
 };
 
-Measurement RunConfig(const std::string& engine_name, uint32_t executors,
-                      uint32_t batch_size, double read_ratio, uint32_t runs,
-                      const bench::StoreSelection& store_sel,
-                      const bench::PoolSelection& pool_sel,
+/// One cell: `config.engine` at `config.batch_size` on
+/// `config.num_executors` executors.
+Measurement RunConfig(const core::ThunderboltConfig& config,
+                      double read_ratio, uint32_t runs,
                       obs::Observability* obs) {
   workload::WorkloadOptions options;
   options.num_records = 10000;
@@ -35,10 +34,10 @@ Measurement RunConfig(const std::string& engine_name, uint32_t executors,
   options.seed = 1234;
   char cell[128];
   std::snprintf(cell, sizeof(cell), "fig11: %s batch %u executors %u Pr %.1f",
-                engine_name.c_str(), batch_size, executors, read_ratio);
+                config.engine.c_str(), config.batch_size,
+                config.num_executors, read_ratio);
   const bench::BatchCellSums sums =
-      bench::RunBatchCell(options, engine_name, executors, batch_size, runs,
-                          store_sel, pool_sel, obs, cell);
+      bench::RunBatchCell(config, options, runs, obs, cell);
   Measurement m;
   m.tps = sums.tps();
   m.latency_s = sums.latency_s();
@@ -48,18 +47,20 @@ Measurement RunConfig(const std::string& engine_name, uint32_t executors,
 }
 
 void RunWorkload(const char* title, double read_ratio, uint32_t runs,
-                 const bench::StoreSelection& store_sel,
-                 const bench::PoolSelection& pool_sel,
+                 const core::ThunderboltConfig& base,
                  obs::Observability* obs) {
   std::printf("\n--- %s ---\n", title);
   bench::Table table({"engine", "batch", "executors", "tput(tps)",
                       "latency(s)", "re-exec/txn"},
                      title);
+  core::ThunderboltConfig config = base;
   for (const bench::BatchEngineRow& engine : bench::kBatchEngines) {
+    config.engine = engine.engine;
     for (uint32_t batch : {300u, 500u}) {
+      config.batch_size = batch;
       for (uint32_t executors : {1u, 4u, 8u, 12u, 16u}) {
-        Measurement m = RunConfig(engine.engine, executors, batch,
-                                  read_ratio, runs, store_sel, pool_sel, obs);
+        config.num_executors = executors;
+        Measurement m = RunConfig(config, read_ratio, runs, obs);
         table.Row({engine.label, bench::FmtInt(batch),
                    bench::FmtInt(executors), bench::Fmt(m.tps, 0),
                    bench::Fmt(m.latency_s, 4), bench::Fmt(m.re_executions, 3)});
@@ -74,28 +75,28 @@ void RunWorkload(const char* title, double read_ratio, uint32_t runs,
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
-  bench::AcceptOnlyFlags(argc, argv,
-                         {bench::kQuickJsonFlags, bench::kStoreFlags,
-                          bench::kPoolFlags, bench::kObsFlags});
-  const uint32_t runs = bench::QuickMode(argc, argv) ? 4 : 20;
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  const bench::PoolSelection pool = bench::PoolFromFlags(argc, argv);
-  bench::ObsSelection obs_sel = bench::ObsFromFlags(argc, argv);
+  const bench::Flags flags = bench::AcceptOnlyFlags(
+      argc, argv,
+      {bench::kQuickJsonFlags, bench::kStoreFlags, bench::kPoolFlags,
+       bench::kObsFlags});
+  const uint32_t runs = flags.Has("quick") ? 4 : 20;
+  core::ThunderboltConfig config =
+      bench::ConfigFromFlags(flags, /*shard_counts=*/{});
+  bench::ObsSelection obs_sel = bench::ObsFromFlags(flags, &config);
   // One bundle for the whole sweep: batch benches have no Cluster, so the
   // pools record into this standalone bundle directly.
-  std::unique_ptr<obs::Observability> obs = obs_sel.MakeBundle();
+  obs::Observability obs(config.obs);
   bench::Banner(
       "Figure 11", "CE vs OCC vs 2PL-No-Wait across executor counts",
       "throughput rises then plateaus (~12 executors for Thunderbolt/OCC); "
       "2PL-No-Wait degrades beyond 8 executors; Thunderbolt has the fewest "
       "re-executions (~50% of OCC, ~10% of 2PL at b500)");
-  if (pool.name != "sim") {
-    std::printf("pool: %s (wall-clock timings)\n", pool.name.c_str());
+  if (config.pool != "sim") {
+    std::printf("pool: %s (wall-clock timings)\n", config.pool.c_str());
   }
-  RunWorkload("(a) read-write balanced, Pr = 0.5", 0.5, runs, store, pool,
-              obs.get());
-  RunWorkload("(b) update-only, Pr = 0", 0.0, runs, store, pool, obs.get());
-  obs_sel.Capture(*obs);
-  return bench::WriteTablesJsonIfRequested(argc, argv, "fig11") |
+  RunWorkload("(a) read-write balanced, Pr = 0.5", 0.5, runs, config, &obs);
+  RunWorkload("(b) update-only, Pr = 0", 0.0, runs, config, &obs);
+  obs_sel.Capture(obs);
+  return bench::WriteTablesJsonIfRequested(flags, "fig11") |
          obs_sel.WriteIfRequested();
 }

@@ -21,10 +21,9 @@ struct RunOut {
 RunOut RunOne(const bench::ClusterSystem& system, uint32_t n, bool wan,
               const std::string& workload_name,
               const workload::WorkloadOptions& options,
-              const bench::PlacementSelection& placement,
-              const bench::StoreSelection& store, bench::ObsSelection* obs,
+              const core::ThunderboltConfig& base, bench::ObsSelection* obs,
               SimTime warmup, SimTime duration) {
-  core::ThunderboltConfig cfg;
+  core::ThunderboltConfig cfg = base;
   cfg.n = n;
   system.ApplyTo(&cfg);
   cfg.batch_size = 500;
@@ -32,9 +31,6 @@ RunOut RunOne(const bench::ClusterSystem& system, uint32_t n, bool wan,
   cfg.num_validators = 16;
   cfg.latency = wan ? net::LatencyModel::Wan() : net::LatencyModel::Lan();
   cfg.seed = 77;
-  placement.ApplyTo(&cfg);
-  store.ApplyTo(&cfg);
-  obs->ApplyTo(&cfg);
 
   core::Cluster cluster(cfg, workload_name, options);
   cluster.Run(warmup);  // Excluded: pipeline fill / first commits.
@@ -49,19 +45,18 @@ RunOut RunOne(const bench::ClusterSystem& system, uint32_t n, bool wan,
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
-  bench::AcceptOnlyFlags(argc, argv,
-                         {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
-                          bench::kPlacementFlags, bench::kStoreFlags,
-                          bench::kObsFlags});
-  const bool quick = bench::QuickMode(argc, argv);
+  const bench::Flags flags = bench::AcceptOnlyFlags(
+      argc, argv,
+      {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
+       bench::kPlacementFlags, bench::kStoreFlags, bench::kObsFlags});
+  const bool quick = flags.Has("quick");
   workload::WorkloadOptions options;
   const std::string workload_name =
-      bench::ClusterWorkloadFromFlags(argc, argv, &options, /*seed=*/78);
+      bench::ClusterWorkloadFromFlags(flags, &options, /*seed=*/78);
   const std::vector<uint32_t> replica_counts = {8, 16, 32, 64};
-  const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv, replica_counts);
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
+  core::ThunderboltConfig base =
+      bench::ConfigFromFlags(flags, replica_counts);
+  bench::ObsSelection obs = bench::ObsFromFlags(flags, &base);
   bench::Banner(
       "Figure 13", "throughput & latency vs replica count (LAN and WAN)",
       "Thunderbolt scales with replicas and beats Tusk by ~50x at 64 "
@@ -69,8 +64,8 @@ int main(int argc, char** argv) {
       "Tusk throughput stays flat (~11K tps) with latency growing to "
       "~100 s; WAN shows the same ordering with higher latencies");
   std::printf("workload: %s  placement: %s  store: %s\n",
-              workload_name.c_str(), placement.policy.c_str(),
-              store.name.c_str());
+              workload_name.c_str(), base.placement.c_str(),
+              base.store.c_str());
 
   const bench::ClusterSystem systems[] = {
       {"Thunderbolt", core::ExecutionMode::kThunderbolt, "ce"},
@@ -90,8 +85,8 @@ int main(int argc, char** argv) {
         SimTime warmup = wan ? Seconds(2) : Seconds(1);
         SimTime duration = quick ? Seconds(n >= 64 ? 2 : 3)
                                  : Seconds(n >= 32 ? 3 : 5);
-        RunOut out = RunOne(system, n, wan, workload_name, options,
-                            placement, store, &obs, warmup, duration);
+        RunOut out = RunOne(system, n, wan, workload_name, options, base,
+                            &obs, warmup, duration);
         table.Row({system.label, bench::FmtInt(n), bench::Fmt(out.tps, 0),
                    bench::Fmt(out.latency_s, 2)});
         if (!wan && n == 64) {
@@ -107,6 +102,6 @@ int main(int argc, char** argv) {
         "%.1fx (paper: ~50x)\n",
         tb64 / tusk64);
   }
-  return bench::WriteTablesJsonIfRequested(argc, argv, "fig13") |
+  return bench::WriteTablesJsonIfRequested(flags, "fig13") |
          obs.WriteIfRequested();
 }

@@ -18,18 +18,14 @@ constexpr uint32_t kReplicas = 16;
 void RunSweep(const bench::ClusterSystem& system,
               const std::string& workload_name,
               workload::WorkloadOptions options,
-              const bench::PlacementSelection& placement,
-              const bench::StoreSelection& store, bench::ObsSelection* obs,
+              const core::ThunderboltConfig& base, bench::ObsSelection* obs,
               SimTime duration, bench::Table& table) {
   for (double pct : {0.0, 0.04, 0.08, 0.20, 0.60, 1.0}) {
-    core::ThunderboltConfig cfg;
+    core::ThunderboltConfig cfg = base;
     cfg.n = kReplicas;
     system.ApplyTo(&cfg);
     cfg.batch_size = 500;
     cfg.seed = 90;
-    placement.ApplyTo(&cfg);
-    store.ApplyTo(&cfg);
-    obs->ApplyTo(&cfg);
     options.cross_shard_ratio = pct;
     core::Cluster cluster(cfg, workload_name, options);
     core::ClusterResult r = cluster.Run(duration);
@@ -54,19 +50,16 @@ void RunSweep(const bench::ClusterSystem& system,
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
-  bench::AcceptOnlyFlags(argc, argv,
-                         {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
-                          bench::kPlacementFlags, bench::kStoreFlags,
-                          bench::kObsFlags});
-  const SimTime duration =
-      bench::QuickMode(argc, argv) ? Seconds(2) : Seconds(5);
+  const bench::Flags flags = bench::AcceptOnlyFlags(
+      argc, argv,
+      {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
+       bench::kPlacementFlags, bench::kStoreFlags, bench::kObsFlags});
+  const SimTime duration = flags.Has("quick") ? Seconds(2) : Seconds(5);
   workload::WorkloadOptions options;
   const std::string workload_name = bench::ClusterWorkloadFromFlags(
-      argc, argv, &options, /*seed=*/91, {"cross_shard_ratio"});
-  const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv, {kReplicas});
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
+      flags, &options, /*seed=*/91, {"cross_shard_ratio"});
+  core::ThunderboltConfig base = bench::ConfigFromFlags(flags, {kReplicas});
+  bench::ObsSelection obs = bench::ObsFromFlags(flags, &base);
   bench::Banner(
       "Figure 14", "cross-shard transaction ratio sweep on 16 replicas",
       "both Thunderbolt variants decline as P grows; at P=8% Thunderbolt "
@@ -75,8 +68,8 @@ int main(int argc, char** argv) {
       "execution; Thunderbolt latency roughly half of Thunderbolt-OCC "
       "under high contention");
   std::printf("workload: %s  placement: %s  store: %s\n",
-              workload_name.c_str(), placement.policy.c_str(),
-              store.name.c_str());
+              workload_name.c_str(), base.placement.c_str(),
+              base.store.c_str());
   bench::Table table({"system", "cross%", "tput(tps)", "latency(s)",
                       "single", "cross", "crossfrac", "converted", "skips"});
   const bench::ClusterSystem systems[] = {
@@ -84,9 +77,8 @@ int main(int argc, char** argv) {
       {"Thunderbolt-OCC", core::ExecutionMode::kThunderbolt, "occ"},
       {"Tusk", core::ExecutionMode::kTusk}};
   for (const bench::ClusterSystem& system : systems) {
-    RunSweep(system, workload_name, options, placement, store, &obs, duration,
-             table);
+    RunSweep(system, workload_name, options, base, &obs, duration, table);
   }
-  return bench::WriteTablesJsonIfRequested(argc, argv, "fig14") |
+  return bench::WriteTablesJsonIfRequested(flags, "fig14") |
          obs.WriteIfRequested();
 }

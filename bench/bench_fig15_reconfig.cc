@@ -11,39 +11,33 @@ int main(int argc, char** argv) {
   using namespace thunderbolt;
   constexpr uint32_t kReplicas = 8;  // And so shards.
   const bench::CostFooter cost_footer(argv[0]);
-  bench::AcceptOnlyFlags(argc, argv,
-                         {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
-                          bench::kPlacementFlags, bench::kStoreFlags,
-                          bench::kObsFlags});
-  const SimTime duration =
-      bench::QuickMode(argc, argv) ? Seconds(3) : Seconds(10);
+  const bench::Flags flags = bench::AcceptOnlyFlags(
+      argc, argv,
+      {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
+       bench::kPlacementFlags, bench::kStoreFlags, bench::kObsFlags});
+  const SimTime duration = flags.Has("quick") ? Seconds(3) : Seconds(10);
   workload::WorkloadOptions options;
   const std::string workload_name =
-      bench::ClusterWorkloadFromFlags(argc, argv, &options, /*seed=*/56);
-  const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv, {kReplicas});
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
+      bench::ClusterWorkloadFromFlags(flags, &options, /*seed=*/56);
+  core::ThunderboltConfig base = bench::ConfigFromFlags(flags, {kReplicas});
+  bench::ObsSelection obs = bench::ObsFromFlags(flags, &base);
   bench::Banner(
       "Figure 15", "reconfiguration period K' sweep on 8 replicas",
       "throughput lower at K'=10 (frequent DAG transitions discard the "
       "two-round uncommitted tail) and stabilizes as K' grows past ~1000; "
       "average latency decreases slightly with larger K'");
   std::printf("workload: %s  placement: %s  store: %s\n",
-              workload_name.c_str(), placement.policy.c_str(),
-              store.name.c_str());
+              workload_name.c_str(), base.placement.c_str(),
+              base.store.c_str());
   bench::Table table({"K'", "tput(tps)", "latency(s)", "reconfigs",
                       "shift-blocks", "migrations"});
   std::vector<std::vector<std::string>> migration_rows;
   for (Round k_prime : {10ull, 100ull, 500ull, 1000ull, 5000ull}) {
-    core::ThunderboltConfig cfg;
+    core::ThunderboltConfig cfg = base;
     cfg.n = kReplicas;
     cfg.batch_size = 500;
     cfg.reconfig_period_k_prime = k_prime;
     cfg.seed = 55;
-    placement.ApplyTo(&cfg);
-    store.ApplyTo(&cfg);
-    obs.ApplyTo(&cfg);
     core::Cluster cluster(cfg, workload_name, options);
     core::ClusterResult r = cluster.Run(duration);
     obs.Capture(cluster.obs());
@@ -65,6 +59,6 @@ int main(int argc, char** argv) {
                             "migrations");
     for (const auto& row : migration_rows) migrations.Row(row);
   }
-  return bench::WriteTablesJsonIfRequested(argc, argv, "fig15") |
+  return bench::WriteTablesJsonIfRequested(flags, "fig15") |
          obs.WriteIfRequested();
 }

@@ -9,35 +9,28 @@ int main(int argc, char** argv) {
   using namespace thunderbolt;
   constexpr uint32_t kReplicas = 8;  // And so shards.
   const bench::CostFooter cost_footer(argv[0]);
-  bench::AcceptOnlyFlags(argc, argv,
-                         {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
-                          bench::kPlacementFlags, bench::kStoreFlags,
-                          bench::kObsFlags});
-  const SimTime duration =
-      bench::QuickMode(argc, argv) ? Seconds(8) : Seconds(30);
+  const bench::Flags flags = bench::AcceptOnlyFlags(
+      argc, argv,
+      {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
+       bench::kPlacementFlags, bench::kStoreFlags, bench::kObsFlags});
+  const SimTime duration = flags.Has("quick") ? Seconds(8) : Seconds(30);
   workload::WorkloadOptions options;
   const std::string workload_name =
-      bench::ClusterWorkloadFromFlags(argc, argv, &options, /*seed=*/66);
-  const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv, {kReplicas});
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
+      bench::ClusterWorkloadFromFlags(flags, &options, /*seed=*/66);
+  core::ThunderboltConfig cfg = bench::ConfigFromFlags(flags, {kReplicas});
+  bench::ObsSelection obs = bench::ObsFromFlags(flags, &cfg);
   bench::Banner(
       "Figure 16", "per-100-round commit runtime across reconfigurations",
       "runtime per round stays in a tight band (paper: 0.07-0.1 s) with no "
       "stall at reconfiguration boundaries (K'=300)");
   std::printf("workload: %s  placement: %s  store: %s\n",
-              workload_name.c_str(), placement.policy.c_str(),
-              store.name.c_str());
+              workload_name.c_str(), cfg.placement.c_str(),
+              cfg.store.c_str());
 
-  core::ThunderboltConfig cfg;
   cfg.n = kReplicas;
   cfg.batch_size = 500;
   cfg.reconfig_period_k_prime = 300;
   cfg.seed = 65;
-  placement.ApplyTo(&cfg);
-  store.ApplyTo(&cfg);
-  obs.ApplyTo(&cfg);
   core::Cluster cluster(cfg, workload_name, options);
   core::ClusterResult r = cluster.Run(duration);
   obs.Capture(cluster.obs());
@@ -57,6 +50,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\nReconfigurations during the run: %llu\n",
               static_cast<unsigned long long>(r.reconfigurations));
-  return bench::WriteTablesJsonIfRequested(argc, argv, "fig16") |
+  return bench::WriteTablesJsonIfRequested(flags, "fig16") |
          obs.WriteIfRequested();
 }

@@ -14,21 +14,15 @@ constexpr uint32_t kReplicas = 16;
 void RunSweep(const bench::ClusterSystem& system, uint32_t failures,
               const std::string& workload_name,
               workload::WorkloadOptions options,
-              const bench::PlacementSelection& placement,
-              const bench::StoreSelection& store,
-              const bench::ServiceSelection& service, bench::ObsSelection* obs,
+              const core::ThunderboltConfig& base, bench::ObsSelection* obs,
               SimTime duration, bench::Table& table,
               obs::LatencyBreakdown* phases) {
   for (double pct : {0.0, 0.04, 0.08, 0.20, 0.60, 1.0}) {
-    core::ThunderboltConfig cfg;
+    core::ThunderboltConfig cfg = base;
     cfg.n = kReplicas;
     system.ApplyTo(&cfg);
     cfg.batch_size = 500;
     cfg.seed = 101;
-    placement.ApplyTo(&cfg);
-    store.ApplyTo(&cfg);
-    service.ApplyTo(&cfg);
-    obs->ApplyTo(&cfg);
     options.cross_shard_ratio = pct;
     core::Cluster cluster(cfg, workload_name, options);
     // Crash the highest-numbered replicas shortly after startup (the
@@ -52,23 +46,19 @@ void RunSweep(const bench::ClusterSystem& system, uint32_t failures,
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
-  bench::AcceptOnlyFlags(
+  const bench::Flags flags = bench::AcceptOnlyFlags(
       argc, argv,
       {bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
        bench::kPlacementFlags, bench::kStoreFlags, bench::kServiceFlags,
        bench::kObsFlags});
-  const SimTime duration =
-      bench::QuickMode(argc, argv) ? Seconds(2) : Seconds(5);
+  const SimTime duration = flags.Has("quick") ? Seconds(2) : Seconds(5);
   workload::WorkloadOptions options;
   const std::string workload_name = bench::ClusterWorkloadFromFlags(
-      argc, argv, &options, /*seed=*/102, {"cross_shard_ratio"});
-  const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv, {kReplicas});
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
+      flags, &options, /*seed=*/102, {"cross_shard_ratio"});
   // --arrival/--rate run the failure sweep open-loop: throughput under
   // crashes is then capped by offered load, and latency is arrival->commit.
-  const bench::ServiceSelection service = bench::ServiceFromFlags(argc, argv);
-  bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
+  core::ThunderboltConfig base = bench::ConfigFromFlags(flags, {kReplicas});
+  bench::ObsSelection obs = bench::ObsFromFlags(flags, &base);
   bench::Banner(
       "Figure 17", "replica failures (f = 1, 2) on 16 replicas",
       "Thunderbolt keeps committing with crashed replicas: throughput "
@@ -76,12 +66,12 @@ int main(int argc, char** argv) {
       "P=0 for f=1/f=2 vs 100K failure-free; 17K/15K at P=100%) while "
       "latency stays stable thanks to DAG leader rotation");
   std::printf("workload: %s  placement: %s  store: %s\n",
-              workload_name.c_str(), placement.policy.c_str(),
-              store.name.c_str());
-  if (service.config.enabled) {
+              workload_name.c_str(), base.placement.c_str(),
+              base.store.c_str());
+  if (base.service.enabled) {
     std::printf("open loop: arrival=%s rate=%.0f tps admission=%s\n",
-                service.config.arrival.c_str(), service.config.rate_tps,
-                service.config.admission.c_str());
+                base.service.arrival.c_str(), base.service.rate_tps,
+                base.service.admission.c_str());
   }
   bench::Table table({"system", "failed", "cross%", "tput(tps)",
                       "latency(s)", "reconfigs"});
@@ -95,10 +85,10 @@ int main(int argc, char** argv) {
       {{"Thunderbolt/2", core::ExecutionMode::kThunderbolt, "ce"}, 2},
       {{"Tusk", core::ExecutionMode::kTusk}, 0}};
   for (const auto& row : rows) {
-    RunSweep(row.system, row.failures, workload_name, options, placement,
-             store, service, &obs, duration, table, &phases);
+    RunSweep(row.system, row.failures, workload_name, options, base, &obs,
+             duration, table, &phases);
   }
   bench::PhaseLatencyTable(phases);
-  return bench::WriteTablesJsonIfRequested(argc, argv, "fig17") |
+  return bench::WriteTablesJsonIfRequested(flags, "fig17") |
          obs.WriteIfRequested();
 }

@@ -48,12 +48,12 @@ namespace {
 /// Replicas, and so shards, in every cell.
 constexpr uint32_t kReplicas = 4;
 
-/// `engine` is "tusk" (serial execution after consensus) or the
-/// ce::EngineRegistry name of the preplay engine.
+/// `shared` with the sweep's cluster shape. `engine` is "tusk" (serial
+/// execution after consensus) or the ce::EngineRegistry name of the
+/// preplay engine.
 core::ThunderboltConfig BaseConfig(const std::string& engine,
-                                   const bench::PlacementSelection& placement,
-                                   const bench::StoreSelection& store) {
-  core::ThunderboltConfig cfg;
+                                   const core::ThunderboltConfig& shared) {
+  core::ThunderboltConfig cfg = shared;
   cfg.n = kReplicas;
   if (engine == "tusk") {
     cfg.mode = core::ExecutionMode::kTusk;
@@ -62,22 +62,23 @@ core::ThunderboltConfig BaseConfig(const std::string& engine,
   }
   cfg.batch_size = 500;
   cfg.seed = 77;
-  placement.ApplyTo(&cfg);
-  store.ApplyTo(&cfg);
   return cfg;
 }
 
 /// Closed-loop saturation throughput: what the engine commits when the
 /// proposers pull as fast as the pipeline drains. This anchors the sweep's
 /// rate axis so "2x" means the same degree of overload on every engine.
+/// The run is closed loop and unobserved: only the sweep cells get the
+/// front end and the observability sinks.
 double CalibrateSaturation(const std::string& engine,
                            const std::string& workload_name,
                            const workload::WorkloadOptions& options,
-                           const bench::PlacementSelection& placement,
-                           const bench::StoreSelection& store,
+                           const core::ThunderboltConfig& shared,
                            SimTime duration) {
-  core::Cluster cluster(BaseConfig(engine, placement, store), workload_name,
-                        options);
+  core::ThunderboltConfig cfg = BaseConfig(engine, shared);
+  cfg.service = {};
+  cfg.obs = {};
+  core::Cluster cluster(cfg, workload_name, options);
   const core::ClusterResult r = cluster.Run(duration);
   // An engine that commits (almost) nothing would collapse the rate axis;
   // floor the anchor so the sweep still exercises the admission machinery.
@@ -92,52 +93,38 @@ int main(int argc, char** argv) {
   const bench::CostFooter cost_footer(argv[0]);
   // The sweep owns the offered rate, so --rate is not accepted here, and
   // --admission takes a comma list.
-  bench::AcceptOnlyFlags(
+  const bench::Flags flags = bench::AcceptOnlyFlags(
       argc, argv,
       {"--smoke --engine <names> --admission <names> --arrival <name> "
        "--arrival-params <k=v,...> --queue-depth <n> --limiter-rate <tps> "
        "--limiter-burst <tokens> --codel-target-us <us>",
        bench::kQuickJsonFlags, bench::kClusterWorkloadFlags,
        bench::kPlacementFlags, bench::kStoreFlags, bench::kObsFlags});
-  const bool smoke = bench::HasFlag(argc, argv, "smoke");
-  const bool quick = smoke || bench::QuickMode(argc, argv);
+  const bool smoke = flags.Has("smoke");
+  const bool quick = smoke || flags.Has("quick");
   const SimTime duration = quick ? Seconds(1) : Seconds(3);
 
   workload::WorkloadOptions options;
   const std::string workload_name =
-      bench::ClusterWorkloadFromFlags(argc, argv, &options, /*seed=*/77);
-  const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv, {kReplicas});
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
-
+      bench::ClusterWorkloadFromFlags(flags, &options, /*seed=*/77);
   // The sweep owns the rate and policy axes; take the front end's shape
   // (arrival process, queue depth, codel target) from the shared flags.
   // --admission is a comma LIST here (the policy sweep), which the shared
-  // single-name parser would reject — hide it from ServiceFromFlags.
-  std::vector<char*> fe_args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--admission") {
-      ++i;  // Skip the value too.
-      continue;
-    }
-    if (arg.rfind("--admission=", 0) == 0) continue;
-    fe_args.push_back(argv[i]);
-  }
-  bench::ServiceSelection service =
-      bench::ServiceFromFlags(static_cast<int>(fe_args.size()),
-                              fe_args.data());
-  service.config.enabled = true;
-  if (bench::FlagValue(argc, argv, "queue-depth").empty()) {
+  // single-name reader would reject, so it does not see it.
+  core::ThunderboltConfig shared =
+      bench::ConfigFromFlags(flags.Without("admission"), {kReplicas});
+  bench::ObsSelection obs = bench::ObsFromFlags(flags, &shared);
+  svc::ServiceConfig& service = shared.service;
+  service.enabled = true;
+  if (flags.Value("queue-depth").empty()) {
     // Deep enough that drop-tail's standing-queue latency clearly exceeds
     // the codel target — the contrast the figure is about.
-    service.config.queue_depth = 4096;
+    service.queue_depth = 4096;
   }
 
   std::vector<std::string> engines;
   {
-    const std::string spec = bench::FlagValue(argc, argv, "engine");
+    const std::string spec = flags.Value("engine");
     if (spec.empty()) {
       engines = smoke ? std::vector<std::string>{"ce"}
                       : std::vector<std::string>{"ce", "tusk"};
@@ -157,7 +144,7 @@ int main(int argc, char** argv) {
   {
     // --admission here selects the POLICY SWEEP (comma list), unlike the
     // single-policy flag of the other benches.
-    std::string spec = bench::FlagValue(argc, argv, "admission");
+    std::string spec = flags.Value("admission");
     policies =
         spec.empty() ? svc::AdmissionPolicyNames() : Split(spec, ',');
     for (const std::string& name : policies) {
@@ -180,8 +167,8 @@ int main(int argc, char** argv) {
       "beyond the knee drop-tail's p999 plateaus at the full standing "
       "queue (bufferbloat) while shed-oldest and codel keep it bounded");
   std::printf("workload: %s  arrival: %s  queue-depth: %u  duration: %.1fs\n",
-              workload_name.c_str(), service.config.arrival.c_str(),
-              service.config.queue_depth, ToSeconds(duration));
+              workload_name.c_str(), service.arrival.c_str(),
+              service.queue_depth, ToSeconds(duration));
 
   bench::Table table(
       {"engine", "policy", "mult", "offered(tps)", "tput(tps)", "p99(s)",
@@ -189,24 +176,22 @@ int main(int argc, char** argv) {
       "overload");
   bool all_ok = true;
   for (const std::string& engine : engines) {
-    const double saturation = CalibrateSaturation(
-        engine, workload_name, options, placement, store, duration);
+    const double saturation =
+        CalibrateSaturation(engine, workload_name, options, shared, duration);
     std::printf("\n%s closed-loop saturation: %.0f tps\n", engine.c_str(),
                 saturation);
     for (const std::string& policy : policies) {
       for (double mult : mults) {
-        core::ThunderboltConfig cfg = BaseConfig(engine, placement, store);
-        service.config.admission = policy;
-        service.config.rate_tps = saturation * mult;
-        service.ApplyTo(&cfg);
-        obs.ApplyTo(&cfg);
+        core::ThunderboltConfig cfg = BaseConfig(engine, shared);
+        cfg.service.admission = policy;
+        cfg.service.rate_tps = saturation * mult;
         core::Cluster cluster(cfg, workload_name, options);
         const core::ClusterResult r = cluster.Run(duration);
         if (!cluster.CheckInvariant().ok()) all_ok = false;
         obs.Capture(cluster.obs());
         const bool idle = r.latency_samples == 0;
         table.Row({engine, policy, bench::Fmt(mult, 2),
-                   bench::Fmt(service.config.rate_tps, 0),
+                   bench::Fmt(cfg.service.rate_tps, 0),
                    bench::Fmt(r.throughput_tps, 0),
                    idle ? "-" : bench::Fmt(r.p99_latency_s, 4),
                    idle ? "-" : bench::Fmt(r.p999_latency_s, 4),
@@ -217,6 +202,6 @@ int main(int argc, char** argv) {
     }
   }
   if (!all_ok) std::fprintf(stderr, "workload invariant VIOLATED\n");
-  return bench::WriteTablesJsonIfRequested(argc, argv, "overload") |
+  return bench::WriteTablesJsonIfRequested(flags, "overload") |
          obs.WriteIfRequested() | (all_ok ? 0 : 1);
 }

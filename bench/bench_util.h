@@ -236,38 +236,10 @@ inline void PhaseLatencyTable(const obs::LatencyBreakdown& phases) {
   }
 }
 
-/// Parses "--quick" from argv: benches shorten their virtual durations so
-/// the whole suite runs in CI-friendly time.
-inline bool QuickMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") return true;
-  }
-  return false;
-}
-
 /// --quick and --json (WriteTablesJsonIfRequested), for AcceptOnlyFlags.
+/// --quick shortens the virtual durations so the whole suite runs in
+/// CI-friendly time.
 inline constexpr const char* kQuickJsonFlags = "--quick --json <path>";
-
-/// True when the bare flag `--<name>` appears in argv.
-inline bool HasFlag(int argc, char** argv, const std::string& name) {
-  const std::string flag = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == flag) return true;
-  }
-  return false;
-}
-
-/// Returns the value of `--<name> <value>` or `--<name>=<value>`, or ""
-/// when the flag is absent.
-inline std::string FlagValue(int argc, char** argv, const std::string& name) {
-  const std::string flag = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) return argv[i + 1];
-    if (arg.rfind(flag + "=", 0) == 0) return arg.substr(flag.size() + 1);
-  }
-  return "";
-}
 
 /// Exits with code 2 unless `name` is `known`, listing the `registered`
 /// names: a typo in a registry-backed flag (--workload, --engine,
@@ -302,32 +274,74 @@ T PositiveFlag(const char* flag, const std::string& text) {
   return static_cast<T>(v);
 }
 
-/// Accepts only the flags in `specs`: each `--name` in a spec is a flag,
-/// and a `<...>` placeholder after it means the flag takes a value
-/// (`--name v` or `--name=v`); the k*Flags spec next to each shared parser
-/// lists that parser's flags. An unknown `--flag`, a stray word, a value flag
-/// without its value or a switch given one prints the accepted flags to
-/// stderr and exits with code 2: a typo must not run the default sweep.
-/// `--help` prints them to stdout and exits 0. Call first in main.
-inline void AcceptOnlyFlags(int argc, char** argv,
-                            std::initializer_list<const char*> specs) {
-  std::vector<std::pair<std::string, std::string>> flags;  // (--name, <v>)
+/// The flags AcceptOnlyFlags accepted, in argv order, by name without the
+/// leading "--": a value flag carries its value, a switch "". A repeated
+/// flag keeps its first value.
+struct Flags {
+  std::vector<std::pair<std::string, std::string>> values;
+
+  bool Has(const std::string& name) const { return Find(name) != nullptr; }
+
+  /// The value of `--<name>`, or "" when the flag is absent.
+  std::string Value(const std::string& name) const {
+    const std::string* value = Find(name);
+    return value == nullptr ? "" : *value;
+  }
+
+  /// Sets `*field` to `--<name>` read as PositiveFlag<T>; leaves it when
+  /// the flag is absent.
+  template <typename T>
+  void ReadPositive(const char* name, T* field) const {
+    const std::string text = Value(name);
+    if (!text.empty()) *field = PositiveFlag<T>(name, text);
+  }
+
+  /// A copy without `--<name>`, for a shared reader that must not see a
+  /// flag the driver gives its own meaning.
+  Flags Without(const std::string& name) const {
+    Flags rest = *this;
+    std::erase_if(rest.values,
+                  [&](const auto& flag) { return flag.first == name; });
+    return rest;
+  }
+
+ private:
+  const std::string* Find(const std::string& name) const {
+    for (const auto& [flag, value] : values) {
+      if (flag == name) return &value;
+    }
+    return nullptr;
+  }
+};
+
+/// The one reader of argv: accepts only the flags in `specs` and returns
+/// them. Each `--name` in a spec is a flag, and a `<...>` placeholder after
+/// it means the flag takes a value (`--name v` or `--name=v`); the k*Flags
+/// spec next to each shared reader lists that reader's flags. An unknown
+/// `--flag`, a stray word, a value flag without its value (last in argv or
+/// followed by another `--flag`) or a switch given one prints the accepted
+/// flags to stderr and exits with code 2: a typo must not run the default
+/// sweep. `--help` prints them to stdout and exits 0. Call first in main.
+inline Flags AcceptOnlyFlags(int argc, char** argv,
+                             std::initializer_list<const char*> specs) {
+  std::vector<std::pair<std::string, std::string>> known;  // (--name, <v>)
   for (const char* spec : specs) {
     for (const std::string& word : Split(spec, ' ')) {
       if (word.rfind("--", 0) == 0) {
-        flags.emplace_back(word, "");
-      } else if (!flags.empty()) {
-        flags.back().second = word;
+        known.emplace_back(word, "");
+      } else if (!known.empty()) {
+        known.back().second = word;
       }
     }
   }
   auto print_flags = [&](std::FILE* out) {
     std::fprintf(out, "accepted flags:\n");
-    for (const auto& [name, value] : flags) {
+    for (const auto& [name, value] : known) {
       std::fprintf(out, "  %s%s%s\n", name.c_str(), value.empty() ? "" : " ",
                    value.c_str());
     }
   };
+  Flags given;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help") {
@@ -336,25 +350,31 @@ inline void AcceptOnlyFlags(int argc, char** argv,
     }
     const size_t eq = arg.find('=');
     const std::string name = arg.substr(0, eq);
-    auto flag = std::find_if(flags.begin(), flags.end(),
+    auto flag = std::find_if(known.begin(), known.end(),
                              [&](const auto& f) { return f.first == name; });
+    std::string value;
     std::string error;
-    if (flag == flags.end()) {
+    if (flag == known.end()) {
       error = (arg.rfind("--", 0) == 0 ? "unknown flag "
                                         : "unexpected argument ") +
               arg;
-    } else if (flag->second.empty() && eq != std::string::npos) {
-      error = name + " takes no value";
-    } else if (!flag->second.empty() && eq == std::string::npos &&
-               ++i == argc) {
+    } else if (flag->second.empty()) {
+      if (eq != std::string::npos) error = name + " takes no value";
+    } else if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 == argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
       error = name + " needs a value " + flag->second;
+    } else {
+      value = argv[++i];
     }
     if (!error.empty()) {
       std::fprintf(stderr, "%s\n", error.c_str());
       print_flags(stderr);
       std::exit(2);
     }
+    given.values.emplace_back(name.substr(2), std::move(value));
   }
+  return given;
 }
 
 /// Exits with code 2 when `spec` (a `k=v,...` param string) assigns any
@@ -391,19 +411,19 @@ inline constexpr const char* kClusterWorkloadFlags =
 /// code 2 on an unknown name or malformed params — a typo must not
 /// silently bench the wrong configuration.
 inline std::string ClusterWorkloadFromFlags(
-    int argc, char** argv, workload::WorkloadOptions* options, uint64_t seed,
+    const Flags& flags, workload::WorkloadOptions* options, uint64_t seed,
     std::initializer_list<const char*> reserved = {}) {
   options->num_records = 1000;
   options->theta = 0.85;
   options->read_ratio = 0.5;
   options->seed = seed;
-  std::string name = FlagValue(argc, argv, "workload");
+  std::string name = flags.Value("workload");
   if (name.empty()) name = "smallbank";
   const workload::WorkloadRegistry& workloads =
       workload::WorkloadRegistry::Global();
   RequireRegistered("workload", name, workloads.Contains(name),
                     workloads.Names());
-  const std::string spec = FlagValue(argc, argv, "params");
+  const std::string spec = flags.Value("params");
   RejectReservedParams(spec, reserved);
   Status s = workload::ApplyWorkloadParams(spec, options);
   if (!s.ok()) {
@@ -438,127 +458,126 @@ struct ClusterSystem {
   }
 };
 
-/// The placement policy a bench binary was asked to run with.
-struct PlacementSelection {
-  std::string policy = "hash";
-  std::string params;
-
-  void ApplyTo(core::ThunderboltConfig* config) const {
-    config->placement = policy;
-    config->placement_params = params;
-  }
-};
-
 inline constexpr const char* kPlacementFlags =
     "--placement <name> --placement-params <k=v,...>";
 
-/// Shared `--placement <name>` / `--placement-params <k=v,...>` handling
-/// for every bench binary: validates the policy name against
-/// placement::PlacementRegistry::Global() and the params against that
-/// policy at each shard count in `shard_counts`, the ones the driver will
-/// run (placement::CheckPlacementParams), and exits with code 2 on either
-/// error (mirroring the workload flag — a typo or an out-of-range shard
-/// must not silently bench the default placement or abort the driver in
-/// the policy factory).
-inline PlacementSelection PlacementFromFlags(
-    int argc, char** argv, const std::vector<uint32_t>& shard_counts) {
-  PlacementSelection selection;
-  std::string name = FlagValue(argc, argv, "placement");
-  if (!name.empty()) {
+inline constexpr const char* kStoreFlags = "--store <spec>";
+
+inline constexpr const char* kPoolFlags = "--pool <name>";
+
+inline constexpr const char* kServiceFlags =
+    "--arrival <name> --arrival-params <k=v,...> --rate <tps> "
+    "--admission <policy> --queue-depth <n> --limiter-rate <tps> "
+    "--limiter-burst <tokens> --codel-target-us <us>";
+
+/// The run choices of the shared placement, store, pool and service flags,
+/// in one config: each driver copies it and sets its own axes. An absent
+/// flag leaves the config default. A bad value exits with code 2 naming
+/// it: a typo or an out-of-range shard must not silently bench the default
+/// or abort the driver in a factory.
+///
+/// - `--placement <name>` / `--placement-params <k=v,...>`: the policy is
+///   checked against placement::PlacementRegistry::Global() and its params
+///   at each shard count in `shard_counts`, the ones the driver runs
+///   (placement::CheckPlacementParams).
+/// - `--store <spec>`: the backend is checked against
+///   storage::StoreRegistry::Global(), then the whole spec by creating it
+///   once (reopening a store is idempotent).
+/// - `--pool <name>`: one of ce::ExecutorPoolNames(). "sim" keeps
+///   virtual-time determinism; "thread" measures real wall-clock scaling.
+/// - `--arrival <name>` or `--rate <tps>` enables the open-loop service
+///   front end (the other takes its default); `--arrival-params`,
+///   `--admission`, `--queue-depth`, `--limiter-rate` / `--limiter-burst`
+///   (token bucket ahead of the queues) and `--codel-target-us` refine it.
+///   The arrival name is checked against svc::ArrivalRegistry, its params
+///   against that process (svc::CheckArrivalParams) and the policy against
+///   svc::ParseAdmissionPolicy.
+inline core::ThunderboltConfig ConfigFromFlags(
+    const Flags& flags, const std::vector<uint32_t>& shard_counts) {
+  core::ThunderboltConfig config;
+  const std::string policy = flags.Value("placement");
+  if (!policy.empty()) {
     const placement::PlacementRegistry& policies =
         placement::PlacementRegistry::Global();
-    RequireRegistered("placement policy", name, policies.Contains(name),
+    RequireRegistered("placement policy", policy, policies.Contains(policy),
                       policies.Names());
-    selection.policy = name;
+    config.placement = policy;
   }
-  selection.params = FlagValue(argc, argv, "placement-params");
-  placement::PlacementOptions options;
-  options.params = selection.params;
+  config.placement_params = flags.Value("placement-params");
+  placement::PlacementOptions placement_options;
+  placement_options.params = config.placement_params;
   for (uint32_t num_shards : shard_counts) {
-    options.num_shards = num_shards;
+    placement_options.num_shards = num_shards;
     const Status valid =
-        placement::CheckPlacementParams(selection.policy, options);
+        placement::CheckPlacementParams(config.placement, placement_options);
     if (!valid.ok()) {
       std::fprintf(stderr,
                    "bad --placement-params \"%s\" for placement %s at %u "
                    "shards: %s\n",
-                   selection.params.c_str(), selection.policy.c_str(),
+                   config.placement_params.c_str(), config.placement.c_str(),
                    num_shards, valid.message().c_str());
       std::exit(2);
     }
   }
-  return selection;
-}
 
-/// The storage backend a bench binary was asked to run with.
-struct StoreSelection {
-  std::string name = "mem";
-
-  void ApplyTo(core::ThunderboltConfig* config) const {
-    config->store = name;
-  }
-
-  /// Instantiates the backend from storage::StoreRegistry (never null:
-  /// StoreFromFlags created the spec once already).
-  std::unique_ptr<storage::KVStore> Create() const {
-    return storage::StoreRegistry::Global().Create(name);
-  }
-};
-
-inline constexpr const char* kStoreFlags = "--store <spec>";
-
-/// Shared `--store <spec>` handling for every bench binary: validates the
-/// backend name against storage::StoreRegistry::Global(), then the whole
-/// spec by creating it once (reopening a store is idempotent), and exits
-/// with code 2 on either error (mirroring --workload/--placement — a typo
-/// must not silently bench the default backend or crash a driver).
-inline StoreSelection StoreFromFlags(int argc, char** argv) {
-  StoreSelection selection;
-  std::string name = FlagValue(argc, argv, "store");
-  if (!name.empty()) {
+  const std::string store = flags.Value("store");
+  if (!store.empty()) {
     const storage::StoreRegistry& stores = storage::StoreRegistry::Global();
-    RequireRegistered("store backend", name, stores.Contains(name),
+    RequireRegistered("store backend", store, stores.Contains(store),
                       stores.Names());
-    if (stores.Create(name) == nullptr) {
-      std::fprintf(stderr, "bad store spec \"%s\"\n", name.c_str());
+    if (stores.Create(store) == nullptr) {
+      std::fprintf(stderr, "bad store spec \"%s\"\n", store.c_str());
       std::exit(2);
     }
-    selection.name = name;
+    config.store = store;
   }
-  return selection;
-}
 
-/// The executor pool a bench binary was asked to run with.
-struct PoolSelection {
-  std::string name = "sim";
-
-  void ApplyTo(core::ThunderboltConfig* config) const { config->pool = name; }
-
-  /// Instantiates the pool (never null: the name was validated by
-  /// PoolFromFlags).
-  std::unique_ptr<ce::ExecutorPool> Create(
-      uint32_t num_executors, ce::ExecutionCostModel costs = {}) const {
-    return ce::CreateExecutorPool(name, num_executors, costs);
-  }
-};
-
-inline constexpr const char* kPoolFlags = "--pool <name>";
-
-/// Shared `--pool <name>` handling: validates against
-/// ce::ExecutorPoolNames() and exits with code 2 on a typo. "sim" keeps
-/// virtual-time determinism; "thread" measures real wall-clock scaling.
-inline PoolSelection PoolFromFlags(int argc, char** argv) {
-  PoolSelection selection;
-  std::string name = FlagValue(argc, argv, "pool");
-  if (!name.empty()) {
+  const std::string pool = flags.Value("pool");
+  if (!pool.empty()) {
     const std::vector<std::string> names = ce::ExecutorPoolNames();
-    RequireRegistered("executor pool", name,
-                      std::find(names.begin(), names.end(), name) !=
+    RequireRegistered("executor pool", pool,
+                      std::find(names.begin(), names.end(), pool) !=
                           names.end(),
                       names);
-    selection.name = name;
+    config.pool = pool;
   }
-  return selection;
+
+  svc::ServiceConfig& service = config.service;
+  const std::string arrival = flags.Value("arrival");
+  const std::string rate = flags.Value("rate");
+  service.enabled = !arrival.empty() || !rate.empty();
+  if (!arrival.empty()) {
+    const svc::ArrivalRegistry& arrivals = svc::ArrivalRegistry::Global();
+    RequireRegistered("arrival process", arrival, arrivals.Contains(arrival),
+                      arrivals.Names());
+    service.arrival = arrival;
+  }
+  service.arrival_params = flags.Value("arrival-params");
+  flags.ReadPositive("rate", &service.rate_tps);
+  svc::ArrivalOptions arrival_options;
+  arrival_options.rate_tps = service.rate_tps;
+  arrival_options.params = service.arrival_params;
+  const Status valid =
+      svc::CheckArrivalParams(service.arrival, arrival_options);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "bad --arrival-params \"%s\" for arrival %s: %s\n",
+                 service.arrival_params.c_str(), service.arrival.c_str(),
+                 valid.message().c_str());
+    std::exit(2);
+  }
+  const std::string admission = flags.Value("admission");
+  if (!admission.empty()) {
+    svc::AdmissionPolicy parsed;
+    RequireRegistered("admission policy", admission,
+                      svc::ParseAdmissionPolicy(admission, &parsed),
+                      svc::AdmissionPolicyNames());
+    service.admission = admission;
+  }
+  flags.ReadPositive("queue-depth", &service.queue_depth);
+  flags.ReadPositive("limiter-rate", &service.limiter_rate_tps);
+  flags.ReadPositive("limiter-burst", &service.limiter_burst);
+  flags.ReadPositive("codel-target-us", &service.codel_target);
+  return config;
 }
 
 /// What one batch-figure cell (Figures 11 and 12) sums over its batches.
@@ -578,32 +597,32 @@ struct BatchCellSums {
   double latency_s() const { return (latency_sum_us / batches) / 1e6; }
 };
 
-/// Runs one batch-figure cell: `runs` batches of `batch_size` SmallBank
-/// transactions from `options`, over a fresh `store_sel` store seeded by
-/// the workload, each through a new `engine_name` (ce::EngineRegistry)
-/// engine on one `executors`-wide pool that records into `obs`; each
-/// batch's writes are applied before the next. A failed batch exits 1
-/// naming `cell`: the cell has no number without it.
-inline BatchCellSums RunBatchCell(const workload::WorkloadOptions& options,
-                                  const std::string& engine_name,
-                                  uint32_t executors, uint32_t batch_size,
-                                  uint32_t runs, const StoreSelection& store_sel,
-                                  const PoolSelection& pool_sel,
-                                  obs::Observability* obs,
+/// Runs one batch-figure cell: `runs` batches of `config.batch_size`
+/// SmallBank transactions from `options`, over a fresh `config.store` store
+/// seeded by the workload, each through a new `config.engine`
+/// (ce::EngineRegistry) engine on one `config.num_executors`-wide
+/// `config.pool` pool that records into `obs`; each batch's writes are
+/// applied before the next. A failed batch exits 1 naming `cell`: the cell
+/// has no number without it.
+inline BatchCellSums RunBatchCell(const core::ThunderboltConfig& config,
+                                  const workload::WorkloadOptions& options,
+                                  uint32_t runs, obs::Observability* obs,
                                   const std::string& cell) {
   std::unique_ptr<workload::Workload> w =
       workload::WorkloadRegistry::Global().Create("smallbank", options);
-  std::unique_ptr<storage::KVStore> store = store_sel.Create();
+  std::unique_ptr<storage::KVStore> store =
+      storage::StoreRegistry::Global().Create(config.store);
   w->InitStore(store.get());
   auto registry = contract::Registry::CreateDefault();
-  std::unique_ptr<ce::ExecutorPool> pool = pool_sel.Create(executors);
+  std::unique_ptr<ce::ExecutorPool> pool = ce::CreateExecutorPool(
+      config.pool, config.num_executors, config.exec_costs);
   pool->SetObs(ce::PoolObsContext{obs->tracer(), &obs->metrics(), 0});
   BatchCellSums sums;
   for (uint32_t run = 0; run < runs; ++run) {
-    auto batch = w->MakeBatch(batch_size);
+    auto batch = w->MakeBatch(config.batch_size);
     std::unique_ptr<ce::BatchEngine> engine =
-        ce::EngineRegistry::Global().Create(engine_name, store.get(),
-                                            batch_size);
+        ce::EngineRegistry::Global().Create(config.engine, store.get(),
+                                            config.batch_size);
     auto r = pool->Run(*engine, *registry, batch);
     if (!r.ok()) {
       std::fprintf(stderr, "%s run %u failed: %s\n", cell.c_str(), run,
@@ -612,7 +631,7 @@ inline BatchCellSums RunBatchCell(const workload::WorkloadOptions& options,
     }
     store->Write(engine->FinalWrites());
     sums.duration += r->duration;
-    sums.txns += batch_size;
+    sums.txns += config.batch_size;
     sums.aborts += r->total_aborts;
     ++sums.batches;
     sums.latency_sum_us += r->commit_latency_us.Mean();
@@ -621,95 +640,15 @@ inline BatchCellSums RunBatchCell(const workload::WorkloadOptions& options,
   return sums;
 }
 
-/// The open-loop service front end a bench binary was asked to run with
-/// (disabled unless --arrival or --rate is given).
-struct ServiceSelection {
-  svc::ServiceConfig config;
+inline constexpr const char* kObsFlags =
+    "--trace-out <path> --metrics-out <path> --timeseries-out <path> "
+    "--timeseries-window <us> --trace-capacity <n>";
 
-  void ApplyTo(core::ThunderboltConfig* cluster_config) const {
-    cluster_config->service = config;
-  }
-};
-
-inline constexpr const char* kServiceFlags =
-    "--arrival <name> --arrival-params <k=v,...> --rate <tps> "
-    "--admission <policy> --queue-depth <n> --limiter-rate <tps> "
-    "--limiter-burst <tokens> --codel-target-us <us>";
-
-/// Shared `--arrival <name>` / `--arrival-params <k=v,...>` /
-/// `--rate <tps>` / `--admission <policy>` / `--queue-depth <n>` handling
-/// so every bench binary can run open-loop. Passing either `--arrival` or
-/// `--rate` enables the front end (the other takes its default); the
-/// remaining knobs refine it. Optional extras: `--limiter-rate <tps>` /
-/// `--limiter-burst <tokens>` (token bucket ahead of the queues) and
-/// `--codel-target-us <us>`. Validates the arrival name against
-/// svc::ArrivalRegistry, the arrival params against that process
-/// (svc::CheckArrivalParams) and the policy against ParseAdmissionPolicy,
-/// exiting with code 2 on a typo (mirroring --workload/--placement — a
-/// typo must not silently bench the closed loop or abort the driver in the
-/// arrival factory).
-inline ServiceSelection ServiceFromFlags(int argc, char** argv) {
-  ServiceSelection selection;
-  const std::string arrival = FlagValue(argc, argv, "arrival");
-  const std::string rate = FlagValue(argc, argv, "rate");
-  selection.config.enabled = !arrival.empty() || !rate.empty();
-  if (!arrival.empty()) {
-    const svc::ArrivalRegistry& arrivals = svc::ArrivalRegistry::Global();
-    RequireRegistered("arrival process", arrival, arrivals.Contains(arrival),
-                      arrivals.Names());
-    selection.config.arrival = arrival;
-  }
-  selection.config.arrival_params = FlagValue(argc, argv, "arrival-params");
-  if (!rate.empty()) {
-    selection.config.rate_tps = PositiveFlag<double>("rate", rate);
-  }
-  svc::ArrivalOptions arrival_options;
-  arrival_options.rate_tps = selection.config.rate_tps;
-  arrival_options.params = selection.config.arrival_params;
-  const Status valid =
-      svc::CheckArrivalParams(selection.config.arrival, arrival_options);
-  if (!valid.ok()) {
-    std::fprintf(stderr, "bad --arrival-params \"%s\" for arrival %s: %s\n",
-                 selection.config.arrival_params.c_str(),
-                 selection.config.arrival.c_str(), valid.message().c_str());
-    std::exit(2);
-  }
-  const std::string admission = FlagValue(argc, argv, "admission");
-  if (!admission.empty()) {
-    svc::AdmissionPolicy policy;
-    RequireRegistered("admission policy", admission,
-                      svc::ParseAdmissionPolicy(admission, &policy),
-                      svc::AdmissionPolicyNames());
-    selection.config.admission = admission;
-  }
-  const std::string depth = FlagValue(argc, argv, "queue-depth");
-  if (!depth.empty()) {
-    selection.config.queue_depth = PositiveFlag<uint32_t>("queue-depth", depth);
-  }
-  const std::string limiter_rate = FlagValue(argc, argv, "limiter-rate");
-  if (!limiter_rate.empty()) {
-    selection.config.limiter_rate_tps =
-        PositiveFlag<double>("limiter-rate", limiter_rate);
-  }
-  const std::string limiter_burst = FlagValue(argc, argv, "limiter-burst");
-  if (!limiter_burst.empty()) {
-    selection.config.limiter_burst =
-        PositiveFlag<double>("limiter-burst", limiter_burst);
-  }
-  const std::string codel = FlagValue(argc, argv, "codel-target-us");
-  if (!codel.empty()) {
-    selection.config.codel_target =
-        PositiveFlag<SimTime>("codel-target-us", codel);
-  }
-  return selection;
-}
-
-/// The observability artifacts a bench binary was asked to produce.
-/// `--trace-out <path>` enables lifecycle tracing (Chrome trace-event JSON,
-/// loadable at ui.perfetto.dev); `--metrics-out <path>` snapshots the
-/// metrics registry as JSON; `--timeseries-out <path>` records windowed
-/// counter deltas (`--timeseries-window <us>` sets the window width).
-/// `--trace-capacity <n>` bounds the ring.
+/// Where a bench binary writes its observability artifacts.
+/// `--trace-out <path>` gets lifecycle tracing (Chrome trace-event JSON,
+/// loadable at ui.perfetto.dev); `--metrics-out <path>` a snapshot of the
+/// metrics registry as JSON; `--timeseries-out <path>` windowed counter
+/// deltas. ObsFromFlags turns the matching sinks on in the config's `obs`.
 ///
 /// Sweeping drivers call Capture() once per cluster/bundle; the artifacts
 /// describe the LAST captured run (each capture replaces the previous one
@@ -718,34 +657,6 @@ struct ObsSelection {
   std::string trace_path;
   std::string metrics_path;
   std::string timeseries_path;
-  uint32_t trace_capacity = 1u << 16;
-  uint64_t timeseries_window_us = 100000;
-
-  bool requested() const {
-    return !trace_path.empty() || !metrics_path.empty() ||
-           !timeseries_path.empty();
-  }
-  bool trace() const { return !trace_path.empty(); }
-  bool timeseries() const { return !timeseries_path.empty(); }
-
-  void ApplyTo(core::ThunderboltConfig* config) const {
-    config->obs.trace = trace();
-    config->obs.trace_capacity = trace_capacity;
-    config->obs.timeseries = timeseries();
-    config->obs.timeseries_window_us = timeseries_window_us;
-  }
-
-  /// Builds a standalone bundle for non-cluster drivers (batch benches
-  /// install it on their pool via SetObs and drive SampleWindow between
-  /// cells themselves).
-  std::unique_ptr<obs::Observability> MakeBundle() const {
-    obs::ObsOptions options;
-    options.trace = trace();
-    options.trace_capacity = trace_capacity;
-    options.timeseries = timeseries();
-    options.timeseries_window_us = timeseries_window_us;
-    return std::make_unique<obs::Observability>(options);
-  }
 
   /// Snapshots `obs`'s sinks; safe to call after the owning cluster dies.
   /// Closes the trailing time-series window and syncs the ring's drop
@@ -798,35 +709,29 @@ struct ObsSelection {
   std::string timeseries_json_;
 };
 
-inline constexpr const char* kObsFlags =
-    "--trace-out <path> --metrics-out <path> --timeseries-out <path> "
-    "--timeseries-window <us> --trace-capacity <n>";
-
 /// Shared `--trace-out` / `--metrics-out` / `--timeseries-out` /
-/// `--timeseries-window` / `--trace-capacity` handling.
-inline ObsSelection ObsFromFlags(int argc, char** argv) {
+/// `--timeseries-window <us>` (window width) / `--trace-capacity <n>`
+/// (ring size) handling: turns on the requested sinks in `config->obs`
+/// and returns where to write them.
+inline ObsSelection ObsFromFlags(const Flags& flags,
+                                 core::ThunderboltConfig* config) {
   ObsSelection selection;
-  selection.trace_path = FlagValue(argc, argv, "trace-out");
-  selection.metrics_path = FlagValue(argc, argv, "metrics-out");
-  selection.timeseries_path = FlagValue(argc, argv, "timeseries-out");
-  const std::string cap = FlagValue(argc, argv, "trace-capacity");
-  if (!cap.empty()) {
-    selection.trace_capacity = PositiveFlag<uint32_t>("trace-capacity", cap);
-  }
-  const std::string window = FlagValue(argc, argv, "timeseries-window");
-  if (!window.empty()) {
-    selection.timeseries_window_us =
-        PositiveFlag<uint64_t>("timeseries-window", window);
-  }
+  selection.trace_path = flags.Value("trace-out");
+  selection.metrics_path = flags.Value("metrics-out");
+  selection.timeseries_path = flags.Value("timeseries-out");
+  config->obs.trace = !selection.trace_path.empty();
+  config->obs.timeseries = !selection.timeseries_path.empty();
+  flags.ReadPositive("trace-capacity", &config->obs.trace_capacity);
+  flags.ReadPositive("timeseries-window", &config->obs.timeseries_window_us);
   return selection;
 }
 
 /// Shared `--json <path>` handling for the figure binaries: when the flag
 /// is present, dumps every table printed so far to that path. Call as the
 /// last statement of main.
-inline int WriteTablesJsonIfRequested(int argc, char** argv,
+inline int WriteTablesJsonIfRequested(const Flags& flags,
                                       const char* figure) {
-  std::string path = FlagValue(argc, argv, "json");
+  const std::string path = flags.Value("json");
   if (path.empty()) return 0;
   if (!TableLog::Instance().WriteJson(path, figure)) {
     std::fprintf(stderr, "failed to write JSON to %s\n", path.c_str());

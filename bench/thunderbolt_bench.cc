@@ -96,10 +96,9 @@ struct DriverConfig {
   uint64_t records = 10000;
   /// Shard count for shard-homed generation (1 = the global mix).
   uint32_t shards = 1;
-  bench::PlacementSelection placement;
-  bench::StoreSelection store;
+  /// The shared flags' placement, store, service and obs choices.
+  core::ThunderboltConfig shared;
   bench::ObsSelection obs;
-  bench::ServiceSelection service;
   /// Raw `--params` overrides, applied after the flag-derived fields.
   std::string params;
   std::string json_path = "thunderbolt_bench.json";
@@ -169,12 +168,14 @@ Result<SweepResult> RunCell(const DriverConfig& config,
     return Status::NotFound("unknown workload: " + workload_name);
   }
   std::shared_ptr<placement::PlacementPolicy> policy =
-      workload::InstallPlacement(w.get(), config.placement.policy,
-                                 config.placement.params, config.shards);
+      workload::InstallPlacement(w.get(), config.shared.placement,
+                                 config.shared.placement_params,
+                                 config.shards);
   if (policy == nullptr) {
-    return Status::NotFound("unknown placement: " + config.placement.policy);
+    return Status::NotFound("unknown placement: " + config.shared.placement);
   }
-  std::unique_ptr<storage::KVStore> store = config.store.Create();
+  std::unique_ptr<storage::KVStore> store =
+      storage::StoreRegistry::Global().Create(config.shared.store);
   w->InitStore(store.get());
   auto registry = contract::Registry::CreateDefault();
   std::unique_ptr<ce::ExecutorPool> pool =
@@ -192,17 +193,25 @@ Result<SweepResult> RunCell(const DriverConfig& config,
   out.threads = threads;
   out.batch_size = batch_size;
   out.theta = theta;
-  SimTime total_time = 0;
   Histogram latency_us;
   uint64_t cross_generated = 0;
+  // Sums one pool run's batch into the cell.
+  auto add_batch = [&](const ce::BatchExecutionResult& r) {
+    out.phases.Merge(r.phases);
+    out.aborts += r.total_aborts;
+    for (size_t reason = 0; reason < obs::kNumAbortReasons; ++reason) {
+      out.abort_reasons[reason] += r.abort_reasons[reason];
+    }
+    latency_us.Merge(r.commit_latency_us);
+  };
 
-  if (config.service.config.enabled) {
+  if (config.shared.service.enabled) {
     // Open loop: the front end generates arrivals on the cell's virtual
     // clock; the pool executes dequeued batches with arrival-stamped
     // submit times (pool latency = committed - submit_time, i.e. end to
     // end). ParseFlags already rejected "serial" and the thread pool.
     svc::ServiceFrontEnd front_end(
-        config.service.config, config.shards, options.seed,
+        config.shared.service, config.shards, options.seed,
         [&w](ShardId shard) { return w->NextForShard(shard); },
         &obs->metrics());
     const uint64_t target =
@@ -247,96 +256,64 @@ Result<SweepResult> RunCell(const DriverConfig& config,
           pool->Run(*engine, *registry, batch, clock));
       THUNDERBOLT_RETURN_NOT_OK(store->Write(engine->FinalWrites()));
       clock += r.duration;
-      out.phases.Merge(r.phases);
-      out.aborts += r.total_aborts;
-      for (size_t reason = 0; reason < obs::kNumAbortReasons; ++reason) {
-        out.abort_reasons[reason] += r.abort_reasons[reason];
-      }
-      for (double sample : r.commit_latency_us.samples()) {
-        latency_us.Add(sample);
-      }
+      add_batch(r);
       out.txns += batch.size();
     }
-    total_time = clock;
+    out.total_time = clock;
     const svc::ServiceFrontEnd::Counters& c = front_end.counters();
     out.offered = c.offered;
     out.admitted = c.admitted;
     out.shed = c.shed;
     out.rejected = c.rejected;
-    out.tps = total_time == 0
-                  ? 0
-                  : static_cast<double>(out.txns) / ToSeconds(total_time);
-    out.p50_latency_us = latency_us.Percentile(50.0);
-    out.p99_latency_us = latency_us.Percentile(99.0);
-    out.p999_latency_us = latency_us.Percentile(99.9);
-    out.latency_samples = latency_us.Count();
-    out.re_execs_per_txn =
-        out.txns == 0 ? 0
-                      : static_cast<double>(out.aborts) /
-                            static_cast<double>(out.txns);
-    out.cross_frac = out.txns == 0
-                         ? 0
-                         : static_cast<double>(cross_generated) /
-                               static_cast<double>(out.txns);
-    out.invariant_ok = w->CheckInvariant(*store).ok();
-    out.total_time = total_time;
-    return out;
-  }
-
-  for (uint32_t run = 0; run < config.runs; ++run) {
-    std::vector<txn::Transaction> batch;
-    if (config.shards > 1) {
-      // Shard-homed generation, round-robin over the shards, so the
-      // placement policy's single- vs cross-shard split is measurable.
-      batch.reserve(batch_size);
-      for (uint32_t i = 0; i < batch_size; ++i) {
-        batch.push_back(
-            w->NextForShard(static_cast<ShardId>(i % config.shards)));
+  } else {
+    for (uint32_t run = 0; run < config.runs; ++run) {
+      std::vector<txn::Transaction> batch;
+      if (config.shards > 1) {
+        // Shard-homed generation, round-robin over the shards, so the
+        // placement policy's single- vs cross-shard split is measurable.
+        batch.reserve(batch_size);
+        for (uint32_t i = 0; i < batch_size; ++i) {
+          batch.push_back(
+              w->NextForShard(static_cast<ShardId>(i % config.shards)));
+        }
+        for (const txn::Transaction& tx : batch) {
+          if (!w->mapper().IsSingleShard(tx)) ++cross_generated;
+        }
+      } else {
+        batch = w->MakeBatch(batch_size);
       }
-      for (const txn::Transaction& tx : batch) {
-        if (!w->mapper().IsSingleShard(tx)) ++cross_generated;
+      if (engine_name == "serial") {
+        baselines::SerialExecutionResult r = baselines::ExecuteSerial(
+            *registry, batch, store.get(), serial_op_cost);
+        // Commit latency of txn i = virtual time until its sequential turn
+        // completes.
+        SimTime clock = 0;
+        for (const ce::TxnRecord& record : r.records) {
+          clock += serial_op_cost *
+                   (record.rw_set.reads.size() + record.rw_set.writes.size());
+          latency_us.Add(static_cast<double>(clock));
+        }
+        out.total_time += r.duration;
+      } else {
+        // "serial" above is not a BatchEngine; everything else resolves
+        // through the engine registry.
+        auto engine = ce::EngineRegistry::Global().Create(
+            engine_name, store.get(), batch_size);
+        if (engine == nullptr) {
+          return Status::NotFound("unknown engine: " + engine_name);
+        }
+        THUNDERBOLT_ASSIGN_OR_RETURN(ce::BatchExecutionResult r,
+                                     pool->Run(*engine, *registry, batch));
+        THUNDERBOLT_RETURN_NOT_OK(store->Write(engine->FinalWrites()));
+        out.total_time += r.duration;
+        add_batch(r);
       }
-    } else {
-      batch = w->MakeBatch(batch_size);
+      out.txns += batch_size;
     }
-    if (engine_name == "serial") {
-      baselines::SerialExecutionResult r = baselines::ExecuteSerial(
-          *registry, batch, store.get(), serial_op_cost);
-      // Commit latency of txn i = virtual time until its sequential turn
-      // completes.
-      SimTime clock = 0;
-      for (const ce::TxnRecord& record : r.records) {
-        clock += serial_op_cost *
-                 (record.rw_set.reads.size() + record.rw_set.writes.size());
-        latency_us.Add(static_cast<double>(clock));
-      }
-      total_time += r.duration;
-    } else {
-      // "serial" above is not a BatchEngine; everything else resolves
-      // through the engine registry.
-      auto engine = ce::EngineRegistry::Global().Create(
-          engine_name, store.get(), batch_size);
-      if (engine == nullptr) {
-        return Status::NotFound("unknown engine: " + engine_name);
-      }
-      THUNDERBOLT_ASSIGN_OR_RETURN(ce::BatchExecutionResult r,
-                                   pool->Run(*engine, *registry, batch));
-      THUNDERBOLT_RETURN_NOT_OK(store->Write(engine->FinalWrites()));
-      total_time += r.duration;
-      out.phases.Merge(r.phases);
-      out.aborts += r.total_aborts;
-      for (size_t reason = 0; reason < obs::kNumAbortReasons; ++reason) {
-        out.abort_reasons[reason] += r.abort_reasons[reason];
-      }
-      for (double sample : r.commit_latency_us.samples()) {
-        latency_us.Add(sample);
-      }
-    }
-    out.txns += batch_size;
   }
-  out.tps = total_time == 0
-                ? 0
-                : static_cast<double>(out.txns) / ToSeconds(total_time);
+  out.tps = out.total_time == 0 ? 0
+                                : static_cast<double>(out.txns) /
+                                      ToSeconds(out.total_time);
   out.p50_latency_us = latency_us.Percentile(50.0);
   out.p99_latency_us = latency_us.Percentile(99.0);
   out.p999_latency_us = latency_us.Percentile(99.9);
@@ -350,7 +327,6 @@ Result<SweepResult> RunCell(const DriverConfig& config,
                        : static_cast<double>(cross_generated) /
                              static_cast<double>(out.txns);
   out.invariant_ok = w->CheckInvariant(*store).ok();
-  out.total_time = total_time;
   return out;
 }
 
@@ -365,8 +341,8 @@ bool WriteResultsJson(const std::string& path,
                "%" PRIu64 ",\n  \"shards\": %u,\n  \"placement\": \"%s\",\n"
                "  \"store\": \"%s\",\n  \"results\": [",
                config.executors, config.runs, config.records, config.shards,
-               bench::JsonEscape(config.placement.policy).c_str(),
-               bench::JsonEscape(config.store.name).c_str());
+               bench::JsonEscape(config.shared.placement).c_str(),
+               bench::JsonEscape(config.shared.store).c_str());
   // Percentiles over zero samples are meaningless, not zero: an idle cell
   // emits null so downstream tooling cannot mistake it for a fast run.
   auto latency_or_null = [](const SweepResult& r, double value) {
@@ -405,7 +381,7 @@ bool WriteResultsJson(const std::string& path,
         "\"cross_frac\": %.4f, \"invariant_ok\": %s",
         r.phases.ToJson().c_str(), r.re_execs_per_txn, r.cross_frac,
         r.invariant_ok ? "true" : "false");
-    if (config.service.config.enabled) {
+    if (config.shared.service.enabled) {
       // Open-loop cells carry the front end's accounting; closed-loop
       // JSON keeps its historical schema.
       std::fprintf(f,
@@ -420,31 +396,29 @@ bool WriteResultsJson(const std::string& path,
   return true;
 }
 
-DriverConfig ParseFlags(int argc, char** argv) {
+DriverConfig ParseFlags(const bench::Flags& flags) {
   DriverConfig config;
-  const bool smoke = bench::HasFlag(argc, argv, "smoke");
-  std::string workloads = bench::FlagValue(argc, argv, "workload");
+  const bool smoke = flags.Has("smoke");
+  const std::string workloads = flags.Value("workload");
   if (workloads.empty() || workloads == "all") {
     config.workloads = workload::WorkloadRegistry::Global().Names();
   } else {
     config.workloads = Split(workloads, ',');
   }
-  std::string engines = bench::FlagValue(argc, argv, "engine");
+  const std::string engines = flags.Value("engine");
   if (engines.empty() || engines == "all") {
     config.engines = {"serial", "occ", "2pl", "ce"};
   } else {
     config.engines = Split(engines, ',');
   }
-  std::string batches = bench::FlagValue(argc, argv, "batch");
-  for (const std::string& b : Split(batches, ',')) {
+  for (const std::string& b : Split(flags.Value("batch"), ',')) {
     config.batch_sizes.push_back(bench::PositiveFlag<uint32_t>("batch", b));
   }
   if (config.batch_sizes.empty()) {
     config.batch_sizes = smoke ? std::vector<uint32_t>{64}
                                : std::vector<uint32_t>{100, 300};
   }
-  std::string thetas = bench::FlagValue(argc, argv, "theta");
-  for (const std::string& t : Split(thetas, ',')) {
+  for (const std::string& t : Split(flags.Value("theta"), ',')) {
     char* end = nullptr;
     double theta = std::strtod(t.c_str(), &end);
     if (end == t.c_str() || *end != '\0' || theta < 0 || theta >= 1) {
@@ -455,35 +429,25 @@ DriverConfig ParseFlags(int argc, char** argv) {
     config.thetas.push_back(theta);
   }
   if (config.thetas.empty()) config.thetas = {0.85};
-  std::string executors = bench::FlagValue(argc, argv, "executors");
-  if (!executors.empty()) {
-    config.executors = bench::PositiveFlag<uint32_t>("executors", executors);
-  }
-  std::string pools = bench::FlagValue(argc, argv, "pool");
+  flags.ReadPositive("executors", &config.executors);
+  const std::string pools = flags.Value("pool");
   if (pools.empty()) {
     config.pools = {"sim"};
   } else {
     config.pools = Split(pools, ',');
   }
-  std::string threads = bench::FlagValue(argc, argv, "threads");
-  for (const std::string& t : Split(threads, ',')) {
+  for (const std::string& t : Split(flags.Value("threads"), ',')) {
     config.threads.push_back(bench::PositiveFlag<uint32_t>("threads", t));
   }
-  std::string runs = bench::FlagValue(argc, argv, "runs");
-  if (!runs.empty()) config.runs = bench::PositiveFlag<uint32_t>("runs", runs);
-  std::string records = bench::FlagValue(argc, argv, "records");
-  if (!records.empty()) {
-    config.records = bench::PositiveFlag<uint64_t>("records", records);
-  }
-  std::string shards = bench::FlagValue(argc, argv, "shards");
-  if (!shards.empty()) {
-    config.shards = bench::PositiveFlag<uint32_t>("shards", shards);
-  }
-  config.placement = bench::PlacementFromFlags(argc, argv, {config.shards});
-  config.store = bench::StoreFromFlags(argc, argv);
-  config.obs = bench::ObsFromFlags(argc, argv);
-  config.service = bench::ServiceFromFlags(argc, argv);
-  if (config.service.config.enabled) {
+  flags.ReadPositive("runs", &config.runs);
+  flags.ReadPositive("records", &config.records);
+  flags.ReadPositive("shards", &config.shards);
+  // --pool is a comma LIST here (the pool sweep axis), which the shared
+  // single-name reader would reject, so it does not see it.
+  config.shared =
+      bench::ConfigFromFlags(flags.Without("pool"), {config.shards});
+  config.obs = bench::ObsFromFlags(flags, &config.shared);
+  if (config.shared.service.enabled) {
     // Open loop needs the virtual clock (arrivals are sim events) and a
     // pipeline to backpressure: "serial" executes inline with no admission
     // point, and the thread pool runs on wall time. A defaulted "all"
@@ -513,17 +477,17 @@ DriverConfig ParseFlags(int argc, char** argv) {
     }
     config.engines = std::move(kept);
   }
-  config.params = bench::FlagValue(argc, argv, "params");
+  config.params = flags.Value("params");
   // The driver's own flags/sweep own these axes; a --params override would
   // be clobbered per cell and mislabel the JSON series.
   bench::RejectReservedParams(
       config.params, {"theta", "num_records", "num_accounts", "num_shards"});
-  std::string json = bench::FlagValue(argc, argv, "json");
+  const std::string json = flags.Value("json");
   if (!json.empty()) config.json_path = json;
   // Smoke shrinks only what the user didn't set explicitly.
   if (smoke) {
-    if (runs.empty()) config.runs = 2;
-    if (records.empty()) config.records = 200;
+    if (flags.Value("runs").empty()) config.runs = 2;
+    if (flags.Value("records").empty()) config.records = 200;
   }
   // --threads defaults to the single --executors width, keeping the
   // historical sweep shape when the axis isn't exercised.
@@ -537,7 +501,7 @@ DriverConfig ParseFlags(int argc, char** argv) {
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   const bench::CostFooter cost_footer(argv[0]);
-  bench::AcceptOnlyFlags(
+  const bench::Flags flags = bench::AcceptOnlyFlags(
       argc, argv,
       {"--smoke --list --engine-list --placement-list --store-list "
        "--workload <names|all> --engine <names|all> --batch <sizes> "
@@ -546,51 +510,39 @@ int main(int argc, char** argv) {
        "--json <path>",
        bench::kPlacementFlags, bench::kStoreFlags, bench::kServiceFlags,
        bench::kObsFlags});
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--list") {
-      for (const std::string& name :
-           workload::WorkloadRegistry::Global().Names()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
+  // The first list flag given prints its registry and exits.
+  for (const auto& [flag, value] : flags.values) {
+    std::vector<std::string> names;
+    if (flag == "list") {
+      names = workload::WorkloadRegistry::Global().Names();
+    } else if (flag == "engine-list") {
+      names = ce::EngineRegistry::Global().Names();
+      // ExecuteSerial path, not a BatchEngine.
+      names.insert(names.begin(), "serial");
+    } else if (flag == "placement-list") {
+      names = placement::PlacementRegistry::Global().Names();
+    } else if (flag == "store-list") {
+      names = storage::StoreRegistry::Global().Names();
+    } else {
+      continue;
     }
-    if (std::string(argv[i]) == "--engine-list") {
-      std::printf("serial\n");  // ExecuteSerial path, not a BatchEngine.
-      for (const std::string& name : ce::EngineRegistry::Global().Names()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
-    }
-    if (std::string(argv[i]) == "--placement-list") {
-      for (const std::string& name :
-           placement::PlacementRegistry::Global().Names()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
-    }
-    if (std::string(argv[i]) == "--store-list") {
-      for (const std::string& name :
-           storage::StoreRegistry::Global().Names()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
-    }
+    for (const std::string& name : names) std::printf("%s\n", name.c_str());
+    return 0;
   }
-  DriverConfig config = ParseFlags(argc, argv);
+  DriverConfig config = ParseFlags(flags);
   bench::Banner("thunderbolt_bench", "workload x engine x batch/skew sweep",
                 "CE sustains the highest throughput with the fewest "
                 "re-executions as batch size and skew grow");
-  if (config.shards > 1 || config.store.name != "mem") {
+  if (config.shards > 1 || config.shared.store != "mem") {
     std::printf("shards: %u  placement: %s  store: %s\n", config.shards,
-                config.placement.policy.c_str(), config.store.name.c_str());
+                config.shared.placement.c_str(), config.shared.store.c_str());
   }
-  if (config.service.config.enabled) {
+  const svc::ServiceConfig& service = config.shared.service;
+  if (service.enabled) {
     std::printf(
         "open loop: arrival=%s rate=%.0f tps admission=%s queue-depth=%u\n",
-        config.service.config.arrival.c_str(),
-        config.service.config.rate_tps,
-        config.service.config.admission.c_str(),
-        config.service.config.queue_depth);
+        service.arrival.c_str(), service.rate_tps, service.admission.c_str(),
+        service.queue_depth);
   }
   bench::Table table({"workload", "engine", "pool", "thr", "batch", "theta",
                       "tput(tps)", "p50(us)", "p99(us)", "p999(us)",
@@ -601,7 +553,7 @@ int main(int argc, char** argv) {
   // One bundle for the whole sweep; each cell's pool re-records into it,
   // so --trace-out captures the final cell (ring keeps the newest events)
   // and --metrics-out aggregates pool.* across the entire sweep.
-  std::unique_ptr<obs::Observability> obs = config.obs.MakeBundle();
+  obs::Observability obs(config.shared.obs);
   // Sweep-level time-series clock: cells run back to back on one virtual
   // timeline, sampled at each cell boundary (Capture flushes the tail).
   uint64_t sweep_clock_us = 0;
@@ -613,7 +565,7 @@ int main(int argc, char** argv) {
             for (double theta : config.thetas) {
               auto cell =
                   RunCell(config, workload_name, engine_name, pool_name,
-                          threads, batch_size, theta, obs.get());
+                          threads, batch_size, theta, &obs);
               if (!cell.ok()) {
                 std::fprintf(stderr, "%s/%s/%s t%u b%u theta %.2f failed: %s\n",
                              workload_name.c_str(), engine_name.c_str(),
@@ -624,7 +576,7 @@ int main(int argc, char** argv) {
               }
               if (!cell->invariant_ok) all_ok = false;
               sweep_clock_us += cell->total_time;
-              obs->SampleWindow(sweep_clock_us);
+              obs.SampleWindow(sweep_clock_us);
               results.push_back(*cell);
               table.Row({cell->workload, cell->engine, cell->pool,
                          bench::FmtInt(cell->threads),
@@ -654,7 +606,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%zu results written to %s\n", results.size(),
               config.json_path.c_str());
-  config.obs.Capture(*obs);
+  config.obs.Capture(obs);
   if (config.obs.WriteIfRequested() != 0) return 1;
   return all_ok ? 0 : 1;
 }

@@ -116,9 +116,9 @@ class Cluster {
     return *shared_->canonical;
   }
   /// The cluster's observability bundle: metrics are always live; the
-  /// trace ring exists when config.obs.trace was set. WriteJson /
-  /// WriteChromeJson on these produce the bench --metrics-out/--trace-out
-  /// artifacts.
+  /// trace ring exists when config.obs.trace was set. The bench drivers'
+  /// ObsSelection captures its ToJson / ToChromeJson exports as the
+  /// --metrics-out / --timeseries-out / --trace-out artifacts.
   obs::Observability& obs() { return *obs_; }
   const obs::Observability& obs() const { return *obs_; }
   workload::Workload& workload() { return *workload_; }

@@ -37,11 +37,13 @@ struct ThunderboltConfig {
   uint32_t num_executors = 16;         // CE pool width.
   uint32_t num_validators = 16;        // Parallel validation width.
   ce::ExecutionCostModel exec_costs;   // Per-operation virtual costs.
-  /// Executor pool driving preplay. Clusters run the "sim" pool only
-  /// (deterministic virtual time); Cluster aborts on any other name. The
-  /// "thread" pool would start num_executors OS threads per replica and
-  /// feed wall-clock batch durations into the virtual clock. The field
-  /// stays because perfbench sets it.
+  /// Executor pool driving preplay, by ce::CreateExecutorPool name. The
+  /// batch bench drivers (Figures 11 and 12) carry their --pool choice
+  /// here, with num_executors, batch_size, engine and store. Clusters run
+  /// the "sim" pool only (deterministic virtual time); Cluster aborts on
+  /// any other name: the "thread" pool would start num_executors OS
+  /// threads per replica and feed wall-clock batch durations into the
+  /// virtual clock.
   std::string pool = "sim";
 
   // --- Consensus cadence ----------------------------------------------------

@@ -170,13 +170,4 @@ std::string MetricsRegistry::ToJson() const {
   return out;
 }
 
-bool MetricsRegistry::WriteJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = ToJson();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  return written == json.size() && closed;
-}
-
 }  // namespace thunderbolt::obs

@@ -180,9 +180,6 @@ class MetricsRegistry {
   /// from a genuinely instant run.
   std::string ToJson() const;
 
-  /// Writes ToJson() to `path`. Returns false on IO failure.
-  bool WriteJson(const std::string& path) const;
-
  private:
   mutable std::mutex mu_;  // Guards the maps, not the metric values.
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -1,6 +1,5 @@
 #include "obs/timeseries.h"
 
-#include <cstdio>
 #include <utility>
 
 namespace thunderbolt::obs {
@@ -139,15 +138,6 @@ std::string TimeSeriesRecorder::ToJson() const {
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
-}
-
-bool TimeSeriesRecorder::WriteJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = ToJson();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  return written == json.size() && closed;
 }
 
 }  // namespace thunderbolt::obs

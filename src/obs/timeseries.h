@@ -89,9 +89,6 @@ class TimeSeriesRecorder {
   /// script in CI checks exactly this).
   std::string ToJson() const;
 
-  /// Writes ToJson() to `path`. Returns false on IO failure.
-  bool WriteJson(const std::string& path) const;
-
  private:
   /// Closes one window [window_start_, end_us] with the given deltas;
   /// mu_ held.

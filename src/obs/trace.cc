@@ -217,13 +217,4 @@ std::string RingTracer::ToChromeJson() const {
   return out;
 }
 
-bool RingTracer::WriteChromeJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = ToChromeJson();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  return written == json.size() && closed;
-}
-
 }  // namespace thunderbolt::obs

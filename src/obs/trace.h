@@ -177,9 +177,6 @@ class RingTracer final : public Tracer {
   /// event sequence.
   std::string ToChromeJson() const;
 
-  /// Writes ToChromeJson() to `path`. Returns false on IO failure.
-  bool WriteChromeJson(const std::string& path) const;
-
  private:
   mutable std::mutex mu_;
   const size_t capacity_;

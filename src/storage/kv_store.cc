@@ -213,12 +213,7 @@ std::unique_ptr<KVStore> StoreRegistry::Create(
   if (colon != std::string::npos && colon + 1 < spec.size()) {
     opts.params = spec.substr(colon + 1);
   }
-  std::unique_ptr<KVStore> store =
-      FactoryRegistry::Create(spec.substr(0, colon), opts);
-  if (store != nullptr && opts.expected_keys > 0) {
-    store->Reserve(opts.expected_keys);
-  }
-  return store;
+  return FactoryRegistry::Create(spec.substr(0, colon), opts);
 }
 
 bool StoreRegistry::Contains(const std::string& spec) const {

@@ -367,9 +367,6 @@ std::shared_ptr<const StoreSnapshot> MakeOrderedSnapshot(
 
 /// Everything a store factory may consume.
 struct StoreOptions {
-  /// Capacity hint forwarded to Reserve() on construction (0 = none).
-  size_t expected_keys = 0;
-
   /// Backend-specific parameters, the part of a spec after the first ':'
   /// ("group_commit=4,inner=sorted"). Plain backends ignore it; wrappers
   /// parse it with ParseStoreParams.

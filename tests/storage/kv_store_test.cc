@@ -329,17 +329,5 @@ TEST(KVStoreTest, RestoreEntryInstallsExactVersionOnEveryBuiltin) {
   }
 }
 
-TEST(StoreRegistryTest, ExpectedKeysHintIsHonored) {
-  // The hint must not change observable content (Reserve is semantics-free).
-  StoreOptions options;
-  options.expected_keys = 1024;
-  std::unique_ptr<KVStore> store = StoreRegistry::Global().Create("mem",
-                                                                  options);
-  ASSERT_NE(store, nullptr);
-  EXPECT_EQ(store->size(), 0u);
-  store->Put("k", 1);
-  EXPECT_EQ(store->GetOrDefault("k", 0), 1);
-}
-
 }  // namespace
 }  // namespace thunderbolt::storage
